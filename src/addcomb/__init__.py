@@ -6,7 +6,7 @@ harness, all over exact rational arithmetic.  Hot counting kernels use a
 compiled extension when available, with a pure-Python fallback.
 """
 
-from ._kernels import backend_name, has_compiled
+from ._kernels import backend_name
 from .collinear import (
     IdentityReport,
     TripleCountReport,
@@ -120,7 +120,6 @@ __all__ = [
     "generate",
     "gp",
     "grid_example",
-    "has_compiled",
     "incidences",
     "l4_union_check",
     "line_moment_sums",

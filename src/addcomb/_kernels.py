@@ -5,31 +5,24 @@ precheck: with every input bounded by 2**28 all intermediate products
 (differences up to 2**29, their products up to 2**58, line constants up to
 2**58 plus slack) stay inside int64.  Inputs that fail the precheck are
 routed to the arbitrary-precision pure backend regardless of what was
-selected at import.  Set ADDCOMB_PURE=1 to force the pure backend.
+selected at import.  The pure kernels are the single implementation of
+each loop; the compiled twin only mirrors the hot ones.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernels_py
 
 INT64_SAFE = 1 << 28
 
-_compiled = None
-if os.environ.get("ADDCOMB_PURE", "") != "1":
-    try:
-        from . import _kernels_cy as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
+try:
+    from . import _kernels_cy as _compiled
+except ImportError:
+    _compiled = None
 
 
 def backend_name() -> str:
     return "compiled" if _compiled is not None else "pure"
-
-
-def has_compiled() -> bool:
-    return _compiled is not None
 
 
 def _fits(*seqs) -> bool:

@@ -69,24 +69,18 @@ def _canonical_span(px: int, py: int, qx: int, qy: int):
     return a // g, b // g, c // g
 
 
-def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
-    """Ordered pairwise-distinct collinear triples (u1,u2,u3), ui in gi x gi.
+def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
+    """Yield (a, b, c, n1, n2, n3, distinct) for every line a*x + b*y == c
+    that carries distinct > 0 ordered pairwise-distinct triples (u1,u2,u3),
+    ui in gi x gi; ni counts the points of gi x gi on the line.
 
-    Spans candidate lines by all distinct point pairs from the first two
-    grids (every contributing line contains such a pair), dedupes by
-    canonical key, then assembles the per-line count by inclusion-exclusion
-    over coincident points shared between grids.  Callers should pass the
-    two smallest sets first; the count itself is symmetric in the arguments.
+    Candidate lines are spanned by all distinct point pairs from the first
+    two grids (every contributing line contains such a pair) and deduped by
+    canonical key.  The per-line count is assembled by inclusion-exclusion
+    over coincident points shared between grids; equal grids skip it.
     """
     l1, l2, l3 = list(g1), list(g2), list(g3)
     s1, s2, s3 = set(l1), set(l2), set(l3)
-    equal_all = s1 == s2 == s3
-    if not equal_all:
-        i12 = sorted(s1 & s2)
-        i13 = sorted(s1 & s3)
-        i23 = sorted(s2 & s3)
-        i123 = sorted(set(i12) & s3)
-        m12, m13, m23, m123 = set(i12), set(i13), set(i23), set(i123)
 
     lines = set()
     add = lines.add
@@ -98,15 +92,21 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
                         continue
                     add(_canonical_span(px, py, qx, qy))
 
-    total = 0
+    if s1 == s2 == s3:
+        # all grids identical: ordered distinct triples from n1 points
+        for a, b, c in lines:
+            n1 = _count_on_line(a, b, c, l1, s1)
+            if n1 > 2:
+                yield a, b, c, n1, n1, n1, n1 * (n1 - 1) * (n1 - 2)
+        return
+
+    i12 = sorted(s1 & s2)
+    i13 = sorted(s1 & s3)
+    i23 = sorted(s2 & s3)
+    i123 = sorted(set(i12) & s3)
+    m12, m13, m23, m123 = set(i12), set(i13), set(i23), set(i123)
     for a, b, c in lines:
         n1 = _count_on_line(a, b, c, l1, s1)
-        if n1 == 0 and equal_all:
-            continue
-        if equal_all:
-            # all grids identical: ordered distinct triples from n points
-            total += n1 * (n1 - 1) * (n1 - 2)
-            continue
         n2 = _count_on_line(a, b, c, l2, s2)
         n3 = _count_on_line(a, b, c, l3, s3)
         if n1 == 0 or n2 == 0 or n3 == 0:
@@ -115,8 +115,18 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
         n13 = _count_on_line(a, b, c, i13, m13) if i13 else 0
         n23 = _count_on_line(a, b, c, i23, m23) if i23 else 0
         n123 = _count_on_line(a, b, c, i123, m123) if i123 else 0
-        total += n1 * n2 * n3 - n12 * n3 - n13 * n2 - n23 * n1 + 2 * n123
-    return total
+        distinct = n1 * n2 * n3 - n12 * n3 - n13 * n2 - n23 * n1 + 2 * n123
+        if distinct > 0:
+            yield a, b, c, n1, n2, n3, distinct
+
+
+def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
+    """Ordered pairwise-distinct collinear triples (u1,u2,u3), ui in gi x gi.
+
+    Sums the per-line counts of _spanned_lines.  Callers should pass the
+    two smallest sets first; the count itself is symmetric in the arguments.
+    """
+    return sum(distinct for *_, distinct in _spanned_lines(g1, g2, g3))
 
 
 def count_incidences(pxs, pys, las, lbs, lcs) -> int:
@@ -129,47 +139,9 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
     return total
 
 
-def _direction_hist(vals):
-    # histogram of primitive direction vectors over all ordered pairs;
+def _direction_hist(us, vs):
+    # histogram of primitive direction vectors (u, v) over us x vs;
     # the zero vector (0,0) is tallied separately
-    hist: dict = {}
-    zero_pairs = 0
-    for u in vals:
-        for v in vals:
-            if u == 0 and v == 0:
-                zero_pairs += 1
-                continue
-            g = gcd(u, v)
-            if u < 0 or (u == 0 and v < 0):
-                g = -g
-            key = (u // g, v // g)
-            hist[key] = hist.get(key, 0) + 1
-    return hist, zero_pairs
-
-
-def mul_pairs_count(x: Sequence[int], y: Sequence[int]) -> int:
-    """#{(x1,x2,y1,y2) in x^2 * y^2 : x1*y2 == x2*y1}, zeros allowed.
-
-    Two pairs satisfy the equation iff they are parallel as vectors, so
-    hash primitive directions and match; the zero vector matches everything.
-    """
-    hx, zx = _direction_hist(x)
-    hy, zy = _direction_hist(y)
-    nx = len(x) * len(x)
-    ny = len(y) * len(y)
-    total = zx * ny + zy * nx - zx * zy
-    if len(hx) > len(hy):
-        hx, hy = hy, hx
-    get = hy.get
-    for key, cnt in hx.items():
-        other = get(key)
-        if other:
-            total += cnt * other
-    return total
-
-
-def _direction_hist_cross(us, vs):
-    # like _direction_hist but the two components range over different sets
     hist: dict = {}
     zero_pairs = 0
     for u in us:
@@ -185,19 +157,13 @@ def _direction_hist_cross(us, vs):
     return hist, zero_pairs
 
 
-def mul_pairs_cross(x1, x2, y1, y2) -> int:
-    """#{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c}, zeros allowed.
-
-    Cross-rectangle variant of mul_pairs_count, needed when the two
-    components of each vector come from differently shifted sets;
-    mul_pairs_count(X, Y) is the diagonal case x1 = x2 = X, y1 = y2 = Y.
-    Cold path: no compiled twin.
-    """
-    hx, zx = _direction_hist_cross(x1, x2)
-    hy, zy = _direction_hist_cross(y1, y2)
-    nx = len(x1) * len(x2)
-    ny = len(y1) * len(y2)
-    total = zx * ny + zy * nx - zx * zy
+def _parallel_pairs(x1, x2, y1, y2) -> int:
+    # #{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c}: the vectors (a,b)
+    # and (c,d) are parallel iff their primitive directions match, and the
+    # zero vector is parallel to everything
+    hx, zx = _direction_hist(x1, x2)
+    hy, zy = _direction_hist(y1, y2)
+    total = zx * len(y1) * len(y2) + zy * len(x1) * len(x2) - zx * zy
     if len(hx) > len(hy):
         hx, hy = hy, hx
     get = hy.get
@@ -206,3 +172,23 @@ def mul_pairs_cross(x1, x2, y1, y2) -> int:
         if other:
             total += cnt * other
     return total
+
+
+def mul_pairs_count(x: Sequence[int], y: Sequence[int]) -> int:
+    """#{(x1,x2,y1,y2) in x^2 * y^2 : x1*y2 == x2*y1}, zeros allowed.
+
+    Two pairs satisfy the equation iff they are parallel as vectors, so
+    hash primitive directions and match; the zero vector matches everything.
+    """
+    return _parallel_pairs(x, x, y, y)
+
+
+def mul_pairs_cross(x1, x2, y1, y2) -> int:
+    """#{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c}, zeros allowed.
+
+    Cross-rectangle variant of mul_pairs_count, needed when the two
+    components of each vector come from differently shifted sets;
+    mul_pairs_count(X, Y) is the diagonal case x1 = x2 = X, y1 = y2 = Y.
+    Cold path: no compiled twin.
+    """
+    return _parallel_pairs(x1, x2, y1, y2)

@@ -253,6 +253,21 @@ def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     return failures
 
 
+def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
+    """Replay the certificate chain of a decomposition of source.
+
+    Each certificate is rechecked against the remainder its extraction
+    saw: source minus every earlier chosen piece.  Returns the failed
+    claim names in chain order (empty means fully verified).
+    """
+    failures = []
+    rem = source
+    for cert in res.certificates:
+        failures += recheck_certificate(rem, cert)
+        rem = rem.difference(cert.chosen)
+    return failures
+
+
 # ---------------------------------------------------------------------------
 # energy-split and cover decompositions
 
@@ -477,6 +492,35 @@ def _epsilon_bounds(k: int, n: int):
     return l2lo / (denom * lghi), l2hi / (denom * lglo)
 
 
+def _reg_step(cur: RatSet, k: int, eps: Fraction):
+    """One pass of the regularization loop on the working set cur.
+
+    Bands the k-th difference moment and keeps a iff its band degree
+    deg(a) = #{b in cur : a - b in P} is at most |G| / (eps |cur|).
+    Returns (t, P, g_size, deg, kept_set, g_kept, stop): regularize runs
+    it, recheck_reg_trace replays it.
+    """
+    diff = rep_histogram(cur, cur, "diff")
+    band = dyadic_band(diff, k)
+    t, P = band.t, band.P
+    g_size = sum(diff.entries[x] for x in P)
+    deg_hist = _restricted_hist(rep_histogram(P, cur, "sum"), cur)
+    deg = {a: deg_hist.entries.get(a, 0) for a in cur}
+    # keep a iff deg(a) <= |G| / (eps |cur|), cross-multiplied
+    na = len(cur)
+    kept_set = RatSet(
+        a for a in cur
+        if deg[a] * eps.numerator * na <= g_size * eps.denominator
+    )
+    g_kept = sum(deg[a] for a in kept_set)
+    return t, P, g_size, deg, kept_set, g_kept, g_kept * 2**k >= g_size
+
+
+def _two_sided_core(kept_set: RatSet, deg: dict, k: int, n: int, g_size: int) -> RatSet:
+    # deg(x) >= |G| / (2^(k+1) |B|), cross-multiplied
+    return RatSet(x for x in kept_set if deg[x] * 2 ** (k + 1) * n >= g_size)
+
+
 def regularize(A: RatSet, k: int) -> RegTrace:
     """Shrink A to a set B whose popular-difference graph is regular enough,
     then carve the two-sided-degree core B'' out of B' subset of B.
@@ -496,37 +540,17 @@ def regularize(A: RatSet, k: int) -> RegTrace:
     while True:
         if len(steps) >= cap:
             raise IterationOverflow("regularization exceeded ceil(1/epsilon) steps")
-        diff = rep_histogram(cur, cur, "diff")
-        band = dyadic_band(diff, k)
-        t, P = band.t, band.P
-        g_size = sum(diff.entries[x] for x in P)
-        # degree of a in the band graph: #{b in cur : a - b in P}
-        deg_hist = _restricted_hist(rep_histogram(P, cur, "sum"), cur)
-        deg = {a: deg_hist.entries.get(a, 0) for a in cur}
-        # keep a iff deg(a) <= |G| / (eps |cur|), cross-multiplied
-        na = len(cur)
-        kept_set = RatSet(
-            a for a in cur
-            if deg[a] * eps.numerator * na <= g_size * eps.denominator
-        )
-        g_kept = sum(deg[a] for a in kept_set)
-        stop = g_kept * 2**k >= g_size
-        steps.append(RegStep(size=na, t=t, p_size=len(P), g_size=g_size,
+        t, P, g_size, deg, kept_set, g_kept, stop = _reg_step(cur, k, eps)
+        steps.append(RegStep(size=len(cur), t=t, p_size=len(P), g_size=g_size,
                              g_kept=g_kept, kept=stop))
         if stop:
-            B, B_prime = cur, kept_set
-            final_t, final_P, final_g, final_deg = t, P, g_size, deg
             break
         cur = kept_set
-    # two-sided core: deg(x) >= |G| / (2^(k+1) |B|), cross-multiplied
-    nb = len(B)
-    B_dprime = RatSet(
-        x for x in B_prime if final_deg[x] * 2 ** (k + 1) * nb >= final_g
-    )
     trace = RegTrace(
         k=k, epsilon=eps, steps=tuple(steps),
-        B=B, B_prime=B_prime, B_dprime=B_dprime,
-        final_t=final_t, final_P=final_P,
+        B=cur, B_prime=kept_set,
+        B_dprime=_two_sided_core(kept_set, deg, k, len(cur), g_size),
+        final_t=t, final_P=P,
     )
     _assert_reg_invariants(A, trace)
     return trace
@@ -553,39 +577,23 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
         if len(cur) != st.size:
             failures.append(f"step{i}_size")
             break
-        diff = rep_histogram(cur, cur, "diff")
-        band = dyadic_band(diff, tr.k)
-        if band.t != st.t or len(band.P) != st.p_size:
-            failures.append(f"step{i}_band")
-            break
-        g_size = sum(diff.entries[x] for x in band.P)
-        if g_size != st.g_size:
-            failures.append(f"step{i}_gsize")
-            break
-        deg_hist = _restricted_hist(rep_histogram(band.P, cur, "sum"), cur)
-        deg = {a: deg_hist.entries.get(a, 0) for a in cur}
-        kept_set = RatSet(
-            a for a in cur
-            if deg[a] * eps.numerator * len(cur) <= g_size * eps.denominator
+        t, P, g_size, deg, kept_set, g_kept, stop = _reg_step(cur, tr.k, eps)
+        claims = (
+            ("band", t == st.t and len(P) == st.p_size),
+            ("gsize", g_size == st.g_size),
+            ("gkept", g_kept == st.g_kept),
+            ("stop_flag", stop == st.kept),
         )
-        g_kept = sum(deg[a] for a in kept_set)
-        if g_kept != st.g_kept:
-            failures.append(f"step{i}_gkept")
-            break
-        stop = g_kept * 2**tr.k >= g_size
-        if stop != st.kept:
-            failures.append(f"step{i}_stop_flag")
+        wrong = [name for name, ok in claims if not ok]
+        if wrong:
+            failures.append(f"step{i}_{wrong[0]}")
             break
         if stop:
             if cur != tr.B or kept_set != tr.B_prime:
                 failures.append("final_sets")
-            if band.t != tr.final_t or band.P != tr.final_P:
+            if t != tr.final_t or P != tr.final_P:
                 failures.append("final_band")
-            expect_core = RatSet(
-                x for x in kept_set
-                if deg[x] * 2 ** (tr.k + 1) * len(cur) >= g_size
-            )
-            if expect_core != tr.B_dprime:
+            if _two_sided_core(kept_set, deg, tr.k, len(cur), g_size) != tr.B_dprime:
                 failures.append("core_set")
             # element-wise two-sided degree sandwich on the core
             for x in tr.B_dprime:

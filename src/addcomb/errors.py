@@ -56,7 +56,3 @@ class NonTermination(AddcombError):
 
 class InsufficientPoints(AddcombError):
     """A fit needs more data points than were supplied."""
-
-
-class Inconclusive(AddcombError):
-    """Interval comparison still undecided at maximum working precision."""

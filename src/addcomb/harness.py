@@ -231,6 +231,14 @@ def _report(name: str, details: str) -> Check:
     return Check(name=name, kind="ASYMPTOTIC", status="report-only", details=details)
 
 
+def _note(tables: list, maxima: dict, family: str, lbl: str, lo: str, hi: str) -> None:
+    # one ratio-table row; maxima keeps each family's largest upper end
+    tables.append({"family": family, "set": lbl, "lo": lo, "hi": hi})
+    cur = maxima.get(family)
+    if cur is None or Fraction(hi) > Fraction(cur):
+        maxima[family] = hi
+
+
 def _baseline_drift_check(maxima: dict) -> Check:
     # regression sensing, not a bound: warns (never fails) past 2x stored max
     baselines = load_baselines()
@@ -423,12 +431,6 @@ def _suite_decomposition(corpus, budget: int):
     tables = []
     maxima = {}
 
-    def _note(family, lbl, lo, hi):
-        tables.append({"family": family, "set": lbl, "lo": lo, "hi": hi})
-        cur = maxima.get(family)
-        if cur is None or Fraction(hi) > Fraction(cur):
-            maxima[family] = hi
-
     for lbl, A in _materialize(corpus):
         if 0 in A:
             continue
@@ -440,36 +442,24 @@ def _suite_decomposition(corpus, budget: int):
         if len(B):
             e3b = energy(B, B, 3, "additive")
             guard_ok = e3b**11 * n**6 <= n**44
-        cert_fail = []
-        rem = A
-        pieces_ok = True
-        for cert in res.certificates:
-            cert_fail.extend(decompose.recheck_certificate(rem, cert))
-            if not cert.chosen.is_subset(rem) or len(cert.chosen) < 1:
-                pieces_ok = False
-            rem = rem.difference(cert.chosen)
+        cert_fail = decompose.recheck_decomposition(A, res)
         checks.append(_exact(
             f"bw_partition:{lbl}",
-            B.is_disjoint(C) and B.union(C) == A and guard_ok and pieces_ok
-            and not cert_fail,
+            B.is_disjoint(C) and B.union(C) == A and guard_ok and not cert_fail,
             f"|B|={len(B)} |C|={len(C)} pieces={res.meta['pieces']} "
             f"cert failures: {cert_fail if cert_fail else 'none'}"))
-        _note("bw_energy_split_vs_bound", lbl, *res.target_ratio)
+        _note(tables, maxima, "bw_energy_split_vs_bound", lbl, *res.target_ratio)
 
         res = decompose.xy_decompose(A)
         X, Y = res.parts["X"], res.parts["Y"]
-        cert_fail = []
-        rem = A
-        for cert in res.certificates:
-            cert_fail.extend(decompose.recheck_certificate(rem, cert))
-            rem = rem.difference(cert.chosen)
+        cert_fail = decompose.recheck_decomposition(A, res)
         checks.append(_exact(
             f"xy_cover:{lbl}",
             X.union(Y) == A and 2 * len(X) >= n and 2 * len(Y) >= n
             and not cert_fail,
             f"|X|={len(X)} |Y|={len(Y)} pieces={res.meta['pieces']} "
             f"cert failures: {cert_fail if cert_fail else 'none'}"))
-        _note("xy_energy_product_vs_bound", lbl, *res.target_ratio)
+        _note(tables, maxima, "xy_energy_product_vs_bound", lbl, *res.target_ratio)
 
         # single-extraction report: output structure vs the input energy
         Ap, cert = decompose.extract_mult_structured(A)
@@ -478,7 +468,7 @@ def _suite_decomposition(corpus, budget: int):
             f"extraction_certificate:{lbl}", not fails,
             f"branch={cert.branch} |A'|={len(Ap)} failures: {fails if fails else 'none'}"))
         lo, hi = decompose.extraction_ratio_decimal(n, cert)
-        _note("extraction_energy_vs_bound", lbl, lo, hi)
+        _note(tables, maxima, "extraction_energy_vs_bound", lbl, lo, hi)
         # size report: |A'|^2 |A|^2 / E3+(A), the squared form of the
         # lemma's lower bound |A'| >= c sqrt(E3+)/|A| (exact rational)
         c_sq = Fraction(len(Ap) ** 2 * n * n, cert.E3_input)
@@ -522,12 +512,6 @@ def _suite_reports(corpus, budget: int):
     maxima = {}
     fits = []
 
-    def _note(family, lbl, lo, hi):
-        tables.append({"family": family, "set": lbl, "lo": lo, "hi": hi})
-        cur = maxima.get(family)
-        if cur is None or Fraction(hi) > Fraction(cur):
-            maxima[family] = hi
-
     per_size = []
     for lbl, A in _materialize(corpus):
         n = len(A)
@@ -537,22 +521,22 @@ def _suite_reports(corpus, budget: int):
         to = t_o_count(A, A, A, "linehash", budget)
         lo, hi = power_sum_ratio_decimal(
             to, [[(n, Fraction(1)), (n, Fraction(5, 3)), (n, Fraction(4, 3))]])
-        _note("collinear_ordered_vs_bound", lbl, lo, hi)
+        _note(tables, maxima, "collinear_ordered_vs_bound", lbl, lo, hi)
         row["T_o"] = to
 
         Z = ratios.popular_ratios(A, A)
         prof = ratios.ratio_profile(Z, A, A)
-        _note("popular_ratio_energy_vs_bound", lbl, *prof.theorem_ratio)
+        _note(tables, maxima, "popular_ratio_energy_vs_bound", lbl, *prof.theorem_ratio)
         row["R"] = prof.R
 
         res = decompose.bw_decompose(A)
         eb = res.energies["E_plus_B"]
         ec = res.energies["E_mul_C"]
-        _note("bw_energy_split_vs_bound", lbl, *res.target_ratio)
+        _note(tables, maxima, "bw_energy_split_vs_bound", lbl, *res.target_ratio)
         row["bw_max_energy"] = max(eb, ec)
 
         res = decompose.xy_decompose(A)
-        _note("xy_energy_product_vs_bound", lbl, *res.target_ratio)
+        _note(tables, maxima, "xy_energy_product_vs_bound", lbl, *res.target_ratio)
         row["xy_product"] = res.energies["E3_X"] ** 4 * res.energies["E_mul_Y"] ** 3
 
         row["growth"] = max(len(set_op(A, A, "diff")), len(set_op(A, A, "prod")))

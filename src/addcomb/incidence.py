@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Iterable, Optional
 
 from . import _kernels
-from ._kernels_py import _canonical_span, _count_on_line
+from ._kernels_py import _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, line_through, point
 from .errors import BudgetExceeded, InvalidConfig
 from .intervals import power_sum_decimal
@@ -177,14 +177,6 @@ def rich_points(lines: Iterable[LineKey], k: int) -> set:
 
 
 @dataclass(frozen=True)
-class LineStats:
-    """Per-line grid counts alpha_i = |line intersect (A_i x A_i)| for the
-    family of lines meeting all three grids in pairwise distinct points."""
-
-    alphas: dict  # LineKey -> (a1, a2, a3)
-
-
-@dataclass(frozen=True)
 class MomentSumReport:
     p: int
     family: str
@@ -194,8 +186,7 @@ class MomentSumReport:
 
 def _triple_family_alphas(A1: RatSet, A2: RatSet, A3: RatSet, budget: int) -> dict:
     # lines with at least one pairwise-distinct triple (u1, u2, u3),
-    # u_i in A_i x A_i; spanned by distinct pairs from the two grids of
-    # A1 x A2, which every such line contains
+    # u_i in A_i x A_i, mapped to their grid counts (n1, n2, n3)
     scale = common_scale(A1, A2, A3)
     v1 = list(scaled_ints(A1, scale))
     v2 = list(scaled_ints(A2, scale))
@@ -204,46 +195,12 @@ def _triple_family_alphas(A1: RatSet, A2: RatSet, A3: RatSet, budget: int) -> di
         raise BudgetExceeded(
             f"line spanning needs {(len(v1) * len(v2))**2} pair checks, budget {budget}"
         )
-    s1, s2, s3 = set(v1), set(v2), set(v3)
-    i12 = sorted(s1 & s2)
-    i13 = sorted(s1 & s3)
-    i23 = sorted(s2 & s3)
-    i123 = sorted(set(i12) & s3)
-    m12, m13, m23, m123 = set(i12), set(i13), set(i23), set(i123)
-
-    keys = set()
-    for px in v1:
-        for py in v1:
-            for qx in v2:
-                for qy in v2:
-                    if px == qx and py == qy:
-                        continue
-                    keys.add(_canonical_span(px, py, qx, qy))
-
-    alphas: dict = {}
-    for a, b, c in keys:
-        n1 = _count_on_line(a, b, c, v1, s1)
-        n2 = _count_on_line(a, b, c, v2, s2)
-        n3 = _count_on_line(a, b, c, v3, s3)
-        if n1 == 0 or n2 == 0 or n3 == 0:
-            continue
-        n12 = _count_on_line(a, b, c, i12, m12) if i12 else 0
-        n13 = _count_on_line(a, b, c, i13, m13) if i13 else 0
-        n23 = _count_on_line(a, b, c, i23, m23) if i23 else 0
-        n123 = _count_on_line(a, b, c, i123, m123) if i123 else 0
-        distinct = n1 * n2 * n3 - n12 * n3 - n13 * n2 - n23 * n1 + 2 * n123
-        if distinct > 0:
-            # key is in scaled coordinates; rescale to the original plane:
-            # a*X + b*Y = c with X = scale*x becomes (a*scale, b*scale, c)
-            alphas[canonical_line(a * scale, b * scale, c)] = (n1, n2, n3)
-    return alphas
-
-
-def line_stats(A1: RatSet, A2: RatSet, A3: RatSet,
-               budget: int = DEFAULT_BUDGET) -> LineStats:
-    if not (len(A1) <= len(A2) <= len(A3)):
-        raise InvalidConfig("pass the sets sorted by size: |A1| <= |A2| <= |A3|")
-    return LineStats(_triple_family_alphas(A1, A2, A3, budget))
+    # keys are in scaled coordinates; rescale to the original plane:
+    # a*X + b*Y = c with X = scale*x becomes (a*scale, b*scale, c)
+    return {
+        canonical_line(a * scale, b * scale, c): (n1, n2, n3)
+        for a, b, c, n1, n2, n3, _ in _spanned_lines(v1, v2, v3)
+    }
 
 
 def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,

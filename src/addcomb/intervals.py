@@ -102,19 +102,6 @@ def fraction_decimal(f: Fraction, digits: int = 20) -> str:
     return _decimal(f, digits)
 
 
-def ratio_interval_decimal(
-    numer: int, base: int, exp_num: int, exp_den: int, digits: int = 20
-) -> tuple[str, str]:
-    """Decimal endpoints of numer / base^(exp_num/exp_den); report plumbing."""
-    saved = iv.prec
-    try:
-        iv.prec = BASE_PREC
-        denom = pow_frac(iv.mpf(base), exp_num, exp_den)
-        return decimal_bounds(iv.mpf(numer) / denom, digits)
-    finally:
-        iv.prec = saved
-
-
 def _power_product(term):
     # term: iterable of (base, Fraction exponent); integer exponents avoid
     # the exp/log detour so they stay tight

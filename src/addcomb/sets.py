@@ -106,9 +106,6 @@ class RatSet:
             raise DivisionByZero(f"{context}: set contains 0")
 
 
-EMPTY = RatSet(())
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Declarative description of a set; serializes to/from plain JSON."""

@@ -1,6 +1,7 @@
 """Dyadic bands, extraction certificates, the two decompositions, the
 regularization loop, and the best-dilate search."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from addcomb.decompose import (
     dyadic_band,
     extract_mult_structured,
     recheck_certificate,
+    recheck_decomposition,
     recheck_reg_trace,
     regularize,
     xy_decompose,
@@ -30,7 +32,7 @@ from addcomb.errors import (
     InvalidConfig,
     NonTermination,
 )
-from addcomb.sets import RatSet, SplitMix64
+from addcomb.sets import RatSet, SplitMix64, generate, grid_example
 
 nonzero_sets = st.builds(
     RatSet,
@@ -134,11 +136,8 @@ def test_bw_partition_and_guard():
     if len(B):
         assert energy(B, B, 3, "additive") ** 11 * n**6 <= n**44
     # certificates replay against the shrinking remainder
-    rem = a
-    for cert in res.certificates:
-        assert recheck_certificate(rem, cert) == []
-        rem = rem.difference(cert.chosen)
-    assert rem == B
+    assert recheck_decomposition(a, res) == []
+    assert RatSet(x for cert in res.certificates for x in cert.chosen) == C
 
 
 def test_bw_explicit_threshold():
@@ -175,10 +174,7 @@ def test_xy_postconditions_random(a):
     X, Y = res.parts["X"], res.parts["Y"]
     assert X.union(Y) == a
     assert 2 * len(X) >= len(a) and 2 * len(Y) >= len(a)
-    rem = a
-    for cert in res.certificates:
-        assert recheck_certificate(rem, cert) == []
-        rem = rem.difference(cert.chosen)
+    assert recheck_decomposition(a, res) == []
 
 
 def test_decomposition_result_json_roundtrip():
@@ -236,6 +232,62 @@ def test_regularize_random_rechecks(a, k):
     # size chain: (1 - eps)^(steps-1) |A| <= |B|
     f = (1 - tr.epsilon) ** (len(tr.steps) - 1)
     assert len(tr.B) * f.denominator >= f.numerator * len(a)
+
+
+_REG_SET = RatSet([1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48])
+
+
+def _tamper_step(tr, **changes):
+    return replace(tr, steps=(replace(tr.steps[0], **changes),) + tr.steps[1:])
+
+
+def test_recheck_reg_trace_names_each_tampered_claim():
+    a = _REG_SET
+    tr = regularize(a, 2)
+    st0 = tr.steps[0]
+    # the core drops one element here, so B'' has a candidate to restore
+    dropped = tr.B_prime.difference(tr.B_dprime)
+    assert len(dropped) == 1 and st0.kept
+    some = next(iter(tr.B_dprime))
+    cases = [
+        (_tamper_step(tr, size=st0.size + 1), ["step0_size"]),
+        (_tamper_step(tr, t=2 * st0.t), ["step0_band"]),
+        (_tamper_step(tr, p_size=st0.p_size + 1), ["step0_band"]),
+        (_tamper_step(tr, g_size=st0.g_size + 1), ["step0_gsize"]),
+        (_tamper_step(tr, g_kept=st0.g_kept - 1), ["step0_gkept"]),
+        (_tamper_step(tr, kept=False), ["step0_stop_flag"]),
+        (replace(tr, B=tr.B.difference(RatSet([some]))), ["final_sets"]),
+        (replace(tr, B_prime=tr.B_dprime), ["final_sets"]),
+        (replace(tr, B_dprime=tr.B_dprime.difference(RatSet([some]))), ["core_set"]),
+        (replace(tr, B_dprime=tr.B_prime), ["core_set", "core_sandwich"]),
+        (replace(tr, final_t=2 * tr.final_t), ["final_band"]),
+        (replace(tr, final_P=tr.final_P.difference(RatSet([next(iter(tr.final_P))]))),
+         ["final_band"]),
+        (replace(tr, steps=()), ["no_terminating_step"]),
+    ]
+    assert recheck_reg_trace(a, tr) == []
+    for tampered, expected in cases:
+        assert recheck_reg_trace(a, tampered) == expected, expected
+
+
+def test_recheck_decomposition_names_tampered_chain():
+    # the 5x5 grid example covers in two extractions, the second one run on
+    # the remainder the first one left
+    a = generate(grid_example(5, 5))
+    res = xy_decompose(a)
+    c0, c1 = res.certificates
+    assert recheck_decomposition(a, res) == []
+    cases = [
+        ((c0, replace(c1, E3_input=c1.E3_input + 1)), ["E3_input"]),
+        # without the first piece the second is replayed against all of A
+        ((c1,), ["E3_input", "A1_band_definition"]),
+        # a repeated piece is no longer inside the remainder
+        ((c0, c0), ["P_band_membership", "E3_input", "A1_band_definition",
+                    "A1_mass_sandwich", "A2_band_definition", "A2_mass_sandwich",
+                    "chosen_subset"]),
+    ]
+    for certs, expected in cases:
+        assert recheck_decomposition(a, replace(res, certificates=certs)) == expected
 
 
 def test_reg_trace_json_roundtrip():

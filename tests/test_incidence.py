@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb.core import canonical_line, line_through, point
+from addcomb.core import canonical_line, collinear3, line_through, point
 from addcomb.errors import DegeneratePair, InvalidConfig
 from addcomb.incidence import (
     Arrangement,
     line_intersection,
     line_moment_sums,
-    line_stats,
     incidences,
     read_arrangement,
     rich_lines,
@@ -127,7 +126,7 @@ def test_rich_points_pencil():
 def test_line_stats_shape_validation():
     a, b = RatSet([1, 2]), RatSet([1, 2, 3])
     with pytest.raises(InvalidConfig):
-        line_stats(b, a, b)  # not sorted by size
+        line_moment_sums(b, a, b, 1)  # not sorted by size
 
 
 def test_line_moment_sums_small_grid():
@@ -151,3 +150,24 @@ def test_line_moment_sums_alpha_identity():
     s1 = line_moment_sums(a, a, a, 1).sums
     s3 = line_moment_sums(a, a, a, 3).sums
     assert all(x3 >= x1 for x1, x3 in zip(s1, s3))
+
+
+signed_sets = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                       min_size=1, max_size=4, unique=True).map(RatSet)
+
+
+@given(st.lists(signed_sets, min_size=3, max_size=3).map(lambda t: sorted(t, key=len)),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_line_moment_sums_triple_brute_recount(sets, p):
+    # alpha_i recounted directly on every line through a pairwise-distinct
+    # collinear triple (u1, u2, u3), u_i in A_i x A_i
+    grids = [[point(x, y) for x in A for y in A] for A in sets]
+    lines = {
+        line_through(u1, u2)
+        for u1 in grids[0] for u2 in grids[1] if u1 != u2
+        for u3 in grids[2] if u3 != u1 and u3 != u2 and collinear3(u1, u2, u3)
+    }
+    alphas = [[sum(1 for u in g if li.contains(u)) for g in grids] for li in lines]
+    expected = tuple(sum(al[i] ** p for al in alphas if al[i] >= 2) for i in range(3))
+    assert line_moment_sums(*sets, p, "triple").sums == expected
