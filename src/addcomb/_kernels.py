@@ -7,6 +7,12 @@ precheck: with every input bounded by 2**28 all intermediate products
 routed to the arbitrary-precision pure backend regardless of what was
 selected at import.  The pure kernels are the single implementation of
 each loop; the compiled twin only mirrors the hot ones.
+
+t_o_linehash is the exception: it always runs the pure pivot-direction
+counter, which needs O(n^2) memory where the compiled twin still spans and
+stores every line (O(n^4) memory) and is slower end to end.  The compiled
+t_o_linehash is kept only as an independent reference in the tests and the
+kernel bench.
 """
 
 from __future__ import annotations
@@ -40,10 +46,8 @@ def collinear_six_counts(a, b, c):
     return _kernels_py.collinear_six_counts(a, b, c)
 
 
-def t_o_linehash(g1, g2, g3):
-    if _compiled is not None and _fits(g1, g2, g3):
-        return _compiled.t_o_linehash(g1, g2, g3)
-    return _kernels_py.t_o_linehash(g1, g2, g3)
+# pure on every route: see the module docstring
+t_o_linehash = _kernels_py.t_o_linehash
 
 
 def count_incidences(pxs, pys, las, lbs, lcs):

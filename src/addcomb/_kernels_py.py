@@ -3,6 +3,8 @@
 These are the hot inner loops, expressed over plain Python ints so they
 also serve as the arbitrary-precision fallback for the compiled backend
 (_kernels_cy, built from the same algorithms with int64 arithmetic).
+t_o_linehash differs: it counts by pivot directions, while the compiled
+twin still hashes every spanned line, so the two check each other.
 Callers are responsible for clearing denominators first; every routine
 here assumes integer inputs.
 """
@@ -76,8 +78,11 @@ def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
 
     Candidate lines are spanned by all distinct point pairs from the first
     two grids (every contributing line contains such a pair) and deduped by
-    canonical key.  The per-line count is assembled by inclusion-exclusion
-    over coincident points shared between grids; equal grids skip it.
+    canonical key, so the line set alone holds O(|g1|^2 |g2|^2) keys.  The
+    per-line count is assembled by inclusion-exclusion over coincident
+    points shared between grids; equal grids skip it.  Only the line census
+    of incidence needs the lines themselves; t_o_linehash counts without
+    them, and the sum of distinct over this generator is its test oracle.
     """
     l1, l2, l3 = list(g1), list(g2), list(g3)
     s1, s2, s3 = set(l1), set(l2), set(l3)
@@ -123,10 +128,43 @@ def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
 def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
     """Ordered pairwise-distinct collinear triples (u1,u2,u3), ui in gi x gi.
 
-    Sums the per-line counts of _spanned_lines.  Callers should pass the
-    two smallest sets first; the count itself is symmetric in the arguments.
+    Pivot-direction counting: for each pivot u1 in g1 x g1, histogram the
+    primitive directions from u1 to the points of g2 x g2 and of g3 x g3
+    (u1 itself, the zero direction, is dropped).  Points u2 != u1 and
+    u3 != u1 are collinear with u1 iff their directions match, so the pivot
+    contributes sum_d c2(d) c3(d) minus the pairs with u2 == u3, which are
+    the points of (g2 & g3)^2 other than u1.  Equal g2 and g3 need one
+    histogram and sum_d c(d) (c(d) - 1).  Swapping coordinates maps every
+    grid to itself, so pivots (x, y) and (y, x) count the same and each
+    such pair is visited once.  Time O(|g1|^2 (|g2|^2 + |g3|^2)), memory
+    O(|g2|^2 + |g3|^2); no line is materialised.  Callers should pass the
+    smallest set first; the count itself is symmetric in the arguments.
+    The name matches the "linehash" mode of collinear.t_o_count and the
+    compiled twin, which still hashes lines.
     """
-    return sum(distinct for *_, distinct in _spanned_lines(g1, g2, g3))
+    l1, l2, l3 = list(g1), list(g2), list(g3)
+    same = set(l2) == set(l3)
+    shared = set(l2) & set(l3)
+    n_shared = len(shared) ** 2
+    total = 0
+    for i, x in enumerate(l1):
+        d2x = [a - x for a in l2]
+        d3x = [a - x for a in l3]
+        x_shared = x in shared
+        for j in range(i, len(l1)):
+            y = l1[j]
+            h2 = _direction_hist(d2x, [b - y for b in l2])[0]
+            if same:
+                count = sum(c * (c - 1) for c in h2.values())
+            else:
+                h3 = _direction_hist(d3x, [b - y for b in l3])[0]
+                if len(h2) > len(h3):
+                    h2, h3 = h3, h2
+                get = h3.get
+                count = sum(c * get(d, 0) for d, c in h2.items())
+                count -= n_shared - (x_shared and y in shared)
+            total += count if i == j else 2 * count
+    return total
 
 
 def count_incidences(pxs, pys, las, lbs, lcs) -> int:

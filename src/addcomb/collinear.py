@@ -5,8 +5,12 @@ T(A,B,C) counts tuples (a1,a2,b1,b2,c1,c2) with
 collinear, coincidences included.  T_o(A1,A2,A3) is the ordered count over
 the grids A_i x A_i with the three points pairwise distinct; order matters,
 so a line meeting each grid in the same 3 points contributes 3! = 6.
-Both a brute-force oracle and a line-hash fast path are provided and must
-agree exactly; the fast path is never trusted on its own.
+Both a brute-force oracle and a fast path are provided and must agree
+exactly; the fast path is never trusted on its own.  The fast path (mode
+"linehash", a name kept from the line-materialising route it replaced) is
+pivot-direction counting: it histograms, for each point of the smallest
+grid, the directions to the points of the other two, in
+O(|A1|^2 (|A2|^2 + |A3|^2)) time and O(|A2|^2 + |A3|^2) memory.
 """
 
 from __future__ import annotations
@@ -53,18 +57,22 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
               budget: int = DEFAULT_BUDGET) -> int:
     """Ordered pairwise-distinct collinear triple count over the three grids.
 
-    The count is symmetric in its arguments, so the fast path reorders by
-    size and spans candidate lines from the two smallest grids.
+    The count is symmetric in its arguments, so the fast path reorders the
+    sets by size and pivots on the points of the smallest grid, charging
+    |s1|^2 (|s2|^2 + |s3|^2) direction tallies against the budget for the
+    size-sorted sets s1, s2, s3.  It always runs the pure kernel: there is
+    no compiled dispatch, because the compiled twin still stores every
+    spanned line (O(n^4) memory) and is slower end to end.
     """
     if mode == "brute":
         _check_tuple_budget(A1, A2, A3, budget)
         return _six_counts(A1, A2, A3)[1]
     if mode != "linehash":
         raise InvalidConfig(f"unknown mode {mode!r}")
-    cost = sum(len(A) ** 4 for A in (A1, A2, A3))
+    s1, s2, s3 = sorted((A1, A2, A3), key=len)
+    cost = len(s1) ** 2 * (len(s2) ** 2 + len(s3) ** 2)
     if cost > budget:
         raise BudgetExceeded(f"linehash cost {cost} exceeds budget {budget}")
-    s1, s2, s3 = sorted((A1, A2, A3), key=len)
     scale = common_scale(s1, s2, s3)
     return _kernels.t_o_linehash(
         scaled_ints(s1, scale), scaled_ints(s2, scale), scaled_ints(s3, scale)

@@ -569,7 +569,11 @@ def _assert_reg_invariants(A: RatSet, tr: RegTrace) -> None:
 
 
 def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
-    """Re-verify a regularization trace from scratch; returns failed claims."""
+    """Re-verify a regularization trace from scratch; returns failed claims.
+
+    The trace must end at its first terminating step: steps recorded after
+    it fail as "trailing_steps".
+    """
     failures = []
     cur = A
     eps = tr.epsilon
@@ -602,6 +606,9 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
                 if not (lo_ok and hi_ok):
                     failures.append("core_sandwich")
                     break
+            if i != len(tr.steps) - 1:
+                # nothing may be recorded after the terminating step
+                failures.append("trailing_steps")
             return failures
         cur = kept_set
     else:

@@ -13,6 +13,7 @@ from addcomb.collinear import (
     t_split_brute,
     triple_count_report,
 )
+from addcomb.energy import energy
 from addcomb.errors import BudgetExceeded, InvalidConfig
 from addcomb.sets import RatSet
 
@@ -60,6 +61,28 @@ def test_budget_enforced():
         t_count_brute(a, a, a, budget=1000)
     with pytest.raises(BudgetExceeded):
         t_o_count(a, a, a, "linehash", 10)
+
+
+def test_t_o_budget_charges_pivot_work():
+    # the pivot route tallies |s1|^2 (|s2|^2 + |s3|^2) directions on the
+    # size-sorted sets; the charge must not depend on the argument order
+    a, b, c = RatSet([0, 1]), RatSet([0, 2, 5]), RatSet([1, 2, 3, 7])
+    cost = 2 ** 2 * (3 ** 2 + 4 ** 2)
+    expected = t_o_count(a, b, c, "brute")
+    for args in ((a, b, c), (c, a, b), (b, c, a)):
+        assert t_o_count(*args, "linehash", cost) == expected
+        with pytest.raises(BudgetExceeded):
+            t_o_count(*args, "linehash", cost - 1)
+
+
+def test_t_o_pivot_singleton_is_quadratic():
+    # T_o({0}, A, A) pivots once on the origin: 2 |A|^2 tallies, well
+    # inside the default budget at |A| = 150 (a sum of fourth powers would
+    # charge 2 * 150^4 > 10^9).  With 0 not in A, two grid points are
+    # collinear with the origin iff a*d == b*c, so the count is the
+    # multiplicative energy minus the |A|^2 coincident pairs.
+    a = RatSet(range(1, 151))
+    assert t_o_count(RatSet([0]), a, a) == energy(a, a, 2, "multiplicative") - 150 ** 2
 
 
 @given(tiny_sets, tiny_sets, tiny_sets)
@@ -117,8 +140,6 @@ def test_identity_random(a, c, d):
 
 
 def test_t_lower_bound_via_mult_energy():
-    from addcomb.energy import energy
-
     a = RatSet([1, 2, 4, 8])
     to = t_o_count(RatSet([0]), a, a, "linehash")
     assert to >= energy(a, a, 2, "multiplicative") - len(a) ** 2

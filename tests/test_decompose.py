@@ -264,6 +264,7 @@ def test_recheck_reg_trace_names_each_tampered_claim():
         (replace(tr, final_P=tr.final_P.difference(RatSet([next(iter(tr.final_P))]))),
          ["final_band"]),
         (replace(tr, steps=()), ["no_terminating_step"]),
+        (replace(tr, steps=tr.steps + tr.steps[-1:]), ["trailing_steps"]),
     ]
     assert recheck_reg_trace(a, tr) == []
     for tampered, expected in cases:

@@ -2,7 +2,9 @@
 
 The dispatch layer (int64 magnitude precheck) is covered here too: inputs
 past the safe range must silently take the pure path and still produce
-identical counts.
+identical counts.  The pure pivot-direction T_o counter is also checked
+against the pure line census (`_spanned_lines`) at sizes where the brute
+force is too slow.
 
 Without an installed extension, a session fixture builds the committed
 `_kernels_cy.c` into a temporary directory with the system C compiler and
@@ -11,6 +13,7 @@ compiler and `Python.h` exist.
 """
 
 import importlib.util
+import random
 import shutil
 import subprocess
 import sysconfig
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb import _kernels, _kernels_py
-from addcomb._kernels import backend_name
+from addcomb._kernels import INT64_SAFE, backend_name
 
 ints = st.integers(-300, 300)
 int_lists = st.lists(ints, min_size=1, max_size=6, unique=True)
@@ -100,6 +103,86 @@ def test_dispatch_overflow_falls_back_to_pure():
     a = [big, big + 1]
     got = _kernels.collinear_six_counts(a, a, a)
     assert got == _kernels_py.collinear_six_counts(a, a, a)
+
+
+class _Spy:
+    """Stands in for the compiled module and records which kernels ran."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls.append(name)
+            return getattr(self._module, name)(*args)
+        return call
+
+
+def test_fits_accepts_exactly_the_int64_safe_range():
+    assert _kernels._fits([INT64_SAFE], [-INT64_SAFE], [0])
+    assert not _kernels._fits([0], [INT64_SAFE + 1])
+    assert not _kernels._fits([-INT64_SAFE - 1], [0])
+
+
+def test_dispatch_at_int64_boundary_stays_exact(cy, monkeypatch):
+    # differences reach 2 * INT64_SAFE and their products 4 * INT64_SAFE^2,
+    # the most the compiled route may see; one step past the range must
+    # take the pure route
+    spy = _Spy(cy)
+    monkeypatch.setattr(_kernels, "_compiled", spy)
+    s = INT64_SAFE
+    for vals, compiled in (
+        ([-s, -s + 1, 0, s - 1, s], True),
+        ([-s, -s + 1, 0, s - 1, s + 1], False),
+        ([-s - 1, -s + 1, 0, s - 1, s], False),
+    ):
+        spy.calls.clear()
+        got = _kernels.collinear_six_counts(vals, vals, vals[1:])
+        assert got == _kernels_py.collinear_six_counts(vals, vals, vals[1:])
+        assert spy.calls == (["collinear_six_counts"] if compiled else [])
+
+
+def test_t_o_linehash_never_dispatches_to_compiled(cy, monkeypatch):
+    spy = _Spy(cy)
+    monkeypatch.setattr(_kernels, "_compiled", spy)
+    a = [0, 1, 2, 4]
+    assert _kernels.t_o_linehash(a, a, a) == _kernels_py.t_o_linehash(a, a, a)
+    assert spy.calls == []
+
+
+def _census_t_o(g1, g2, g3):
+    return sum(d for *_, d in _kernels_py._spanned_lines(g1, g2, g3))
+
+
+def _sample(seed, n, lo, hi):
+    return random.Random(seed).sample(range(lo, hi), n)
+
+
+def test_t_o_pivot_matches_line_census_above_brute_sizes():
+    # n = 8..12, where the n^6 brute force is too slow for a test
+    ap10 = list(range(10))
+    r12 = _sample(1, 12, -20, 20)
+    b11 = ap10[4:] + _sample(2, 6, 10, 40)
+    c9 = ap10[:5] + [-3, 11, 12, 13]
+    cases = [
+        (ap10, ap10, ap10),                       # equal grids
+        (r12, r12, r12),
+        (_sample(3, 8, -10, 10), b11, b11),       # A2 = A3 != A1
+        (ap10[1:9], b11, b11),
+        (c9, b11, c9),                            # A1 = A3 != A2
+        (ap10[2:], b11, c9),                      # partial overlaps
+        (r12, _sample(4, 11, -20, 20), _sample(5, 9, -20, 20)),
+    ]
+    inside = outside = 0
+    for g1, g2, g3 in cases:
+        assert 8 <= min(map(len, (g1, g2, g3))) <= max(map(len, (g1, g2, g3))) <= 12
+        shared = set(g2) & set(g3)
+        pivots_in = sum(x in shared and y in shared for x in g1 for y in g1)
+        inside += pivots_in
+        outside += len(g1) ** 2 - pivots_in
+        assert _kernels_py.t_o_linehash(g1, g2, g3) == _census_t_o(g1, g2, g3)
+    assert inside and outside
 
 
 def test_dispatch_small_inputs_use_selected_backend():
