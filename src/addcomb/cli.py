@@ -17,7 +17,7 @@ from . import decompose as dec
 from . import harness, ratios
 from .collinear import t_count_brute, t_o_count, triple_count_report
 from .core import DEFAULT_BUDGET
-from .energy import energy, rep_histogram
+from .energy import energy_op, rep_histogram
 from .errors import AddcombError
 from .incidence import line_moment_sums, read_arrangement, st_bound_check
 from .sets import (
@@ -80,8 +80,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_energy(args) -> int:
     A, B = _load_sets(args.set, 2, "energy")
-    val = energy(A, B, args.k, args.flavor)
-    hist = rep_histogram(A, B, "diff" if args.flavor == "additive" else "ratio")
+    hist = rep_histogram(A, B, energy_op(args.k, args.flavor))
+    val = hist.moment(args.k)
     print(val)
     if args.json:
         _emit({"k": args.k, "flavor": args.flavor, "value": val,
@@ -101,7 +101,7 @@ def _cmd_triples(args) -> int:
 
 def _cmd_ratios(args) -> int:
     A1, A2 = _load_sets(args.set, 2, "ratios")
-    Z = ratios.popular_ratios(A1, A2, args.count)
+    Z = ratios.popular_ratios(A1, A2, args.count, args.budget)
     prof = ratios.ratio_profile(Z, A1, A2)
     print(f"|Z|={len(Z)} R={prof.R} sum_r={prof.sum_r}")
     if args.json:

@@ -2,9 +2,11 @@
 
 E_k of a pair (A, B) is the k-th moment of the difference (additive) or
 ratio (multiplicative) representation histogram.  Everything here is exact:
-counts are integers, values are Fractions, and the one genuinely irrational
-comparison (the l4 union inequality) goes through outward-rounded interval
-arithmetic rather than floats.
+the tallies run on plain ints after clearing denominators once (one common
+scale for A and B), `rep_histogram` turns only its distinct keys back into
+Fractions, and the one genuinely irrational comparison (the l4 union
+inequality) goes through outward-rounded interval arithmetic rather than
+floats.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import intervals
@@ -58,30 +61,51 @@ class DLowerEstimate:
     witness: RatSet
 
 
-def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
-    """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}."""
+def int_histogram(A: RatSet, B: RatSet, op: str) -> tuple[Counter, int]:
+    """Counts of a op b over A x B on cleared-denominator ints, and the scale.
+
+    With s = common_scale(A, B) and a, b the scaled ints, the keys are
+    a -/+ b for diff/sum (value k/s), a*b for prod (value k/s^2), and the
+    reduced pair (p, q) with q > 0 for ratio (value p/q).  Pairs run A-major,
+    so each key first appears where the Fraction tally would put it.
+    """
     if op not in _OPS:
         raise InvalidConfig(f"unknown op {op!r}")
     if op == "ratio" and Fraction(0) in B:
         raise DivisionByZero("ratio histogram needs 0 not in B")
-    counts: Counter = Counter()
+    scale = common_scale(A, B)
+    xs = scaled_ints(A, scale)
+    ys = scaled_ints(B, scale)
     if op == "diff":
-        for a in A:
-            for b in B:
-                counts[a - b] += 1
+        keys = (a - b for a in xs for b in ys)
     elif op == "sum":
-        for a in A:
-            for b in B:
-                counts[a + b] += 1
+        keys = (a + b for a in xs for b in ys)
     elif op == "prod":
-        for a in A:
-            for b in B:
-                counts[a * b] += 1
+        keys = (a * b for a in xs for b in ys)
     else:
-        for a in A:
-            for b in B:
-                counts[a / b] += 1
-    return CountHistogram(dict(counts))
+        keys = ((a // g, b // g) for a in xs for b in ys
+                for g in (gcd(a, b) if b > 0 else -gcd(a, b),))
+    return Counter(keys), scale
+
+
+def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
+    """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}."""
+    counts, scale = int_histogram(A, B, op)
+    if op == "ratio":
+        return CountHistogram({Fraction(p, q): m for (p, q), m in counts.items()})
+    den = scale * scale if op == "prod" else scale
+    return CountHistogram({Fraction(k, den): m for k, m in counts.items()})
+
+
+def energy_op(k: int, flavor: str) -> str:
+    """The histogram op behind E_k of `flavor`; rejects k or flavor."""
+    if not 2 <= k <= K_MAX:
+        raise InvalidConfig(f"k must be in [2, {K_MAX}], got {k}")
+    if flavor == "additive":
+        return "diff"
+    if flavor == "multiplicative":
+        return "ratio"
+    raise InvalidConfig(f"unknown flavor {flavor!r}")
 
 
 def energy(A: RatSet, B: Optional[RatSet] = None, k: int = 2,
@@ -89,19 +113,13 @@ def energy(A: RatSet, B: Optional[RatSet] = None, k: int = 2,
     """Exact E_k of (A, B): sum of r(x)^k over the diff or ratio histogram.
 
     B defaults to A.  k is capped at 8; the cap only bounds runtime,
-    the arithmetic is arbitrary precision either way.
+    the arithmetic is arbitrary precision either way.  The moment is taken
+    straight from the int counts; no Fraction is built.
     """
     if B is None:
         B = A
-    if not 2 <= k <= K_MAX:
-        raise InvalidConfig(f"k must be in [2, {K_MAX}], got {k}")
-    if flavor == "additive":
-        hist = rep_histogram(A, B, "diff")
-    elif flavor == "multiplicative":
-        hist = rep_histogram(A, B, "ratio")
-    else:
-        raise InvalidConfig(f"unknown flavor {flavor!r}")
-    return hist.moment(k)
+    counts, _ = int_histogram(A, B, energy_op(k, flavor))
+    return sum(m ** k for m in counts.values())
 
 
 def energy_mul_product_form(X: RatSet, Y: RatSet) -> int:

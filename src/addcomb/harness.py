@@ -524,7 +524,7 @@ def _suite_reports(corpus, budget: int):
         _note(tables, maxima, "collinear_ordered_vs_bound", lbl, lo, hi)
         row["T_o"] = to
 
-        Z = ratios.popular_ratios(A, A)
+        Z = ratios.popular_ratios(A, A, budget=budget)
         prof = ratios.ratio_profile(Z, A, A)
         _note(tables, maxima, "popular_ratio_energy_vs_bound", lbl, *prof.theorem_ratio)
         row["R"] = prof.R

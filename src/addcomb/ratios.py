@@ -10,27 +10,24 @@ R is defined as the sum of r(z)^2 over z in Z.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
-from .errors import InvalidConfig
+from .core import DEFAULT_BUDGET
+from .energy import int_histogram
+from .errors import BudgetExceeded, InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, common_scale, scaled_ints
+from .sets import RatSet
 
 
-def _sum_hist(A1: RatSet, A2: RatSet):
+def _sum_hist(A1: RatSet, A2: RatSet) -> Counter:
     # histogram of a1 + a2 over integerized copies; r(z) is invariant under
     # the common rescaling because it multiplies both sides of the equation
-    scale = common_scale(A1, A2)
-    v1 = scaled_ints(A1, scale)
-    v2 = scaled_ints(A2, scale)
-    hist: Counter = Counter()
-    for a in v1:
-        for b in v2:
-            hist[a + b] += 1
-    return hist
+    return int_histogram(A1, A2, "sum")[0]
 
 
 def _r_from_hist(hist, z: Fraction) -> int:
@@ -137,15 +134,36 @@ def full_ratio_set(A1: RatSet, A2: RatSet) -> RatSet:
     return RatSet(Fraction(sp, s) for s in sums for sp in sums)
 
 
-def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None) -> RatSet:
+def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
+                   budget: int = DEFAULT_BUDGET) -> RatSet:
     """The `count` most popular ratios from the full ratio set.
 
     Ordered by r(z) descending, then z ascending, so the selection is
-    deterministic; default count is |A1|^2.
+    deterministic; default count is |A1|^2, an explicit count must be >= 1.
+    One weighted pass over ordered pairs (s, s') of nonzero sums adds
+    h(s) h(s') under the reduced key of s'/s.  That weight is r(z) - h(0)^2:
+    the zero-sum diagonal adds h(0)^2 to every z alike, so it cannot change
+    the order, and z = 0 or z reached only through 0/0 are never candidates
+    (as in `full_ratio_set`).  The pass charges |nonzero sums|^2 against
+    the budget.
     """
     if count is None:
         count = len(A1) ** 2
-    hist = _sum_hist(A1, A2)
-    zs = full_ratio_set(A1, A2)
-    ranked = sorted(zs, key=lambda z: (-_r_from_hist(hist, z), z))
-    return RatSet(ranked[:count])
+    elif count < 1:
+        raise InvalidConfig(f"count must be >= 1, got {count}")
+    sums = [(s, m) for s, m in _sum_hist(A1, A2).items() if s != 0]
+    cost = len(sums) ** 2
+    if cost > budget:
+        raise BudgetExceeded(f"{cost} sum pairs exceed budget {budget}")
+    weight: Counter = Counter()
+    for s, m in sums:
+        sign = 1 if s > 0 else -1  # keeps the reduced denominator positive
+        for sp, mp in sums:
+            g = sign * gcd(sp, s)
+            weight[sp // g, s // g] += m * mp
+    # distinct p/q with q <= M differ by at least 1/M^2, so p*M^2 // q is an
+    # exact int stand-in for z when ranking (M = largest |nonzero sum|)
+    mm = max((s * s for s, _ in sums), default=1)
+    top = heapq.nsmallest(count, weight.items(),
+                          key=lambda kv: (-kv[1], kv[0][0] * mm // kv[0][1]))
+    return RatSet(Fraction(p, q) for (p, q), _ in top)

@@ -309,8 +309,5 @@ def common_scale(*sets: Iterable[Fraction]) -> int:
 
 
 def scaled_ints(a: Iterable[Fraction], scale: int) -> list[int]:
-    out = []
-    for v in a:
-        w = v * scale
-        out.append(int(w))
-    return out
+    """v * scale as ints; scale must be a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in a]

@@ -52,6 +52,35 @@ def test_ratios_single_set_repeats(tmp_path, capsys):
     assert "R=" in capsys.readouterr().out
 
 
+def test_ratios_count_below_one_is_an_error(tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n3\n5\n")
+    assert run(["ratios", "--set", str(s), "--count", "-1"]) == 1
+    assert "count must be >= 1" in capsys.readouterr().err
+
+
+def test_ratios_budget_is_passed_through(tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n3\n5\n")  # 8 distinct nonzero sums: cost 64
+    assert run(["ratios", "--set", str(s), "--budget", "64"]) == 0
+    capsys.readouterr()
+    assert run(["ratios", "--set", str(s), "--budget", "63"]) == 1
+    assert "exceed budget 63" in capsys.readouterr().err
+
+
+def test_energy_report_fields_and_bad_k(tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n4\n")
+    assert run(["energy", "--set", str(s), "--k", "3",
+                "--flavor", "multiplicative", "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    # ratios of {1,2,4}: 1 x3, 2 x2, 1/2 x2, 4, 1/4 -> E_3 = 27 + 8 + 8 + 1 + 1
+    assert doc["payload"] == {"k": 3, "flavor": "multiplicative", "value": 45,
+                              "support": 5, "max_count": 3}
+    assert run(["energy", "--set", str(s), "--k", "9"]) == 1
+    assert "k must be in [2, 8], got 9" in capsys.readouterr().err
+
+
 def test_decompose_and_regularize(tmp_path, capsys):
     s = tmp_path / "s.txt"
     s.write_text("\n".join(str(v) for v in range(1, 17)))

@@ -1,5 +1,6 @@
 """Representation histograms, k-energies, the quarter-power union check."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -76,8 +77,6 @@ def test_additive_energy_symmetric(a, b, k):
 def test_energy_against_quadruple_brute_force(a, k):
     # independent definition: number of 2k-tuples with equal differences,
     # computed here as sum over x of r(x)^k via raw dictionaries
-    from collections import Counter
-
     r = Counter(p - q for p in a for q in a)
     assert energy(a, a, k, "additive") == sum(m**k for m in r.values())
 
@@ -94,6 +93,35 @@ def test_mul_energy_vs_product_and_ratio_sets(a):
     n = len(a)
     assert em * len(set_op(a, a, "prod")) >= n**4
     assert em * len(set_op(a, a, "ratio")) >= n**4
+
+
+signed_rationals = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    min_size=1, max_size=6)
+_BRUTE_OPS = {
+    "diff": lambda a, b: a - b,
+    "sum": lambda a, b: a + b,
+    "prod": lambda a, b: a * b,
+    "ratio": lambda a, b: a / b,
+}
+
+
+@given(signed_rationals,
+       signed_rationals.map(lambda vs: [v for v in vs if v != 0]),
+       st.fractions(min_value=-9, max_value=-1, max_denominator=5))
+@settings(max_examples=80, deadline=None)
+def test_int_route_matches_fraction_oracle(a_vals, b_vals, neg):
+    # mixed denominators, 0 in A, a negative element in B: the
+    # cleared-denominator tallies must equal a brute Fraction tally
+    A = RatSet([0, *a_vals])
+    B = RatSet([neg, *b_vals])
+    for op, f in _BRUTE_OPS.items():
+        brute = Counter(f(a, b) for a in A for b in B)
+        assert rep_histogram(A, B, op).entries == brute, op
+    for flavor, op in (("additive", "diff"), ("multiplicative", "ratio")):
+        brute = Counter(_BRUTE_OPS[op](a, b) for a in A for b in B)
+        for k in (2, 3, 4):
+            assert energy(A, B, k, flavor) == sum(m**k for m in brute.values())
 
 
 def test_energy_mul_product_form_matches_prod_histogram():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb.errors import InvalidConfig
+from addcomb.errors import BudgetExceeded, InvalidConfig
 from addcomb.ratios import (
     full_ratio_set,
     level_set,
@@ -15,7 +15,7 @@ from addcomb.ratios import (
     r_of_z,
     ratio_profile,
 )
-from addcomb.sets import RatSet
+from addcomb.sets import GeneratorConfig, RatSet, generate
 
 small_sets = st.builds(
     RatSet,
@@ -117,3 +117,52 @@ def test_r_scale_invariance():
     b = RatSet([2, 4, 10])
     for z in (1, 2, Fraction(1, 3)):
         assert r_of_z(z, a, a) == r_of_z(z, b, b)
+
+
+def _brute_ranking(a1, a2, count):
+    # the definition: every candidate ranked by its brute r(z), r descending
+    # then z ascending
+    zs = full_ratio_set(a1, a2)
+    return RatSet(sorted(zs, key=lambda z: (-r_of_z(z, a1, a2), z))[:count])
+
+
+@pytest.mark.parametrize("a1, a2, count", [
+    (generate(GeneratorConfig(kind="AP", start=Fraction(1), step=Fraction(1), n=8)),
+     None, None),
+    (generate(GeneratorConfig(kind="AP", start=Fraction(1, 2), step=Fraction(1, 3),
+                              n=7)), None, 10),
+    (generate(GeneratorConfig(kind="Random", size=7, range=60, seed=3)), None, None),
+    (generate(GeneratorConfig(kind="GridExample", s=2, p=3)), None, 20),
+    (RatSet([1, 2, 5]), RatSet([Fraction(1, 2), 3, 4, 9]), None),  # A1 != A2
+    (RatSet([-2, -1, Fraction(1, 3), 1, 2]), None, 12),  # zero sums: h(0) > 0
+    (RatSet([1, 2, 3, 5]), None, 1),
+    (RatSet([-1, 1, 3]), RatSet([-3, 2]), 1000),  # more than the candidates
+])
+def test_popular_ratios_matches_brute_ranking(a1, a2, count):
+    a2 = a1 if a2 is None else a2
+    want = len(a1) ** 2 if count is None else count
+    assert popular_ratios(a1, a2, count) == _brute_ranking(a1, a2, want)
+
+
+@given(small_sets, small_sets, st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_popular_ratios_matches_brute_ranking_random(a1, a2, count):
+    # signed, fractional and zero-sum inputs; ties in r are common here, so
+    # the z-ascending tie order is exercised too
+    assert popular_ratios(a1, a2, count) == _brute_ranking(a1, a2, count)
+
+
+def test_popular_ratios_rejects_count_below_one():
+    a = RatSet([1, 2, 3, 5])
+    for count in (0, -1):
+        with pytest.raises(InvalidConfig):
+            popular_ratios(a, a, count)
+
+
+def test_popular_ratios_budget_boundary():
+    # cost is |nonzero sums|^2: {-1, 1, 2} has sums -2, 0, 1, 2, 3, 4
+    a = RatSet([-1, 1, 2])
+    cost = 5 ** 2
+    assert popular_ratios(a, a, budget=cost) == popular_ratios(a, a)
+    with pytest.raises(BudgetExceeded):
+        popular_ratios(a, a, budget=cost - 1)
