@@ -2,8 +2,8 @@
 
 Energies, representation histograms, collinear point counts, point-line
 incidence bounds, constructive set decompositions, and a verification
-harness, all over exact rational arithmetic.  Hot counting kernels use a
-compiled extension when available, with a pure-Python fallback.
+harness, all over exact rational arithmetic.  Hot counting kernels run on
+cleared-denominator Python ints, exact at any magnitude.
 """
 
 from ._kernels import backend_name

@@ -1,12 +1,11 @@
 """Pure-Python integer kernels.
 
-These are the hot inner loops, expressed over plain Python ints so they
-also serve as the arbitrary-precision fallback for the compiled backend
-(_kernels_cy, built from the same algorithms with int64 arithmetic).
-t_o_linehash differs: it counts by pivot directions, while the compiled
-twin still hashes every spanned line, so the two check each other.
-Callers are responsible for clearing denominators first; every routine
-here assumes integer inputs.
+These are the hot inner loops, expressed over plain Python ints, so they
+are exact at any magnitude; _kernels re-exports the ones callers use.
+t_o_linehash counts by pivot directions, while _spanned_lines hashes every
+spanned line, so the line census is its independent check.  Callers are
+responsible for clearing denominators first; every routine here assumes
+integer inputs.
 """
 
 from __future__ import annotations
@@ -139,8 +138,7 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
     such pair is visited once.  Time O(|g1|^2 (|g2|^2 + |g3|^2)), memory
     O(|g2|^2 + |g3|^2); no line is materialised.  Callers should pass the
     smallest set first; the count itself is symmetric in the arguments.
-    The name matches the "linehash" mode of collinear.t_o_count and the
-    compiled twin, which still hashes lines.
+    The name matches the "linehash" mode of collinear.t_o_count.
     """
     l1, l2, l3 = list(g1), list(g2), list(g3)
     same = set(l2) == set(l3)
@@ -227,6 +225,5 @@ def mul_pairs_cross(x1, x2, y1, y2) -> int:
     Cross-rectangle variant of mul_pairs_count, needed when the two
     components of each vector come from differently shifted sets;
     mul_pairs_count(X, Y) is the diagonal case x1 = x2 = X, y1 = y2 = Y.
-    Cold path: no compiled twin.
     """
     return _parallel_pairs(x1, x2, y1, y2)

@@ -60,9 +60,7 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
     The count is symmetric in its arguments, so the fast path reorders the
     sets by size and pivots on the points of the smallest grid, charging
     |s1|^2 (|s2|^2 + |s3|^2) direction tallies against the budget for the
-    size-sorted sets s1, s2, s3.  It always runs the pure kernel: there is
-    no compiled dispatch, because the compiled twin still stores every
-    spanned line (O(n^4) memory) and is slower end to end.
+    size-sorted sets s1, s2, s3.
     """
     if mode == "brute":
         _check_tuple_budget(A1, A2, A3, budget)

@@ -22,6 +22,7 @@ from .errors import (
     InvalidConfig,
     IterationOverflow,
     NonTermination,
+    PostconditionFailed,
 )
 from .intervals import ln2_bounds, log_squared_fraction_bounds, power_sum_ratio_decimal
 from .sets import RatSet, format_rational, parse_rational
@@ -70,7 +71,8 @@ def dyadic_band(h: CountHistogram, k: int) -> DyadicBand:
     best = masses[best_j]
     # pigeonhole guarantee, enforced on every histogram that gets banded:
     # argmax mass >= total/(nonempty bands), and bands <= ceil(log2 r_max) + 1
-    assert best * ((r_max - 1).bit_length() + 1) >= sum(masses.values())
+    if best * ((r_max - 1).bit_length() + 1) < sum(masses.values()):
+        raise PostconditionFailed("dyadic pigeonhole bound violated")
     return DyadicBand(t=1 << best_j, P=RatSet(support[best_j]), mass=best)
 
 
@@ -160,9 +162,12 @@ def _extract_core(A: RatSet):
     q2, A2 = b2.t, b2.P
 
     # postcondition: band memberships hold verbatim
-    assert all(t <= diff.entries[x] < 2 * t for x in P)
-    assert all(q1 <= h1.entries[a] < 2 * q1 for a in A1)
-    assert all(q2 <= h2.entries[b] < 2 * q2 for b in A2)
+    if not all(t <= diff.entries[x] < 2 * t for x in P):
+        raise PostconditionFailed("P left its difference band [t, 2t)")
+    if not all(q1 <= h1.entries[a] < 2 * q1 for a in A1):
+        raise PostconditionFailed("A1 left its band [q1, 2 q1)")
+    if not all(q2 <= h2.entries[b] < 2 * q2 for b in A2):
+        raise PostconditionFailed("A2 left its band [q2, 2 q2)")
 
     branch = "ordinates" if q2 <= len(A2) else "abscissae"
     chosen = A2 if branch == "ordinates" else A1
@@ -359,7 +364,8 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         C = C.union(D)
     if parts_c:
         # quarter-power recombination across the extracted pieces
-        assert l4_union_check(parts_c) != "violated"
+        if l4_union_check(parts_c) == "violated":
+            raise PostconditionFailed("quarter-power union bound violated")
     e_plus_b = energy(B, B, 2, "additive") if len(B) else 0
     e_mul_c = energy(C, C, 2, "multiplicative") if len(C) else 0
     ratio = power_sum_ratio_decimal(
@@ -408,8 +414,12 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
     Y = RatSet([])
     for D in extracted:
         Y = Y.union(D)
-    assert 2 * len(X) >= n and 2 * len(Y) >= n
-    assert X.union(Y) == A
+    if 2 * len(X) < n:
+        raise PostconditionFailed("X holds less than half of A")
+    if 2 * len(Y) < n:
+        raise PostconditionFailed("Y holds less than half of A")
+    if X.union(Y) != A:
+        raise PostconditionFailed("X and Y do not cover A")
     e3_x = energy(X, X, 3, "additive")
     e_mul_y = energy(Y, Y, 2, "multiplicative")
     ratio = power_sum_ratio_decimal(e3_x**4 * e_mul_y**3, [[(n, Fraction(22))]])
@@ -557,15 +567,20 @@ def regularize(A: RatSet, k: int) -> RegTrace:
 
 
 def _assert_reg_invariants(A: RatSet, tr: RegTrace) -> None:
-    assert tr.B_dprime.is_subset(tr.B_prime)
-    assert tr.B_prime.is_subset(tr.B)
-    assert tr.B.is_subset(A)
+    if not tr.B_dprime.is_subset(tr.B_prime):
+        raise PostconditionFailed("B'' is not a subset of B'")
+    if not tr.B_prime.is_subset(tr.B):
+        raise PostconditionFailed("B' is not a subset of B")
+    if not tr.B.is_subset(A):
+        raise PostconditionFailed("B is not a subset of A")
     # size chain: |B| >= (1 - eps)^(shrink steps) |A|, exact rational power
     shrinks = len(tr.steps) - 1
     factor = (1 - tr.epsilon) ** shrinks
-    assert len(tr.B) * factor.denominator >= factor.numerator * len(A)
+    if len(tr.B) * factor.denominator < factor.numerator * len(A):
+        raise PostconditionFailed("|B| fell below (1 - eps)^(shrink steps) |A|")
     cap = -(-tr.epsilon.denominator // tr.epsilon.numerator)
-    assert len(tr.steps) <= cap
+    if len(tr.steps) > cap:
+        raise PostconditionFailed("regularization ran past ceil(1/eps) steps")
 
 
 def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:

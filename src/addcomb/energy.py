@@ -19,7 +19,12 @@ from typing import Iterable, Optional, Sequence
 
 from . import intervals
 from ._kernels import mul_pairs_count
-from .errors import DivisionByZero, EmptyCandidateList, InvalidConfig
+from .errors import (
+    DivisionByZero,
+    EmptyCandidateList,
+    InvalidConfig,
+    PostconditionFailed,
+)
 from .sets import RatSet, common_scale, scaled_ints
 
 K_MAX = 8
@@ -151,7 +156,8 @@ def d_lower(A: RatSet, k: int, flavor: str,
         if best_val is None or val > best_val:
             best_val = val
             best_wit = B
-    assert best_val is not None and best_wit is not None
+    if best_val is None or best_wit is None:
+        raise PostconditionFailed("no candidate was scored")
     return DLowerEstimate(k=k, value=best_val, witness=best_wit)
 
 

@@ -56,3 +56,7 @@ class NonTermination(AddcombError):
 
 class InsufficientPoints(AddcombError):
     """A fit needs more data points than were supplied."""
+
+
+class PostconditionFailed(AddcombError):
+    """A guarantee the code enforces on its own output did not hold: a bug."""

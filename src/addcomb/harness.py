@@ -31,6 +31,7 @@ from .errors import (
     DegeneratePair,
     InsufficientPoints,
     InvalidConfig,
+    PostconditionFailed,
     ZeroShift,
 )
 from .incidence import Arrangement, incidences, rich_lines, st_bound_check
@@ -610,8 +611,8 @@ def shift_product_report(A: RatSet, alpha, beta,
     Reports K_mul, K_div, |(A+alpha)(A+beta)| with its ratio against
     K^-3 |A|^2, and the triple sum |A + alpha A + beta A| with its ratio
     against K^-5 |A|^2 (all exact rationals).  When the sizes fit the
-    budget, the collinearity identity on (A, AA/alpha, AA/beta) is run as
-    a hard assertion.
+    budget, the collinearity identity on (A, AA/alpha, AA/beta) is run and
+    a mismatch raises PostconditionFailed.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha == 0 or beta == 0:
@@ -638,7 +639,9 @@ def shift_product_report(A: RatSet, alpha, beta,
     D = affine(aa, 1 / beta, 0)
     if (n * len(C) * len(D)) ** 2 <= budget:
         rep = t_identity_check(A, C, D, budget)
-        assert rep.ok
+        if not rep.ok:
+            raise PostconditionFailed(
+                f"shift identity failed: {rep.lhs} != {rep.rhs}")
         report["identity"] = "ok"
     else:
         report["identity"] = "skipped (budget)"

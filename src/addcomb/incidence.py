@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from . import _kernels
 from ._kernels_py import _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, line_through, point
-from .errors import BudgetExceeded, InvalidConfig
+from .errors import BudgetExceeded, InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
 from .sets import RatSet, common_scale, format_rational, parse_rational, scaled_ints
 
@@ -123,7 +123,8 @@ def st_bound_check(arr: Arrangement) -> STReport:
 def _multiplicity_from_pairs(pair_count: int) -> int:
     # m points on a line yield m(m-1)/2 unordered pairs; invert exactly
     m = (1 + isqrt(1 + 8 * pair_count)) // 2
-    assert m * (m - 1) // 2 == pair_count
+    if m * (m - 1) // 2 != pair_count:
+        raise PostconditionFailed(f"{pair_count} is not m(m-1)/2 for any m")
     return m
 
 

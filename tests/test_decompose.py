@@ -1,13 +1,18 @@
 """Dyadic bands, extraction certificates, the two decompositions, the
 regularization loop, and the best-dilate search."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomb import decompose
 from addcomb.decompose import (
     DyadicBand,
     ExtractionCertificate,
@@ -269,6 +274,33 @@ def test_recheck_reg_trace_names_each_tampered_claim():
     assert recheck_reg_trace(a, tr) == []
     for tampered, expected in cases:
         assert recheck_reg_trace(a, tampered) == expected, expected
+
+
+def test_reg_invariants_raise_under_python_O():
+    # postconditions raise instead of asserting, so `python -O` keeps them
+    code = f"""
+import sys
+from dataclasses import replace
+from addcomb.decompose import _assert_reg_invariants, regularize
+from addcomb.errors import PostconditionFailed
+from addcomb.sets import RatSet
+if __debug__:
+    sys.exit("not running under -O")
+a = RatSet({[int(v) for v in _REG_SET]})
+tr = regularize(a, 2)
+_assert_reg_invariants(a, tr)
+try:
+    _assert_reg_invariants(a, replace(tr, B=tr.B.union(RatSet([7]))))
+except PostconditionFailed as exc:
+    print(exc)
+"""
+    src = str(Path(decompose.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "B is not a subset of A\n"
 
 
 def test_recheck_decomposition_names_tampered_chain():

@@ -1,158 +1,67 @@
-"""Compiled and pure counting kernels must agree everywhere.
+"""Each counting kernel must agree with a different algorithm.
 
-The dispatch layer (int64 magnitude precheck) is covered here too: inputs
-past the safe range must silently take the pure path and still produce
-identical counts.  The pure pivot-direction T_o counter is also checked
-against the pure line census (`_spanned_lines`) at sizes where the brute
-force is too slow.
+No kernel is checked against a second copy of itself:
 
-Without an installed extension, a session fixture builds the committed
-`_kernels_cy.c` into a temporary directory with the system C compiler and
-loads it beside the pure backend, so the equivalence tests run wherever a
-compiler and `Python.h` exist.
+- collinear_six_counts: its total equals the shift identity, a sum over
+  pivots (a1, a2) of mul_pairs_cross on shifted lists, and its distinct
+  count equals the pivot-direction t_o_linehash;
+- t_o_linehash: equals the line census `_spanned_lines`, on random small
+  lists and at sizes where the n^6 brute force is too slow;
+- mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop;
+- count_incidences, through incidence.incidences: equals a Fraction
+  recount, on points with non-integer coordinates.
+
+Inputs are small signed ints, mapped by x -> s*x + t with s and t far past
+int64 as well, where every kernel must stay exact.
 """
 
-import importlib.util
 import random
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
+from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb import _kernels, _kernels_py
-from addcomb._kernels import INT64_SAFE, backend_name
+from addcomb.core import canonical_line, line_through, point
+from addcomb.incidence import Arrangement, incidences
 
 ints = st.integers(-300, 300)
 int_lists = st.lists(ints, min_size=1, max_size=6, unique=True)
-pos_lists = st.lists(st.integers(1, 300), min_size=1, max_size=12, unique=True)
-
-C_SOURCE = Path(_kernels_py.__file__).with_name("_kernels_cy.c")
-
-
-def _build_compiled(out_dir: Path):
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if compiler is None or not Path(include, "Python.h").exists():
-        pytest.skip("no C compiler or Python.h to build the compiled kernels")
-    target = out_dir / ("_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    proc = subprocess.run(
-        [compiler, "-O1", "-shared", "-fPIC", f"-I{include}", str(C_SOURCE),
-         "-o", str(target)],
-        capture_output=True, text=True)
-    if proc.returncode != 0:
-        pytest.fail(f"building {C_SOURCE.name} failed:\n{proc.stderr}")
-    # the module registers itself in sys.modules as it loads; the dispatcher
-    # imported without it already, so the pure backend stays selected
-    spec = importlib.util.spec_from_file_location("addcomb._kernels_cy", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# signed lists that always hold 0 and a negative value
+signed_lists = st.tuples(int_lists, st.integers(-300, -1)).map(
+    lambda t: sorted(set(t[0]) | {0, t[1]}))
+scales = st.sampled_from([1, 2**28 + 1, 2**61 - 1])
+# x -> s*x + t keeps which grid points are collinear, far past int64
+affine_maps = st.tuples(scales, st.integers(-2**70, 2**70))
+fracs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 
 
-@pytest.fixture(scope="session")
-def cy(tmp_path_factory):
-    if backend_name() == "compiled":
-        yield _kernels._compiled
-        return
-    yield _build_compiled(tmp_path_factory.mktemp("kernels_cy"))
-    assert backend_name() == "pure"
+def _affine(xs, m):
+    s, t = m
+    return [s * x + t for x in xs]
 
 
-@given(int_lists, int_lists, int_lists)
+@given(int_lists, int_lists, int_lists, affine_maps)
 @settings(max_examples=60, deadline=None)
-def test_collinear_six_counts_equivalent(cy, a, b, c):
-    assert cy.collinear_six_counts(a, b, c) == _kernels_py.collinear_six_counts(a, b, c)
-
-
-@given(int_lists, int_lists, int_lists)
-@settings(max_examples=40, deadline=None)
-def test_t_o_linehash_equivalent(cy, a, b, c):
-    assert cy.t_o_linehash(a, b, c) == _kernels_py.t_o_linehash(a, b, c)
-
-
-@given(pos_lists, pos_lists)
-@settings(max_examples=60, deadline=None)
-def test_mul_pairs_count_equivalent(cy, x, y):
-    assert cy.mul_pairs_count(x, y) == _kernels_py.mul_pairs_count(x, y)
-
-
-@given(st.lists(ints, min_size=1, max_size=25),
-       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
-                          st.integers(-20, 20))
-                .filter(lambda t: (t[0], t[1]) != (0, 0)),
-                min_size=1, max_size=25))
-@settings(max_examples=40, deadline=None)
-def test_count_incidences_equivalent(cy, coords, lines):
-    pxs = coords
-    pys = list(reversed(coords))
-    las = [a for a, _, _ in lines]
-    lbs = [b for _, b, _ in lines]
-    lcs = [c for _, _, c in lines]
-    assert (cy.count_incidences(pxs, pys, las, lbs, lcs)
-            == _kernels_py.count_incidences(pxs, pys, las, lbs, lcs))
-
-
-def test_dispatch_overflow_falls_back_to_pure():
-    # magnitudes beyond the int64-safe precheck must route to the pure
-    # backend; the count itself stays exact either way
-    big = 2**40
-    a = [big, big + 1]
-    got = _kernels.collinear_six_counts(a, a, a)
-    assert got == _kernels_py.collinear_six_counts(a, a, a)
-
-
-class _Spy:
-    """Stands in for the compiled module and records which kernels ran."""
-
-    def __init__(self, module):
-        self._module = module
-        self.calls = []
-
-    def __getattr__(self, name):
-        def call(*args):
-            self.calls.append(name)
-            return getattr(self._module, name)(*args)
-        return call
-
-
-def test_fits_accepts_exactly_the_int64_safe_range():
-    assert _kernels._fits([INT64_SAFE], [-INT64_SAFE], [0])
-    assert not _kernels._fits([0], [INT64_SAFE + 1])
-    assert not _kernels._fits([-INT64_SAFE - 1], [0])
-
-
-def test_dispatch_at_int64_boundary_stays_exact(cy, monkeypatch):
-    # differences reach 2 * INT64_SAFE and their products 4 * INT64_SAFE^2,
-    # the most the compiled route may see; one step past the range must
-    # take the pure route
-    spy = _Spy(cy)
-    monkeypatch.setattr(_kernels, "_compiled", spy)
-    s = INT64_SAFE
-    for vals, compiled in (
-        ([-s, -s + 1, 0, s - 1, s], True),
-        ([-s, -s + 1, 0, s - 1, s + 1], False),
-        ([-s - 1, -s + 1, 0, s - 1, s], False),
-    ):
-        spy.calls.clear()
-        got = _kernels.collinear_six_counts(vals, vals, vals[1:])
-        assert got == _kernels_py.collinear_six_counts(vals, vals, vals[1:])
-        assert spy.calls == (["collinear_six_counts"] if compiled else [])
-
-
-def test_t_o_linehash_never_dispatches_to_compiled(cy, monkeypatch):
-    spy = _Spy(cy)
-    monkeypatch.setattr(_kernels, "_compiled", spy)
-    a = [0, 1, 2, 4]
-    assert _kernels.t_o_linehash(a, a, a) == _kernels_py.t_o_linehash(a, a, a)
-    assert spy.calls == []
+def test_collinear_six_counts_equivalent(a, b, c, m):
+    a, b, c = _affine(a, m), _affine(b, m), _affine(c, m)
+    total, distinct = _kernels.collinear_six_counts(a, b, c)
+    assert total == sum(
+        _kernels_py.mul_pairs_cross([x - a1 for x in b], [x - a2 for x in b],
+                                    [x - a1 for x in c], [x - a2 for x in c])
+        for a1 in a for a2 in a)
+    assert distinct == _kernels.t_o_linehash(a, b, c)
 
 
 def _census_t_o(g1, g2, g3):
     return sum(d for *_, d in _kernels_py._spanned_lines(g1, g2, g3))
+
+
+@given(int_lists, int_lists, int_lists, affine_maps)
+@settings(max_examples=40, deadline=None)
+def test_t_o_linehash_equivalent(a, b, c, m):
+    a, b, c = _affine(a, m), _affine(b, m), _affine(c, m)
+    assert _kernels.t_o_linehash(a, b, c) == _census_t_o(a, b, c)
 
 
 def _sample(seed, n, lo, hi):
@@ -185,29 +94,47 @@ def test_t_o_pivot_matches_line_census_above_brute_sizes():
     assert inside and outside
 
 
-def test_dispatch_small_inputs_use_selected_backend():
-    assert backend_name() in ("compiled", "pure")
-    a = [0, 1, 2]
-    assert _kernels.collinear_six_counts(a, a, a) == \
-        _kernels_py.collinear_six_counts(a, a, a)
+@given(st.lists(st.tuples(fracs, fracs), min_size=1, max_size=12, unique=True),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                          st.integers(-20, 20))
+                .filter(lambda t: (t[0], t[1]) != (0, 0)),
+                max_size=8),
+       scales)
+@settings(max_examples=40, deadline=None)
+def test_count_incidences_equivalent(coords, lines, s):
+    # lines through consecutive points make incidences, and collinear
+    # points make lines with more than two
+    pts = [point(s * x, s * y) for x, y in coords]
+    lns = {canonical_line(a, b, s * c) for a, b, c in lines}
+    lns |= {line_through(p, q) for p, q in zip(pts, pts[1:])}
+    arr = Arrangement.build(pts, lns)
+    assert incidences(arr) == sum(
+        l.contains(p) for l in arr.lines for p in arr.points)
 
 
-def test_mul_pairs_cross_is_pure_only():
-    # the cross variant backs the identity check; only a pure version
-    # exists and it must match a direct quadruple loop, as must the
-    # diagonal mul_pairs_count that shares its matching step
-    x1, x2 = [1, 2, 3], [2, 4]
-    y1, y2 = [1, 5], [3, 6, 9]
+@given(signed_lists, signed_lists, signed_lists, signed_lists, scales)
+@settings(max_examples=60, deadline=None)
+def test_mul_pairs_cross_is_pure_only(x1, x2, y1, y2, s):
+    # the cross variant backs the identity check; it must match a direct
+    # quadruple loop, zeros and negative values included
+    x1, x2, y1, y2 = ([s * v for v in xs] for xs in (x1, x2, y1, y2))
     direct = sum(
         1
         for a in x1 for b in x2 for c in y1 for d in y2
         if a * d == b * c
     )
     assert _kernels_py.mul_pairs_cross(x1, x2, y1, y2) == direct
-    x, y = [0, 1, -2, 3], [0, 2, 4, -6, 5]
+
+
+@given(signed_lists, signed_lists, scales)
+@settings(max_examples=60, deadline=None)
+def test_mul_pairs_count_equivalent(x, y, s):
+    # the diagonal mul_pairs_count shares the cross variant's matching
+    # step and must match a direct quadruple loop as well
+    x, y = [s * v for v in x], [s * v for v in y]
     direct = sum(
         1
         for a in x for b in x for c in y for d in y
         if a * d == b * c
     )
-    assert _kernels_py.mul_pairs_count(x, y) == direct
+    assert _kernels.mul_pairs_count(x, y) == direct
