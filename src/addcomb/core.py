@@ -10,7 +10,7 @@ decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DegeneratePair
@@ -66,8 +66,6 @@ def line_through(p: PlanePoint, q: PlanePoint) -> LineKey:
     b_f = p.x - q.x
     c_f = a_f * p.x + b_f * p.y
     # Clear denominators to reach an integer triple.
-    from math import lcm
-
     m = lcm(a_f.denominator, b_f.denominator, c_f.denominator)
     return canonical_line(int(a_f * m), int(b_f * m), int(c_f * m))
 

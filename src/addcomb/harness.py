@@ -34,7 +34,13 @@ from .errors import (
     PostconditionFailed,
     ZeroShift,
 )
-from .incidence import Arrangement, incidences, rich_lines, st_bound_check
+from .incidence import (
+    Arrangement,
+    incidences,
+    rich_lines,
+    scaled_incidences,
+    st_bound_holds,
+)
 from .intervals import power_sum_ratio_decimal
 from .sets import (
     GeneratorConfig,
@@ -199,24 +205,41 @@ def _seeded_rat_set(rng: SplitMix64, size: int, num_range: int = 10,
     return RatSet(vals)
 
 
-def _seeded_arrangement(seed: int) -> Arrangement:
-    rng = SplitMix64(seed)
-    n_pts = 1 + rng.below(200)
-    n_lines = 1 + rng.below(200)
-    pts = []
-    for _ in range(n_pts):
-        x = Fraction(rng.below(2001) - 1000, 1 + rng.below(4))
-        y = Fraction(rng.below(2001) - 1000, 1 + rng.below(4))
-        pts.append(point(x, y))
+# lcm(1, 2, 3, 4): every drawn coordinate times this scale is an integer
+ARRANGEMENT_SCALE = 12
+
+
+def _arrangement_draws(seed: int):
+    # the SplitMix64 draws of one seeded arrangement, in draw order: points
+    # as (x num, x den, y num, y den), then lines as canonical LineKeys
+    below = SplitMix64(seed).below
+    n_pts = 1 + below(200)
+    n_lines = 1 + below(200)
+    pts = [(below(2001) - 1000, 1 + below(4), below(2001) - 1000, 1 + below(4))
+           for _ in range(n_pts)]
     lines = []
     for _ in range(n_lines):
-        a = rng.below(41) - 20
-        b = rng.below(41) - 20
+        a = below(41) - 20
+        b = below(41) - 20
         if a == 0 and b == 0:
             a = 1
-        c = rng.below(2001) - 1000
-        lines.append(canonical_line(a, b, c))
-    return Arrangement.build(pts, lines)
+        lines.append(canonical_line(a, b, below(2001) - 1000))
+    return pts, lines
+
+
+def _seeded_arrangement(seed: int) -> Arrangement:
+    pts, lines = _arrangement_draws(seed)
+    return Arrangement.build(
+        (point(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in pts), lines)
+
+
+def _seeded_scaled_arrangement(seed: int):
+    """`_seeded_arrangement(seed)` scaled by ARRANGEMENT_SCALE, as sets of
+    int tuples: points (X, Y) and lines (a, b, C) with a*X + b*Y = C."""
+    pts, lines = _arrangement_draws(seed)
+    s = ARRANGEMENT_SCALE
+    return ({(xn * (s // xd), yn * (s // yd)) for xn, xd, yn, yd in pts},
+            {(a, b, c * s) for a, b, c in lines})
 
 
 def _materialize(corpus: Sequence[GeneratorConfig]):
@@ -387,21 +410,25 @@ def _suite_oracle(corpus, budget: int):
 
 def _suite_incidence(corpus, budget: int):
     checks = []
+    # the 1000 verdicts count on scaled ints; the recount below checks them
+    counts = []
     bad = []
     for seed in range(1, 1001):
-        arr = _seeded_arrangement(seed)
-        if not st_bound_check(arr).ok:
+        pts, lines = _seeded_scaled_arrangement(seed)
+        counts.append(scaled_incidences(pts, lines))
+        if not st_bound_holds(counts[-1], len(pts), len(lines)):
             bad.append(seed)
     checks.append(_exact(
         "st_bound", not bad,
         f"1000 arrangements, failing seeds: {bad if bad else 'none'}"))
 
-    # independent recount on a sample: kernel count vs direct membership
+    # independent recount on a sample: direct Fraction membership vs the
+    # kernel, both on the Fraction arrangement and on the scaled ints
     recount_bad = []
     for seed in range(1, 21):
         arr = _seeded_arrangement(seed)
         direct = sum(1 for li in arr.lines for p in arr.points if li.contains(p))
-        if incidences(arr) != direct:
+        if not incidences(arr) == direct == counts[seed - 1]:
             recount_bad.append(seed)
     checks.append(_exact(
         "incidence_recount", not recount_bad,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import DivisionByZero, InvalidConfig, ZeroScale
@@ -299,8 +300,6 @@ def read_corpus_file(path) -> list[GeneratorConfig]:
 
 def common_scale(*sets: Iterable[Fraction]) -> int:
     """Least common multiple of all denominators across the given iterables."""
-    from math import lcm
-
     m = 1
     for s in sets:
         for v in s:

@@ -19,7 +19,6 @@ from addcomb.decompose import (
     xy_decompose,
 )
 from addcomb.energy import energy, rep_histogram
-from addcomb.incidence import st_bound_check
 from addcomb.ratios import r_of_z
 from addcomb.sets import RatSet, SplitMix64, generate
 
@@ -55,11 +54,15 @@ def test_criterion_2_hand_checkable_counts():
 
 
 def test_criterion_3_st_bound_1000_random_arrangements():
-    for seed in range(1, 1001):
-        arr = harness._seeded_arrangement(seed)
-        assert len(arr.points) <= 200 and len(arr.lines) <= 200
-        rep = st_bound_check(arr)
-        assert rep.ok, f"seed {seed}: {rep.count} vs [{rep.bound_lo},{rep.bound_hi}]"
+    # the incidence suite decides the bound on 1000 seeded arrangements and
+    # recounts 20 of them by Fraction membership; its two EXACT checks are
+    # the one copy of this claim
+    res = harness.run_suite("incidence")
+    checks = {c.name: c for c in res.checks}
+    for name, n in (("st_bound", 1000), ("incidence_recount", 20)):
+        c = checks[name]
+        assert c.kind == "EXACT" and c.status == "pass", c
+        assert c.details == f"{n} arrangements, failing seeds: none", c
 
 
 def test_criterion_4_exact_inequality_suite_default_corpus():

@@ -4,12 +4,41 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addcomb import harness
 from addcomb.errors import InsufficientPoints, InvalidConfig, ZeroShift
 from addcomb.sets import RatSet, ap, gp, grid_example
 
 SMALL_CORPUS = [ap(1, 1, 8), gp(1, 2, 8), grid_example(3, 3)]
+
+
+def _assert_scaled_arrangement_matches(seed):
+    # the int arrangement is the Fraction one scaled by 12, point for point
+    # and line for line, so both builders consume the same draws
+    arr = harness._seeded_arrangement(seed)
+    pts, lines = harness._seeded_scaled_arrangement(seed)
+    s = harness.ARRANGEMENT_SCALE
+    assert pts == {(int(p.x * s), int(p.y * s)) for p in arr.points}
+    assert lines == {(l.a, l.b, l.c * s) for l in arr.lines}
+    assert 1 <= len(pts) <= 200 and 1 <= len(lines) <= 200
+
+
+def test_scaled_arrangement_is_the_fraction_arrangement_times_12():
+    for seed in range(1, 51):
+        _assert_scaled_arrangement_matches(seed)
+    # sizes of seeds 1..50 as the Fraction-only generator drew them; a
+    # reordered or re-seeded draw changes them
+    arrs = [harness._seeded_arrangement(seed) for seed in range(1, 51)]
+    assert sum(len(a.points) for a in arrs) == 5345
+    assert sum(len(a.lines) for a in arrs) == 4703
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_scaled_arrangement_matches_at_any_seed(seed):
+    _assert_scaled_arrangement_matches(seed)
 
 
 def test_exact_suite_small_corpus_all_pass():

@@ -17,8 +17,10 @@ from addcomb.incidence import (
     read_arrangement,
     rich_lines,
     rich_points,
+    scaled_incidences,
     spanned_line_multiplicities,
     st_bound_check,
+    st_bound_holds,
     write_arrangement,
 )
 from addcomb.sets import RatSet, SplitMix64
@@ -70,7 +72,36 @@ def test_st_bound_random_arrangements(seed):
         if a == 0 and b == 0:
             a = 1
         lines.append(canonical_line(a, b, rng.below(41) - 20))
-    assert st_bound_check(Arrangement.build(pts, lines)).ok
+    arr = Arrangement.build(pts, lines)
+    rep = st_bound_check(arr)
+    assert rep.ok
+    assert rep.ok == st_bound_holds(incidences(arr), len(arr.points), len(arr.lines))
+
+
+def test_st_bound_extremal_grid_has_positive_surplus():
+    # P = [k] x [2k^2] and the lines y = a x + b, a in [k], b in [k^2]: each
+    # line meets P in k points, so I = k^4 = 10000 at k = 10 against
+    # 4|P| + |L| = 9k^3; the surplus +1000 reaches the cubed comparison
+    k = 10
+    pts = [(x, y) for x in range(1, k + 1) for y in range(1, 2 * k * k + 1)]
+    lines = [canonical_line(a, -1, -b) for a in range(1, k + 1) for b in range(1, k * k + 1)]
+    rep = st_bound_check(Arrangement.build([point(x, y) for x, y in pts], lines))
+    assert rep.count == k**4
+    assert scaled_incidences(pts, lines) == k**4
+    assert (rep.n_points, rep.n_lines) == (2 * k**3, k**3)
+    assert rep.count - 4 * rep.n_points - rep.n_lines == 1000
+    assert rep.ok and st_bound_holds(rep.count, rep.n_points, rep.n_lines)
+
+
+@pytest.mark.parametrize("n_points, n_lines, t",
+                         [(1, 1, 1), (8, 1, 2), (2, 4, 2), (9, 3, 3), (125, 27, 15)])
+def test_st_bound_holds_exactly_at_equality(n_points, n_lines, t):
+    # P L = t^3 makes the bound an integer: surplus s = 4 t^2 gives
+    # s^3 = 64 (P L)^2, which holds, and one incidence more does not
+    assert t**3 == n_points * n_lines
+    count = 4 * t * t + 4 * n_points + n_lines
+    assert st_bound_holds(count, n_points, n_lines)
+    assert not st_bound_holds(count + 1, n_points, n_lines)
 
 
 def test_arrangement_file_roundtrip(tmp_path):
