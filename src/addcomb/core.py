@@ -2,9 +2,11 @@
 
 Everything downstream (incidence counts, collinear triple counts, line
 statistics) reduces to the primitives here: points with exact rational
-coordinates, lines in canonical integer form, and the cross-product
-collinearity test.  All functions are pure; no floats are ever involved in a
-decision.
+coordinates, lines in canonical integer form, the cross-product
+collinearity test, and line membership, which cross-multiplies the
+point's own denominators into the integer line equation instead of
+building Fractions.  All functions are pure; no floats are ever involved
+in a decision.
 """
 
 from __future__ import annotations
@@ -42,7 +44,15 @@ class LineKey(NamedTuple):
     c: int
 
     def contains(self, p: PlanePoint) -> bool:
-        return self.a * p.x + self.b * p.y == self.c
+        """a*x + b*y == c, cross-multiplied by the positive denominators.
+
+        With x = xn/xd and y = yn/yd in lowest terms the test is
+        a*xn*yd + b*yn*xd == c*xd*yd: exact, and no Fraction is built.
+        Int coordinates work too (their denominator is 1).
+        """
+        x, y = p
+        xd, yd = x.denominator, y.denominator
+        return self.a * x.numerator * yd + self.b * y.numerator * xd == self.c * xd * yd
 
 
 def canonical_line(a: int, b: int, c: int) -> LineKey:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import intervals
@@ -25,7 +24,7 @@ from .errors import (
     InvalidConfig,
     PostconditionFailed,
 )
-from .sets import RatSet, common_scale, scaled_ints
+from .sets import RatSet, common_scale, int_keys, key_value, scaled_ints
 
 K_MAX = 8
 
@@ -67,39 +66,20 @@ class DLowerEstimate:
 
 
 def int_histogram(A: RatSet, B: RatSet, op: str) -> tuple[Counter, int]:
-    """Counts of a op b over A x B on cleared-denominator ints, and the scale.
-
-    With s = common_scale(A, B) and a, b the scaled ints, the keys are
-    a -/+ b for diff/sum (value k/s), a*b for prod (value k/s^2), and the
-    reduced pair (p, q) with q > 0 for ratio (value p/q).  Pairs run A-major,
-    so each key first appears where the Fraction tally would put it.
-    """
+    """Counts of the `sets.int_keys` keys of a op b over A x B, and the scale."""
     if op not in _OPS:
         raise InvalidConfig(f"unknown op {op!r}")
     if op == "ratio" and Fraction(0) in B:
         raise DivisionByZero("ratio histogram needs 0 not in B")
-    scale = common_scale(A, B)
-    xs = scaled_ints(A, scale)
-    ys = scaled_ints(B, scale)
-    if op == "diff":
-        keys = (a - b for a in xs for b in ys)
-    elif op == "sum":
-        keys = (a + b for a in xs for b in ys)
-    elif op == "prod":
-        keys = (a * b for a in xs for b in ys)
-    else:
-        keys = ((a // g, b // g) for a in xs for b in ys
-                for g in (gcd(a, b) if b > 0 else -gcd(a, b),))
+    keys, scale = int_keys(A, B, op)
     return Counter(keys), scale
 
 
 def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
     """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}."""
     counts, scale = int_histogram(A, B, op)
-    if op == "ratio":
-        return CountHistogram({Fraction(p, q): m for (p, q), m in counts.items()})
-    den = scale * scale if op == "prod" else scale
-    return CountHistogram({Fraction(k, den): m for k, m in counts.items()})
+    value = key_value(op, scale)
+    return CountHistogram({value(k): m for k, m in counts.items()})
 
 
 def energy_op(k: int, flavor: str) -> str:

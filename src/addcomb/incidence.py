@@ -6,7 +6,8 @@ kernel tests aX + bY = C.  `incidences` clears the denominators of an
 `Arrangement`; `scaled_incidences` takes points and lines that are already
 scaled ints, as the harness's incidence suite draws them.  That suite checks
 the kernel against an independent recount by `LineKey.contains` on the
-Fraction arrangement.
+Fraction arrangement, which cross-multiplies each point's own denominators
+instead of clearing one common scale.
 
 The incidence bound I <= 4 |P|^(2/3) |L|^(2/3) + 4 |P| + |L| is checked in
 an exact integer form by `st_bound_holds` (cube the surplus, compare against

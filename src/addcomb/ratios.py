@@ -123,14 +123,23 @@ def level_set(Z: RatSet, A1: RatSet, A2: RatSet, t: int) -> RatSet:
     return RatSet(z for z in Z if _r_from_hist(hist, z) >= t)
 
 
-def full_ratio_set(A1: RatSet, A2: RatSet) -> RatSet:
+def _charge_sum_pairs(n_sums: int, budget: int) -> None:
+    cost = n_sums ** 2
+    if cost > budget:
+        raise BudgetExceeded(f"{cost} sum pairs exceed budget {budget}")
+
+
+def full_ratio_set(A1: RatSet, A2: RatSet,
+                   budget: int = DEFAULT_BUDGET) -> RatSet:
     """All quotients of nonzero sums: {s'/s : s, s' in A1+A2, both != 0}.
 
     These are exactly the z whose r(z) exceeds the ever-present zero-sum
     diagonal contribution; z realized only through 0/0 pairs are excluded
-    (every rational would qualify once a zero sum exists).
+    (every rational would qualify once a zero sum exists).  The quotients
+    charge |nonzero sums|^2 against the budget.
     """
     sums = [s for s in _sum_hist(A1, A2) if s != 0]
+    _charge_sum_pairs(len(sums), budget)
     return RatSet(Fraction(sp, s) for s in sums for sp in sums)
 
 
@@ -152,9 +161,7 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
     elif count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
     sums = [(s, m) for s, m in _sum_hist(A1, A2).items() if s != 0]
-    cost = len(sums) ** 2
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} sum pairs exceed budget {budget}")
+    _charge_sum_pairs(len(sums), budget)
     weight: Counter = Counter()
     for s, m in sums:
         sign = 1 if s > 0 else -1  # keeps the reduced denominator positive

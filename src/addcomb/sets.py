@@ -2,7 +2,9 @@
 
 A RatSet is an immutable, strictly sorted tuple of distinct Fractions.  All
 pairwise set operations (sumset, difference set, product set, ratio set) and
-the affine image keep exact arithmetic throughout.
+the affine image keep exact arithmetic throughout.  The pairwise operations
+clear denominators once and run on plain ints (`int_keys`, which the energy
+histograms share); only the distinct results become Fractions again.
 
 Generators
 ----------
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import DivisionByZero, InvalidConfig, ZeroScale
@@ -231,17 +233,18 @@ def generate(config: GeneratorConfig) -> RatSet:
 
 
 def set_op(a: RatSet, b: RatSet, op: str) -> RatSet:
-    """Pairwise sumset / difference set / product set / ratio set."""
-    if op == "sum":
-        return RatSet(x + y for x in a for y in b)
-    if op == "diff":
-        return RatSet(x - y for x in a for y in b)
-    if op == "prod":
-        return RatSet(x * y for x in a for y in b)
+    """Pairwise sumset / difference set / product set / ratio set.
+
+    The pairs run on cleared-denominator ints (`int_keys`); only the
+    distinct keys are turned back into Fractions.
+    """
+    if op not in ("sum", "diff", "prod", "ratio"):
+        raise InvalidConfig(f"unknown set operation {op!r}")
     if op == "ratio":
         b.require_nonzero("ratio set")
-        return RatSet(x / y for x in a for y in b)
-    raise InvalidConfig(f"unknown set operation {op!r}")
+    keys, scale = int_keys(a, b, op)
+    value = key_value(op, scale)
+    return RatSet(value(k) for k in set(keys))
 
 
 def affine(a: RatSet, scale, shift) -> RatSet:
@@ -310,3 +313,36 @@ def common_scale(*sets: Iterable[Fraction]) -> int:
 def scaled_ints(a: Iterable[Fraction], scale: int) -> list[int]:
     """v * scale as ints; scale must be a multiple of every denominator."""
     return [v.numerator * (scale // v.denominator) for v in a]
+
+
+def int_keys(A: Iterable[Fraction], B: Iterable[Fraction],
+             op: str) -> tuple[Iterator, int]:
+    """Keys of a op b over A x B on cleared-denominator ints, and the scale.
+
+    With s = common_scale(A, B) and a, b the scaled ints, the keys are
+    a -/+ b for diff/sum (value k/s), a*b for prod (value k/s^2), and the
+    reduced pair (p, q) with q > 0 for ratio (value p/q; 0 must not be in
+    B).  Pairs run A-major, so each key first appears where the Fraction
+    loop would put it.  Callers check `op` and the zero divisor.
+    """
+    scale = common_scale(A, B)
+    xs = scaled_ints(A, scale)
+    ys = scaled_ints(B, scale)
+    if op == "diff":
+        keys = (a - b for a in xs for b in ys)
+    elif op == "sum":
+        keys = (a + b for a in xs for b in ys)
+    elif op == "prod":
+        keys = (a * b for a in xs for b in ys)
+    else:
+        keys = ((a // g, b // g) for a in xs for b in ys
+                for g in (gcd(a, b) if b > 0 else -gcd(a, b),))
+    return keys, scale
+
+
+def key_value(op: str, scale: int):
+    """The map from an `int_keys` key back to the Fraction it stands for."""
+    if op == "ratio":
+        return lambda pq: Fraction(*pq)
+    den = scale * scale if op == "prod" else scale
+    return lambda k: Fraction(k, den)

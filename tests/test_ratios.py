@@ -166,3 +166,14 @@ def test_popular_ratios_budget_boundary():
     assert popular_ratios(a, a, budget=cost) == popular_ratios(a, a)
     with pytest.raises(BudgetExceeded):
         popular_ratios(a, a, budget=cost - 1)
+
+
+def test_full_ratio_set_budget_boundary():
+    # same cost as popular_ratios: |nonzero sums|^2, here 5^2
+    a = RatSet([-1, 1, 2])
+    sums = (-2, 1, 2, 3, 4)
+    cost = len(sums) ** 2
+    z = full_ratio_set(a, a, budget=cost)
+    assert z == RatSet(Fraction(p, q) for p in sums for q in sums)
+    with pytest.raises(BudgetExceeded, match="25 sum pairs exceed budget 24"):
+        full_ratio_set(a, a, budget=cost - 1)

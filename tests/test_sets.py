@@ -66,10 +66,37 @@ def test_set_op_all_four():
     assert set_op(a, b, "diff") == RatSet([-1, -3, 0, -2])
     assert set_op(a, b, "prod") == RatSet([2, 4, 8])
     assert set_op(a, b, "ratio") == RatSet([Fraction(1, 2), Fraction(1, 4), 1])
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="unknown set operation 'xor'"):
         set_op(a, b, "xor")
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(InvalidConfig):
+        set_op(a, RatSet([0]), "quot")  # the op is checked first
+    with pytest.raises(DivisionByZero, match=r"^ratio set: set contains 0$"):
         set_op(a, RatSet([0]), "ratio")
+
+
+_signed = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+_mixed_sets = st.builds(
+    RatSet, st.one_of(
+        st.lists(_signed, min_size=1, max_size=6),  # singletons included
+        st.lists(_signed, min_size=1, max_size=5).map(lambda v: v + [0]),
+    ))
+_BRUTE = {
+    "sum": lambda x, y: x + y,
+    "diff": lambda x, y: x - y,
+    "prod": lambda x, y: x * y,
+    "ratio": lambda x, y: x / y,
+}
+
+
+@given(_mixed_sets, _mixed_sets)
+def test_set_op_matches_fraction_brute(a, b):
+    for op, f in _BRUTE.items():
+        if op == "ratio" and 0 in b:
+            with pytest.raises(DivisionByZero, match=r"^ratio set: "):
+                set_op(a, b, op)
+            continue
+        got = set_op(a, b, op)
+        assert got == RatSet({f(x, y) for x in a for y in b}), op
 
 
 def test_affine():
