@@ -4,9 +4,16 @@ A skip says nothing about whether the code works, so no test run may pass
 because of one: every skip (a `pytest.skip` call, a `skip`/`skipif` mark,
 a module-level `importorskip`) is reported as a failure with its reason.
 Expected failures (`xfail`) are left as they are.
+
+Property tests keep hypothesis' random examples and example counts, but a
+failing example prints its `@reproduce_failure` line, so it can be rerun.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("addcomb", print_blob=True)
+settings.load_profile("addcomb")
 
 
 def _fail_if_skipped(report):

@@ -207,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="set file (one rational per line); repeatable")
         p.add_argument("--json", metavar="OUT",
                        help="write canonical JSON report to OUT ('-' = stdout)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+    seed_help = "recorded in the report's environment block; the suites pin their own"
 
     p = sub.add_parser("gen", help="generate a set and write a set file")
     p.add_argument("--kind", required=True,
@@ -267,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--suite", default="all",
                    choices=["all", *harness.SUITE_NAMES])
     p.add_argument("--corpus", metavar="FILE",
@@ -275,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="ratio tables and fits, or shift-product report")
     common(p, sets=True)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--corpus", metavar="FILE")
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="1")
@@ -287,7 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AddcombError as exc:
+    except (AddcombError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

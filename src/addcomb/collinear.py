@@ -23,14 +23,12 @@ from ._kernels_py import mul_pairs_cross
 from .core import DEFAULT_BUDGET
 from .errors import BudgetExceeded, InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, common_scale, scaled_ints
+from .sets import RatSet, integerize
 
 
 def _six_counts(A: RatSet, B: RatSet, C: RatSet):
-    scale = common_scale(A, B, C)
-    return _kernels.collinear_six_counts(
-        scaled_ints(A, scale), scaled_ints(B, scale), scaled_ints(C, scale)
-    )
+    _, ints = integerize(A, B, C)
+    return _kernels.collinear_six_counts(*ints)
 
 
 def _check_tuple_budget(A, B, C, budget):
@@ -71,10 +69,8 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
     cost = len(s1) ** 2 * (len(s2) ** 2 + len(s3) ** 2)
     if cost > budget:
         raise BudgetExceeded(f"linehash cost {cost} exceeds budget {budget}")
-    scale = common_scale(s1, s2, s3)
-    return _kernels.t_o_linehash(
-        scaled_ints(s1, scale), scaled_ints(s2, scale), scaled_ints(s3, scale)
-    )
+    _, ints = integerize(s1, s2, s3)
+    return _kernels.t_o_linehash(*ints)
 
 
 @dataclass(frozen=True)
@@ -139,10 +135,7 @@ def t_identity_check(A: RatSet, C: RatSet, D: RatSet,
     When C = D the sum collapses to shifted multiplicative energies.
     """
     _check_tuple_budget(A, C, D, budget)
-    scale = common_scale(A, C, D)
-    av = scaled_ints(A, scale)
-    cv = scaled_ints(C, scale)
-    dv = scaled_ints(D, scale)
+    _, (av, cv, dv) = integerize(A, C, D)
     shifts_c = {a: [c - a for c in cv] for a in av}
     shifts_d = {a: [d - a for d in dv] for a in av}
     lhs = 0

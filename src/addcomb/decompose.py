@@ -259,17 +259,47 @@ def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
 
 
 def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
-    """Replay the certificate chain of a decomposition of source.
+    """Replay a whole decomposition of source; returns the failed claim
+    names (empty means fully verified).
 
-    Each certificate is rechecked against the remainder its extraction
-    saw: source minus every earlier chosen piece.  Returns the failed
-    claim names in chain order (empty means fully verified).
+    First the certificate chain: each certificate is rechecked against the
+    remainder its extraction saw, source minus every earlier chosen piece.
+    Then the parts.  bw: B disjoint-union C = A ("partition"), C is the
+    union of the chosen pieces ("pieces"), and E_3^+(B) <= |A|^4 / M for the
+    recorded M ("energy_guard").  xy: the cover claims of `_cover_failures`,
+    Y is the union of the chosen pieces ("pieces"), and X is the remainder
+    before the last extraction ("remainder").
     """
     failures = []
-    rem = source
+    rem = before_last = source
     for cert in res.certificates:
         failures += recheck_certificate(rem, cert)
-        rem = rem.difference(cert.chosen)
+        before_last, rem = rem, rem.difference(cert.chosen)
+    pieces = RatSet(x for cert in res.certificates for x in cert.chosen)
+    if res.kind == "bw":
+        B, C = res.parts["B"], res.parts["C"]
+        if not (B.is_disjoint(C) and B.union(C) == source):
+            failures.append("partition")
+        if C != pieces:
+            failures.append("pieces")
+        if len(B):
+            # restated from the theorem rather than taken from the producer's
+            # guard, so a broken guard still fails here
+            e3, n, M = energy(B, B, 3, "additive"), len(source), res.meta["M"]
+            if M == "auto":
+                ok = e3**11 * n**6 <= n**44  # M = |A|^(6/11)
+            else:
+                m = Fraction(M)
+                ok = e3 * m.numerator <= n**4 * m.denominator
+            if not ok:
+                failures.append("energy_guard")
+    else:
+        X, Y = res.parts["X"], res.parts["Y"]
+        failures += [name for name, _ in _cover_failures(source, X, Y)]
+        if Y != pieces:
+            failures.append("pieces")
+        if X != before_last:
+            failures.append("remainder")
     return failures
 
 
@@ -381,6 +411,24 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
     )
 
 
+def _raise_first(failures: list) -> None:
+    # producers raise on the first failed (claim, message) pair
+    if failures:
+        raise PostconditionFailed(failures[0][1])
+
+
+def _cover_failures(A: RatSet, X: RatSet, Y: RatSet) -> list:
+    # (claim, message) for each failed cover claim; xy_decompose raises on
+    # the first, recheck_decomposition reports them all
+    n = len(A)
+    claims = (
+        ("X_half", 2 * len(X) >= n, "X holds less than half of A"),
+        ("Y_half", 2 * len(Y) >= n, "Y holds less than half of A"),
+        ("cover", X.union(Y) == A, "X and Y do not cover A"),
+    )
+    return [(name, msg) for name, ok, msg in claims if not ok]
+
+
 def xy_decompose(A: RatSet) -> DecompositionResult:
     """Cover A = X union Y with 2|X| >= |A| and 2|Y| >= |A|.
 
@@ -414,12 +462,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
     Y = RatSet([])
     for D in extracted:
         Y = Y.union(D)
-    if 2 * len(X) < n:
-        raise PostconditionFailed("X holds less than half of A")
-    if 2 * len(Y) < n:
-        raise PostconditionFailed("Y holds less than half of A")
-    if X.union(Y) != A:
-        raise PostconditionFailed("X and Y do not cover A")
+    _raise_first(_cover_failures(A, X, Y))
     e3_x = energy(X, X, 3, "additive")
     e_mul_y = energy(Y, Y, 2, "multiplicative")
     ratio = power_sum_ratio_decimal(e3_x**4 * e_mul_y**3, [[(n, Fraction(22))]])
@@ -544,7 +587,7 @@ def regularize(A: RatSet, k: int) -> RegTrace:
     if len(A) < 4:
         raise DegenerateInput("regularize needs |A| >= 4")
     eps, _ = _epsilon_bounds(k, len(A))
-    cap = -(-eps.denominator // eps.numerator)  # ceil(1/eps)
+    cap = _step_cap(eps)
     steps = []
     cur = A
     while True:
@@ -566,28 +609,39 @@ def regularize(A: RatSet, k: int) -> RegTrace:
     return trace
 
 
+def _step_cap(eps: Fraction) -> int:
+    return -(-eps.denominator // eps.numerator)  # ceil(1/eps)
+
+
+def _pruning_failures(A: RatSet, tr: RegTrace) -> list:
+    # (claim, message) for each failed pruning invariant; regularize raises
+    # on the first, recheck_reg_trace reports them all.  Size chain:
+    # |B| >= (1 - eps)^(shrink steps) |A| as an exact rational power; the
+    # last step keeps its set, so only the others shrink it
+    factor = (1 - tr.epsilon) ** (len(tr.steps) - 1)
+    claims = (
+        ("B_dprime_subset", tr.B_dprime.is_subset(tr.B_prime), "B'' is not a subset of B'"),
+        ("B_prime_subset", tr.B_prime.is_subset(tr.B), "B' is not a subset of B"),
+        ("B_subset", tr.B.is_subset(A), "B is not a subset of A"),
+        ("size_chain", len(tr.B) * factor.denominator >= factor.numerator * len(A),
+         "|B| fell below (1 - eps)^(shrink steps) |A|"),
+        ("step_cap", len(tr.steps) <= _step_cap(tr.epsilon),
+         "regularization ran past ceil(1/eps) steps"),
+    )
+    return [(name, msg) for name, ok, msg in claims if not ok]
+
+
 def _assert_reg_invariants(A: RatSet, tr: RegTrace) -> None:
-    if not tr.B_dprime.is_subset(tr.B_prime):
-        raise PostconditionFailed("B'' is not a subset of B'")
-    if not tr.B_prime.is_subset(tr.B):
-        raise PostconditionFailed("B' is not a subset of B")
-    if not tr.B.is_subset(A):
-        raise PostconditionFailed("B is not a subset of A")
-    # size chain: |B| >= (1 - eps)^(shrink steps) |A|, exact rational power
-    shrinks = len(tr.steps) - 1
-    factor = (1 - tr.epsilon) ** shrinks
-    if len(tr.B) * factor.denominator < factor.numerator * len(A):
-        raise PostconditionFailed("|B| fell below (1 - eps)^(shrink steps) |A|")
-    cap = -(-tr.epsilon.denominator // tr.epsilon.numerator)
-    if len(tr.steps) > cap:
-        raise PostconditionFailed("regularization ran past ceil(1/eps) steps")
+    _raise_first(_pruning_failures(A, tr))
 
 
 def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
     """Re-verify a regularization trace from scratch; returns failed claims.
 
-    The trace must end at its first terminating step: steps recorded after
-    it fail as "trailing_steps".
+    The steps are replayed first.  The trace must end at its first
+    terminating step: steps recorded after it fail as "trailing_steps".
+    Then come the invariants of `_pruning_failures`: the subset chain
+    B'' <= B' <= B <= A, the size chain and the step cap ceil(1/eps).
     """
     failures = []
     cur = A
@@ -616,19 +670,20 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
                 failures.append("core_set")
             # element-wise two-sided degree sandwich on the core
             for x in tr.B_dprime:
-                lo_ok = deg[x] * 2 ** (tr.k + 1) * len(cur) >= g_size
-                hi_ok = deg[x] * eps.numerator * len(cur) <= g_size * eps.denominator
+                d = deg.get(x, 0)  # 0 off the working set: fails lo_ok
+                lo_ok = d * 2 ** (tr.k + 1) * len(cur) >= g_size
+                hi_ok = d * eps.numerator * len(cur) <= g_size * eps.denominator
                 if not (lo_ok and hi_ok):
                     failures.append("core_sandwich")
                     break
             if i != len(tr.steps) - 1:
                 # nothing may be recorded after the terminating step
                 failures.append("trailing_steps")
-            return failures
+            break
         cur = kept_set
     else:
         failures.append("no_terminating_step")
-    return failures
+    return failures + [name for name, _ in _pruning_failures(A, tr)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     InvalidConfig,
     PostconditionFailed,
 )
-from .sets import RatSet, common_scale, int_keys, key_value, scaled_ints
+from .sets import RatSet, int_keys, integerize, key_value
 
 K_MAX = 8
 
@@ -114,8 +114,8 @@ def energy_mul_product_form(X: RatSet, Y: RatSet) -> int:
     is the whole point: it is the multiplicative energy of shifted sets.
     Agrees with energy(X, Y, 2, multiplicative) whenever 0 is absent.
     """
-    scale = common_scale(X, Y)
-    return mul_pairs_count(scaled_ints(X, scale), scaled_ints(Y, scale))
+    _, ints = integerize(X, Y)
+    return mul_pairs_count(*ints)
 
 
 def d_lower(A: RatSet, k: int, flavor: str,

@@ -30,7 +30,7 @@ from ._kernels_py import _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, line_through, point
 from .errors import BudgetExceeded, InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import RatSet, common_scale, format_rational, parse_rational, scaled_ints
+from .sets import RatSet, format_rational, integerize, parse_rational
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,12 @@ class Arrangement:
 
     @staticmethod
     def from_json(data: dict) -> "Arrangement":
-        pts = [point(parse_rational(px), parse_rational(py)) for px, py in data["points"]]
-        lns = [canonical_line(int(a), int(b), int(c)) for a, b, c in data["lines"]]
+        """Inverse of to_json; InvalidConfig on anything else."""
+        try:
+            pts = [point(parse_rational(px), parse_rational(py)) for px, py in data["points"]]
+            lns = [canonical_line(int(a), int(b), int(c)) for a, b, c in data["lines"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"bad arrangement: {exc!r}") from exc
         return Arrangement.build(pts, lns)
 
 
@@ -65,7 +69,11 @@ def write_arrangement(path, arr: Arrangement) -> None:
 
 def read_arrangement(path) -> Arrangement:
     with open(path, "r", encoding="utf-8") as fh:
-        return Arrangement.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidConfig(f"arrangement file {path} is not JSON: {exc}") from exc
+    return Arrangement.from_json(data)
 
 
 @dataclass(frozen=True)
@@ -91,11 +99,8 @@ class STReport:
 def incidences(arr: Arrangement) -> int:
     """Exact number of incident (point, line) pairs."""
     # clear point denominators; a*x + b*y = c scales to a*X + b*Y = m*c
-    xs = [p.x for p in arr.points]
-    ys = [p.y for p in arr.points]
-    m = common_scale(xs, ys)
-    return scaled_incidences(list(zip(scaled_ints(xs, m), scaled_ints(ys, m))),
-                             [(l.a, l.b, l.c * m) for l in arr.lines])
+    m, (xs, ys) = integerize([p.x for p in arr.points], [p.y for p in arr.points])
+    return scaled_incidences(list(zip(xs, ys)), [(l.a, l.b, l.c * m) for l in arr.lines])
 
 
 def scaled_incidences(points, lines) -> int:
@@ -206,10 +211,7 @@ class MomentSumReport:
 def _triple_family_alphas(A1: RatSet, A2: RatSet, A3: RatSet, budget: int) -> dict:
     # lines with at least one pairwise-distinct triple (u1, u2, u3),
     # u_i in A_i x A_i, mapped to their grid counts (n1, n2, n3)
-    scale = common_scale(A1, A2, A3)
-    v1 = list(scaled_ints(A1, scale))
-    v2 = list(scaled_ints(A2, scale))
-    v3 = list(scaled_ints(A3, scale))
+    scale, (v1, v2, v3) = integerize(A1, A2, A3)
     if (len(v1) * len(v2)) ** 2 > budget:
         raise BudgetExceeded(
             f"line spanning needs {(len(v1) * len(v2))**2} pair checks, budget {budget}"

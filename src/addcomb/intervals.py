@@ -11,6 +11,7 @@ is never silently converted into a verdict.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -20,6 +21,17 @@ from mpmath.libmp import to_rational
 
 BASE_PREC = 128
 MAX_PREC = 2048
+
+
+@contextmanager
+def _precision(prec: int):
+    # run the block at iv.prec = prec, then restore the caller's precision
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 def _endpoint_fraction(endpoint) -> Fraction:
@@ -61,22 +73,16 @@ def decide_leq(
     their intervals from scratch (so they tighten as precision grows).
     """
     prec = BASE_PREC
-    saved = iv.prec
-    try:
-        while prec <= MAX_PREC:
-            iv.prec = prec
-            lhs = lhs_builder()
-            rhs = rhs_builder()
-            llo, lhi = bounds(lhs)
-            rlo, rhi = bounds(rhs)
-            if lhi <= rlo:
-                return True
-            if llo > rhi:
-                return False
-            prec *= 2
-        return None
-    finally:
-        iv.prec = saved
+    while prec <= MAX_PREC:
+        with _precision(prec):
+            llo, lhi = bounds(lhs_builder())
+            rlo, rhi = bounds(rhs_builder())
+        if lhi <= rlo:
+            return True
+        if llo > rhi:
+            return False
+        prec *= 2
+    return None
 
 
 def decimal_bounds(x, digits: int = 20) -> tuple[str, str]:
@@ -129,38 +135,22 @@ def power_sum_ratio_decimal(numer: int, terms, digits: int = 20) -> tuple[str, s
     denominator is the sum of the term products.  Used for the asymptotic
     report ratios whose denominators mix fractional powers.
     """
-    saved = iv.prec
-    try:
-        iv.prec = BASE_PREC
+    with _precision(BASE_PREC):
         return decimal_bounds(iv.mpf(numer) / _power_sum(terms), digits)
-    finally:
-        iv.prec = saved
 
 
 def power_sum_decimal(terms, digits: int = 20) -> tuple[str, str]:
     """Decimal endpoints of a sum of power products, outward rounded."""
-    saved = iv.prec
-    try:
-        iv.prec = BASE_PREC
+    with _precision(BASE_PREC):
         return decimal_bounds(_power_sum(terms), digits)
-    finally:
-        iv.prec = saved
 
 
 def log_squared_fraction_bounds(n: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of (ln n)^2 at base precision."""
-    saved = iv.prec
-    try:
-        iv.prec = BASE_PREC
+    with _precision(BASE_PREC):
         return bounds(iv.log(iv.mpf(n)) ** 2)
-    finally:
-        iv.prec = saved
 
 
 def ln2_bounds() -> tuple[Fraction, Fraction]:
-    saved = iv.prec
-    try:
-        iv.prec = BASE_PREC
+    with _precision(BASE_PREC):
         return bounds(iv.log(iv.mpf(2)))
-    finally:
-        iv.prec = saved

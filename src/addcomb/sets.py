@@ -5,6 +5,7 @@ pairwise set operations (sumset, difference set, product set, ratio set) and
 the affine image keep exact arithmetic throughout.  The pairwise operations
 clear denominators once and run on plain ints (`int_keys`, which the energy
 histograms share); only the distinct results become Fractions again.
+`integerize` is the one denominator-clearing step that every int route uses.
 
 Generators
 ----------
@@ -152,15 +153,21 @@ class GeneratorConfig:
 
     @staticmethod
     def from_json(d: dict) -> "GeneratorConfig":
+        """Inverse of to_json; InvalidConfig on anything else."""
+        if not isinstance(d, dict) or "kind" not in d:
+            raise InvalidConfig(f"generator config must be an object with a kind: {d!r}")
         kw = {}
-        for key in ("start", "step", "ratio"):
-            if key in d:
-                kw[key] = Fraction(d[key])
-        for key in ("n", "s", "p", "size", "range", "seed"):
-            if key in d:
-                kw[key] = int(d[key])
-        if "values" in d:
-            kw["values"] = tuple(Fraction(v) for v in d["values"])
+        try:
+            for key in ("start", "step", "ratio"):
+                if key in d:
+                    kw[key] = Fraction(d[key])
+            for key in ("n", "s", "p", "size", "range", "seed"):
+                if key in d:
+                    kw[key] = int(d[key])
+            if "values" in d:
+                kw["values"] = tuple(Fraction(v) for v in d["values"])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidConfig(f"bad generator config {d!r}: {exc}") from exc
         return GeneratorConfig(kind=d["kind"], **kw)
 
 
@@ -263,8 +270,12 @@ def format_rational(v: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    v = Fraction(text.strip())
-    return v
+    """The rational in text ("p/q", an integer or a decimal); InvalidConfig
+    if it is not one."""
+    try:
+        return Fraction(text.strip())
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidConfig(f"not a rational: {text!r}") from exc
 
 
 def write_set_file(path, a: RatSet, header: str | None = None):
@@ -280,10 +291,13 @@ def write_set_file(path, a: RatSet, header: str | None = None):
 def read_set_file(path) -> RatSet:
     vals = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                vals.append(parse_rational(line))
+        try:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    vals.append(parse_rational(line))
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"set file {path} is not UTF-8 text: {exc}") from exc
     if not vals:
         raise InvalidConfig(f"set file {path} contains no elements")
     return RatSet(vals)
@@ -292,7 +306,10 @@ def read_set_file(path) -> RatSet:
 def read_corpus_file(path) -> list[GeneratorConfig]:
     """Corpus file: JSON list of generator configs."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidConfig(f"corpus file {path} is not JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise InvalidConfig("corpus file must be a nonempty JSON list")
     return [GeneratorConfig.from_json(d) for d in data]
@@ -315,6 +332,12 @@ def scaled_ints(a: Iterable[Fraction], scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in a]
 
 
+def integerize(*sets: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
+    """(s, [v * s for v in each set]) with s the common_scale of the sets."""
+    scale = common_scale(*sets)
+    return scale, [scaled_ints(a, scale) for a in sets]
+
+
 def int_keys(A: Iterable[Fraction], B: Iterable[Fraction],
              op: str) -> tuple[Iterator, int]:
     """Keys of a op b over A x B on cleared-denominator ints, and the scale.
@@ -325,9 +348,7 @@ def int_keys(A: Iterable[Fraction], B: Iterable[Fraction],
     B).  Pairs run A-major, so each key first appears where the Fraction
     loop would put it.  Callers check `op` and the zero divisor.
     """
-    scale = common_scale(A, B)
-    xs = scaled_ints(A, scale)
-    ys = scaled_ints(B, scale)
+    scale, (xs, ys) = integerize(A, B)
     if op == "diff":
         keys = (a - b for a in xs for b in ys)
     elif op == "sum":

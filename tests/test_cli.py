@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from addcomb.cli import main
+from addcomb.cli import build_parser, main
 from addcomb.sets import RatSet, read_set_file
 
 
@@ -142,3 +142,47 @@ def test_json_to_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out.splitlines()[-1])
     assert doc["command"] == "energy"
+
+
+MALFORMED = {
+    "set file with a non-rational line": (["energy", "--set", "bad.txt"],
+                                          "bad.txt", "1\nabc\n"),
+    "set file that is not UTF-8": (["energy", "--set", "bad.txt"], "bad.txt", b"\xff1\n"),
+    "corpus entry without kind": (["verify", "--suite", "oracle", "--corpus", "c.json"],
+                                  "c.json", '[{"n": 3}]'),
+    "corpus entry that is a string": (["verify", "--suite", "oracle", "--corpus", "c.json"],
+                                      "c.json", '["AP"]'),
+    "corpus file that is not JSON": (["verify", "--suite", "oracle", "--corpus", "c.json"],
+                                     "c.json", "[{"),
+    "arrangement point without y": (["incidence", "--arrangement", "a.json"],
+                                    "a.json", '{"points": [["1"]], "lines": []}'),
+    "arrangement file that is not JSON": (["incidence", "--arrangement", "a.json"],
+                                          "a.json", "{"),
+    "gen --start that is not a rational": (["gen", "--kind", "AP", "--start", "x",
+                                            "--step", "1", "--n", "3"], None, None),
+    "missing --set file": (["energy", "--set", "missing.txt"], None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_an_error_line(case, tmp_path, monkeypatch, capsys):
+    argv, name, text = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    if name:
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / name).write_bytes(data)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_seed_only_on_verify_and_report(tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["energy", "--seed", "1", "--set", str(s)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    # verify and report record the seed in their environment block
+    for command in ("verify", "report"):
+        assert build_parser().parse_args([command, "--seed", "4"]).seed == 4

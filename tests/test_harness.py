@@ -95,18 +95,6 @@ def test_decomposition_suite_emits_ratio_tables():
                    for row in res.ratio_tables)
 
 
-def test_reports_suite_byte_stable_and_fits():
-    r1 = harness.run_suite("reports")
-    r2 = harness.run_suite("reports")
-    assert r1.to_bytes() == r2.to_bytes()
-    fit_checks = [c for c in r1.checks if c.name.startswith("fit:")]
-    assert len(fit_checks) == 5
-    for c in fit_checks:
-        doc = json.loads(c.details)
-        assert list(doc["sizes"]) == sorted(set(doc["sizes"]))
-        assert isinstance(doc["slope"], float)
-
-
 def test_fit_exponent_exact_power_laws():
     assert harness.fit_exponent([(2, 4), (4, 16), (8, 64)]).slope == pytest.approx(2.0)
     assert harness.fit_exponent([(2, 2), (4, 4), (8, 8)]).slope == pytest.approx(1.0)
