@@ -3,8 +3,9 @@
 Each name is the pure-Python kernel from _kernels_py, over arbitrary-precision
 ints, so no input magnitude changes the route or the result.  The kernels
 are checked against independent algorithms in the tests (the line census
-`_kernels_py._spanned_lines`, the shift identity, brute recounts), never
-against a second copy of themselves.
+`_kernels_py._spanned_lines`, the shift identity, brute recounts; for the
+packed-slot `count_incidences`, a direct double loop and the Fraction
+recount `LineKey.contains`), never against a second copy of themselves.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from ._kernels_py import (
     mul_pairs_count,
     t_o_linehash,
 )
+
+__all__ = [
+    "backend_name",
+    "collinear_six_counts",
+    "count_incidences",
+    "mul_pairs_count",
+    "t_o_linehash",
+]
 
 
 def backend_name() -> str:

@@ -3,9 +3,12 @@
 These are the hot inner loops, expressed over plain Python ints, so they
 are exact at any magnitude; _kernels re-exports the ones callers use.
 t_o_linehash counts by pivot directions, while _spanned_lines hashes every
-spanned line, so the line census is its independent check.  Callers are
-responsible for clearing denominators first; every routine here assumes
-integer inputs.
+spanned line, so the line census is its independent check.
+count_incidences packs all points into fixed-width slots of two bigints and
+tests every point against a line with one linear form on those ints; its
+checks are the Fraction recount `LineKey.contains` and a direct double loop
+in the tests.  Callers are responsible for clearing denominators first;
+every routine here assumes integer inputs.
 """
 
 from __future__ import annotations
@@ -166,13 +169,60 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
 
 
 def count_incidences(pxs, pys, las, lbs, lcs) -> int:
-    """Exact point-line incidence count over parallel coordinate arrays."""
-    total = 0
+    """Exact number of pairs (i, j) with las[j]*pxs[i] + lbs[j]*pys[i] == lcs[j].
+
+    The points are parallel arrays (pxs, pys), the lines parallel arrays
+    (las, lbs, lcs); duplicates, non-reduced lines and any magnitudes are
+    counted as given.  Each line costs a few bigint operations instead of
+    |P| comparisons.
+
+    Packing: with mx = max |X| and my = max |Y|, the offset values
+    X + mx in [0, 2 mx] and Y + my in [0, 2 my] go into one W-bit slot per
+    point of two ints PX and PY; ONES has a 1 at the bottom of every slot.
+    For a line (a, b, c), by linearity the int
+
+        F = a*PX + b*PY + (B - c - a*mx - b*my)*ONES,   B = 2**(w-1),
+
+    equals the sum over i of f_i * 2**(W i) with f_i = a X_i + b Y_i - c + B.
+    The width rule below makes every |a X_i + b Y_i - c| < B, so every f_i
+    lies in (0, 2**w) with w < W: the sum is the base-2**W expansion of F,
+    and slot i of F holds exactly f_i.  Point i is on the line iff f_i == B,
+    iff slot i of F ^ B*ONES is zero; adding 2**w - 1 to every slot sets
+    bit w of the slot (its spare top bit) iff the slot is nonzero, and no
+    slot carries into the next.  So the bits left by & (ONES << w) count
+    the points off the line.
+
+    Width rule: w = max(max over lines of |a| mx + |b| my + |c|, 2 mx,
+    2 my).bit_length() + 1 and W = 8 ceil((w + 1) / 8).  The first term
+    bounds |f_i - B|; the 2 mx and 2 my terms make the offset coordinates
+    fit a slot, which the line bound alone does not when, say, every line
+    is horizontal and |X| is large.
+    """
+    n = len(pxs)
+    if not n or not las:
+        return 0
+    mx = max(map(abs, pxs))
+    my = max(map(abs, pys))
+    bound = max(abs(a) * mx + abs(b) * my + abs(c) for a, b, c in zip(las, lbs, lcs))
+    w = max(bound, 2 * mx, 2 * my).bit_length() + 1
+    nbytes = (w + 8) // 8
+
+    def pack(vs, m):
+        return int.from_bytes(b"".join([(v + m).to_bytes(nbytes, "little") for v in vs]),
+                              "little")
+
+    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * n, "little")
+    half = 1 << (w - 1)
+    flip = half * ones
+    fill = ((1 << w) - 1) * ones
+    top = ones << w
+    # PX - mx*ONES, so a*sx + b*sy + (B - c)*ONES is F
+    sx = pack(pxs, mx) - mx * ones
+    sy = pack(pys, my) - my * ones
+    off = 0
     for a, b, c in zip(las, lbs, lcs):
-        for x, y in zip(pxs, pys):
-            if a * x + b * y == c:
-                total += 1
-    return total
+        off += ((((a * sx + b * sy + (half - c) * ones) ^ flip) + fill) & top).bit_count()
+    return n * len(las) - off
 
 
 def _direction_hist(us, vs):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import decompose as dec
 from . import harness, ratios
-from .collinear import t_count_brute, t_o_count, triple_count_report
+from .collinear import triple_count_report
 from .core import DEFAULT_BUDGET
 from .energy import energy_op, rep_histogram
 from .errors import AddcombError

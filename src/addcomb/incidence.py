@@ -2,12 +2,15 @@
 
 Incidences are counted on integers: the point coordinates are scaled by a
 common denominator m, each line constant c becomes m*c, and the integer
-kernel tests aX + bY = C.  `incidences` clears the denominators of an
+kernel `_kernels.count_incidences` tests aX + bY = C for all points at once,
+with one linear form per line on bigints that pack every point into a
+fixed-width slot.  `incidences` clears the denominators of an
 `Arrangement`; `scaled_incidences` takes points and lines that are already
 scaled ints, as the harness's incidence suite draws them.  That suite checks
 the kernel against an independent recount by `LineKey.contains` on the
 Fraction arrangement, which cross-multiplies each point's own denominators
-instead of clearing one common scale.
+instead of clearing one common scale; the tests also check the kernel
+against a direct double loop over point-line pairs.
 
 The incidence bound I <= 4 |P|^(2/3) |L|^(2/3) + 4 |P| + |L| is checked in
 an exact integer form by `st_bound_holds` (cube the surplus, compare against

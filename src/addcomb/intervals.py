@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Optional
 
-import mpmath
 from mpmath import iv
 from mpmath.libmp import to_rational
 

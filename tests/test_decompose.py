@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from addcomb import decompose
 from addcomb.decompose import (
-    DyadicBand,
     ExtractionCertificate,
     RegTrace,
     band_count,
@@ -29,15 +28,14 @@ from addcomb.decompose import (
     regularize,
     xy_decompose,
 )
-from addcomb.energy import CountHistogram, energy, rep_histogram
+from addcomb.energy import CountHistogram, energy
 from addcomb.errors import (
     DegenerateInput,
     EmptyCandidateList,
     EmptyHistogram,
     InvalidConfig,
-    NonTermination,
 )
-from addcomb.sets import RatSet, SplitMix64, generate, grid_example
+from addcomb.sets import RatSet, generate, grid_example
 
 nonzero_sets = st.builds(
     RatSet,

@@ -1,14 +1,13 @@
 """Point-line incidences, the explicit 4/4/1 bound, rich objects."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.core import canonical_line, collinear3, line_through, point
-from addcomb.errors import DegeneratePair, InvalidConfig
+from addcomb.errors import InvalidConfig
 from addcomb.incidence import (
     Arrangement,
     line_intersection,

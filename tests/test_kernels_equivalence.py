@@ -8,8 +8,11 @@ No kernel is checked against a second copy of itself:
 - t_o_linehash: equals the line census `_spanned_lines`, on random small
   lists and at sizes where the n^6 brute force is too slow;
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop;
-- count_incidences, through incidence.incidences: equals a Fraction
-  recount, on points with non-integer coordinates.
+- count_incidences (packed slots): equals a direct double loop on raw
+  parallel arrays (duplicate points and lines, non-reduced lines, a = 0 or
+  b = 0, magnitudes up to 2**70, largest |aX + bY - c| at the slot-width
+  boundaries), and through incidence.incidences a Fraction recount, on
+  points with non-integer coordinates.
 
 Inputs are small signed ints, mapped by x -> s*x + t with s and t far past
 int64 as well, where every kernel must stay exact.
@@ -124,6 +127,76 @@ def test_mul_pairs_cross_is_pure_only(x1, x2, y1, y2, s):
         if a * d == b * c
     )
     assert _kernels_py.mul_pairs_cross(x1, x2, y1, y2) == direct
+
+
+def _check_raw_incidences(pts, lines):
+    # the kernel on parallel arrays against a direct double loop
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    las, lbs, lcs = ([l[i] for l in lines] for i in range(3))
+    count = _kernels.count_incidences(xs, ys, las, lbs, lcs)
+    assert count == sum(a * x + b * y == c for a, b, c in lines for x, y in pts)
+    return count
+
+
+@st.composite
+def raw_incidence_arrays(draw):
+    # magnitudes from tiny to 2**70; coefficients may be 0 and lines are
+    # often through a point (or off it by 1), scaled by g to be non-reduced
+    m = draw(st.sampled_from([3, 2**20, 2**70]))
+    coord = st.integers(-m, m)
+    coef = st.one_of(st.just(0), st.integers(-3, 3), coord)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=8))
+    pts += pts[:draw(st.integers(0, 3))]
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(coef), draw(coef)
+        if pts and draw(st.booleans()):
+            x, y = draw(st.sampled_from(pts))
+            c = a * x + b * y + draw(st.integers(-1, 1))
+        else:
+            c = draw(coord)
+        g = draw(st.sampled_from([1, 2, 6]))
+        lines.append((g * a, g * b, g * c))
+    lines += lines[:draw(st.integers(0, 2))]
+    return pts, lines
+
+
+@given(raw_incidence_arrays())
+@settings(max_examples=200, deadline=None)
+def test_count_incidences_matches_double_loop(arrays):
+    _check_raw_incidences(*arrays)
+
+
+@given(st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(-3, 3)),
+                min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1,
+                max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_count_incidences_horizontal_lines_far_out(pts, bcs):
+    # every line has a = 0, so the lines alone bound |aX + bY - c| by a few
+    # units while |X| is near 2**70: the slots must still hold X + max|X|
+    _check_raw_incidences(pts, [(0, b, c) for b, c in bcs])
+
+
+def test_count_incidences_at_slot_width_boundaries():
+    for k in range(4, 73):
+        for d in (2**k - 1, 2**k):
+            # line x + y = 2m - d; |X|, |Y| <= m, and (m, m) is d from it
+            m = d // 3
+            c = 2 * m - d
+            on = [(-m, c + m), (-m, c + m), (1 - m, c + m - 1)]
+            off = [(-m, c + m + 1), (-m, c + m - 1), (m, m), (m, m - 1), (-m, -m)]
+            for sign in (1, -1):
+                pts = [(sign * x, sign * y) for x, y in on + off]
+                line = (1, 1, sign * c)
+                assert max(abs(x + y - line[2]) for x, y in pts) == d
+                assert _check_raw_incidences(pts, [line, line]) == 2 * len(on)
+            # a horizontal line with |X| = d: only the 2 max|X| term widens
+            # the slots past the line bound of 1
+            assert _check_raw_incidences(
+                [(d, 0), (-d, 0), (d, 1), (-d, -1)], [(0, 1, 0)]) == 2
+    assert _kernels.count_incidences([], [], [1], [0], [0]) == 0
+    assert _kernels.count_incidences([1], [2], [], [], []) == 0
 
 
 @given(signed_lists, signed_lists, scales)

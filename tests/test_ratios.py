@@ -1,6 +1,5 @@
 """Ratio-of-sums representation counts r(z) and the R(Z) energy."""
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
