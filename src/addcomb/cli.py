@@ -9,8 +9,8 @@ any exact check failed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import decompose as dec
@@ -22,6 +22,7 @@ from .errors import AddcombError
 from .incidence import line_moment_sums, read_arrangement, st_bound_check
 from .sets import (
     GeneratorConfig,
+    canonical_json,
     format_rational,
     generate,
     parse_rational,
@@ -35,7 +36,7 @@ SCHEMA = "addcomb-report/1"
 
 def _emit(payload: dict, command: str, path) -> None:
     doc = {"schema": SCHEMA, "command": command, "payload": payload}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    text = canonical_json(doc) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -53,18 +54,12 @@ def _load_sets(paths, want: int, what: str):
 
 
 def _cmd_gen(args) -> int:
-    kw = {}
-    for key in ("start", "step", "ratio"):
-        v = getattr(args, key)
-        if v is not None:
-            kw[key] = parse_rational(v)
-    for key in ("n", "s", "p", "size", "range", "seed"):
-        v = getattr(args, key)
-        if v is not None:
-            kw[key] = v
-    if args.values is not None:
-        kw["values"] = tuple(parse_rational(v) for v in args.values.split(","))
-    cfg = GeneratorConfig(kind=args.kind, **kw)
+    # the flags are named after the config fields; from_json parses them
+    given = {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)
+             if getattr(args, f.name) is not None}
+    if "values" in given:
+        given["values"] = given["values"].split(",")
+    cfg = GeneratorConfig.from_json(given)
     a = generate(cfg)
     if args.out:
         write_set_file(args.out, a, header=cfg.label())
@@ -121,8 +116,7 @@ def _cmd_incidence(args) -> int:
     rep = line_moment_sums(A1, A2, A3, args.p, args.family, args.budget)
     print(f"p={rep.p} family={rep.family} sums={list(rep.sums)}")
     if args.json:
-        _emit({"p": rep.p, "family": rep.family, "sums": list(rep.sums),
-               "ratios": [str(r) for r in rep.ratios]}, "incidence", args.json)
+        _emit(rep.to_json(), "incidence", args.json)
     return 0
 
 

@@ -23,7 +23,7 @@ from ._kernels_py import mul_pairs_cross
 from .core import DEFAULT_BUDGET
 from .errors import BudgetExceeded, InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, integerize
+from .sets import RatSet, Record, integerize
 
 
 def _six_counts(A: RatSet, B: RatSet, C: RatSet):
@@ -51,6 +51,19 @@ def t_split_brute(A: RatSet, B: RatSet, C: RatSet,
     return _six_counts(A, B, C)
 
 
+def coincident_tuples(A: RatSet, B: RatSet, C: RatSet) -> int:
+    """T(A,B,C) - T_o(A,B,C) in closed form: the 6-tuples with two equal points.
+
+    Two equal points are collinear with any third, so by inclusion-exclusion
+    this is |A&B|^2 |C|^2 + |A&C|^2 |B|^2 + |B&C|^2 |A|^2 - 2 |A&B&C|^2:
+    any two point equalities force the third.
+    """
+    ab, ac, bc = A.intersection(B), A.intersection(C), B.intersection(C)
+    abc = len(ab.intersection(C))
+    return ((len(ab) * len(C)) ** 2 + (len(ac) * len(B)) ** 2
+            + (len(bc) * len(A)) ** 2 - 2 * abc * abc)
+
+
 def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
               budget: int = DEFAULT_BUDGET) -> int:
     """Ordered pairwise-distinct collinear triple count over the three grids.
@@ -74,7 +87,7 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
 
 
 @dataclass(frozen=True)
-class TripleCountReport:
+class TripleCountReport(Record):
     """T, T_o and the degenerate remainder for one (A1, A2, A3) triple.
 
     degenerate_terms counts the T solutions with at least one coincidence
@@ -86,14 +99,6 @@ class TripleCountReport:
     T_o: int
     degenerate_terms: int
     ratio_vs_bound: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "T": self.T,
-            "T_o": self.T_o,
-            "degenerate_terms": self.degenerate_terms,
-            "ratio_vs_bound": [self.ratio_vs_bound[0], self.ratio_vs_bound[1]],
-        }
 
 
 def triple_count_report(A1: RatSet, A2: RatSet, A3: RatSet,
@@ -110,13 +115,10 @@ def triple_count_report(A1: RatSet, A2: RatSet, A3: RatSet,
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     lhs: int
     rhs: int
     ok: bool
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
 def t_identity_check(A: RatSet, C: RatSet, D: RatSet,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .energy import CountHistogram, energy, l4_union_check, rep_histogram
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     PostconditionFailed,
 )
 from .intervals import ln2_bounds, log_squared_fraction_bounds, power_sum_ratio_decimal
-from .sets import RatSet, format_rational, parse_rational
+from .sets import RatSet, Record, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def band_count(h: CountHistogram) -> int:
 
 
 @dataclass(frozen=True)
-class ExtractionCertificate:
+class ExtractionCertificate(Record):
     """Everything needed to re-verify one extraction from scratch.
 
     P is the popular-difference band (t <= r_{A-A} < 2t, third moment);
@@ -108,19 +108,6 @@ class ExtractionCertificate:
     @property
     def chosen(self) -> RatSet:
         return self.A2_pop if self.branch == "ordinates" else self.A1_pop
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "q1": self.q1,
-            "q2": self.q2,
-            "P": [format_rational(x) for x in self.P],
-            "A1_pop": [format_rational(x) for x in self.A1_pop],
-            "A2_pop": [format_rational(x) for x in self.A2_pop],
-            "branch": self.branch,
-            "E3_input": self.E3_input,
-            "Emul_output": self.Emul_output,
-        }
 
     @staticmethod
     def from_json(d: dict) -> "ExtractionCertificate":
@@ -308,7 +295,7 @@ def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
 
 
 @dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Partition/cover of A with certificates and the bound-ratio report.
 
     kind "bw": parts {B, C}, B disjoint-union C = A, E_3^+(B) below the
@@ -322,19 +309,6 @@ class DecompositionResult:
     energies: dict
     target_ratio: tuple
     meta: dict
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parts": {
-                name: [format_rational(x) for x in part]
-                for name, part in sorted(self.parts.items())
-            },
-            "certificates": [c.to_json() for c in self.certificates],
-            "energies": dict(sorted(self.energies.items())),
-            "target_ratio": list(self.target_ratio),
-            "meta": dict(sorted(self.meta.items())),
-        }
 
     @staticmethod
     def from_json(d: dict) -> "DecompositionResult":
@@ -389,9 +363,7 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         parts_c.append(D)
         certs.append(cert)
         B = B.difference(D)
-    C = RatSet([])
-    for D in parts_c:
-        C = C.union(D)
+    C = RatSet(x for D in parts_c for x in D)
     if parts_c:
         # quarter-power recombination across the extracted pieces
         if l4_union_check(parts_c) == "violated":
@@ -459,9 +431,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
             X = B_prev  # remainder before this final extraction
             break
         B_prev = B_prev.difference(D)
-    Y = RatSet([])
-    for D in extracted:
-        Y = Y.union(D)
+    Y = RatSet(x for D in extracted for x in D)
     _raise_first(_cover_failures(A, X, Y))
     e3_x = energy(X, X, 3, "additive")
     e_mul_y = energy(Y, Y, 2, "multiplicative")
@@ -480,8 +450,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
 # regularization
 
 
-@dataclass(frozen=True)
-class RegStep:
+class RegStep(NamedTuple):
     size: int
     t: int
     p_size: int
@@ -491,7 +460,7 @@ class RegStep:
 
 
 @dataclass(frozen=True)
-class RegTrace:
+class RegTrace(Record):
     """Full audit trail of the degree-regularization loop.
 
     epsilon is the exact rational the loop actually ran with: an outward
@@ -509,20 +478,6 @@ class RegTrace:
     B_dprime: RatSet
     final_t: int
     final_P: RatSet
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "epsilon": str(self.epsilon),
-            "steps": [
-                [s.size, s.t, s.p_size, s.g_size, s.g_kept, s.kept] for s in self.steps
-            ],
-            "B": [format_rational(x) for x in self.B],
-            "B_prime": [format_rational(x) for x in self.B_prime],
-            "B_dprime": [format_rational(x) for x in self.B_dprime],
-            "final_t": self.final_t,
-            "final_P": [format_rational(x) for x in self.final_P],
-        }
 
     @staticmethod
     def from_json(d: dict) -> "RegTrace":

@@ -160,9 +160,7 @@ def l4_union_check(parts: Sequence[RatSet]) -> str:
                 raise InvalidConfig("parts must be pairwise disjoint")
     if len(ps) == 1:
         return "ok"
-    union = ps[0]
-    for p in ps[1:]:
-        union = union.union(p)
+    union = RatSet(x for p in ps for x in p)
     lhs = energy(union, union, 2, "multiplicative")
     part_energies = [energy(p, p, 2, "multiplicative") for p in ps]
 

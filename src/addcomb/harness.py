@@ -23,7 +23,13 @@ import mpmath
 
 from . import decompose, ratios
 from ._kernels import backend_name
-from .collinear import t_count_brute, t_identity_check, t_o_count, triple_count_report
+from .collinear import (
+    coincident_tuples,
+    t_count_brute,
+    t_identity_check,
+    t_o_count,
+    t_split_brute,
+)
 from .core import DEFAULT_BUDGET, canonical_line, line_through, point
 from .energy import energy, l4_union_check, rep_histogram
 from .errors import (
@@ -45,9 +51,11 @@ from .intervals import power_sum_ratio_decimal
 from .sets import (
     GeneratorConfig,
     RatSet,
+    Record,
     SplitMix64,
     affine,
     ap,
+    canonical_json,
     format_rational,
     generate,
     gp,
@@ -87,19 +95,15 @@ GRID_FAMILY = [grid_example(s, s) for s in (2, 3, 4, 5)]
 
 
 @dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     kind: str  # "EXACT" or "ASYMPTOTIC"
     status: str  # "pass" / "fail" / "report-only"
     details: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "status": self.status,
-                "details": self.details}
-
 
 @dataclass(frozen=True)
-class VerifySuiteResult:
+class VerifySuiteResult(Record):
     suite: str
     checks: tuple
     ratio_tables: tuple
@@ -110,22 +114,12 @@ class VerifySuiteResult:
     def ok(self) -> bool:
         return not any(c.kind == "EXACT" and c.status == "fail" for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [c.to_json() for c in self.checks],
-            "ratio_tables": [dict(sorted(r.items())) for r in self.ratio_tables],
-            "max_constants": dict(sorted(self.max_constants.items())),
-            "environment": dict(sorted(self.environment.items())),
-        }
-
     def to_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True,
-                          separators=(",", ":")).encode() + b"\n"
+        return canonical_json(self.to_json()).encode() + b"\n"
 
 
 @dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(Record):
     """Log-log least-squares fit of value against set size (report-only)."""
 
     family: str
@@ -134,16 +128,6 @@ class ExponentFit:
     slope: float
     intercept: float
     target: Optional[Fraction]
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "sizes": list(self.sizes),
-            "values": list(self.values),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "target": str(self.target) if self.target is not None else None,
-        }
 
 
 def fit_exponent(points: Sequence, family: str = "",
@@ -390,14 +374,13 @@ def _suite_oracle(corpus, budget: int):
     split_bad = []
     for seed in range(1, 201):
         rng = SplitMix64(seed)
-        trip = [_seeded_rat_set(rng, 1 + rng.below(6)) for _ in range(3)]
-        brute = t_o_count(trip[0], trip[1], trip[2], "brute", budget)
-        fast = t_o_count(trip[0], trip[1], trip[2], "linehash", budget)
-        if brute != fast:
+        A1, A2, A3 = [_seeded_rat_set(rng, 1 + rng.below(6)) for _ in range(3)]
+        # one brute pass; both of its counts are checked against other routes
+        total, distinct = t_split_brute(A1, A2, A3, budget)
+        fast = t_o_count(A1, A2, A3, "linehash", budget)
+        if distinct != fast:
             mismatches.append(seed)
-        rep = triple_count_report(trip[0], trip[1], trip[2], budget)
-        if not (rep.T == rep.T_o + rep.degenerate_terms and rep.T >= rep.T_o
-                and rep.T_o == brute):
+        if total != fast + coincident_tuples(A1, A2, A3):
             split_bad.append(seed)
     checks.append(_exact(
         "oracle_equivalence", not mismatches,
@@ -573,9 +556,7 @@ def _suite_reports(corpus, budget: int):
         except InsufficientPoints:
             checks.append(_report(f"fit:{family}", "insufficient points"))
     for f in fits:
-        checks.append(_report(
-            f"fit:{f.family}",
-            json.dumps(f.to_json(), sort_keys=True, separators=(",", ":"))))
+        checks.append(_report(f"fit:{f.family}", canonical_json(f.to_json())))
 
     checks.append(_baseline_drift_check(maxima))
     return checks, tables, maxima

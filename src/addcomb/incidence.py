@@ -33,7 +33,14 @@ from ._kernels_py import _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, line_through, point
 from .errors import BudgetExceeded, InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import RatSet, format_rational, integerize, parse_rational
+from .sets import (
+    RatSet,
+    Record,
+    canonical_json,
+    format_rational,
+    integerize,
+    parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,7 @@ class Arrangement:
 
 def write_arrangement(path, arr: Arrangement) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(arr.to_json(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(canonical_json(arr.to_json()) + "\n")
 
 
 def read_arrangement(path) -> Arrangement:
@@ -80,23 +86,13 @@ def read_arrangement(path) -> Arrangement:
 
 
 @dataclass(frozen=True)
-class STReport:
+class STReport(Record):
     count: int
     n_points: int
     n_lines: int
     bound_lo: str
     bound_hi: str
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "n_points": self.n_points,
-            "n_lines": self.n_lines,
-            "bound_lo": self.bound_lo,
-            "bound_hi": self.bound_hi,
-            "ok": self.ok,
-        }
 
 
 def incidences(arr: Arrangement) -> int:
@@ -204,7 +200,7 @@ def rich_points(lines: Iterable[LineKey], k: int) -> set:
 
 
 @dataclass(frozen=True)
-class MomentSumReport:
+class MomentSumReport(Record):
     p: int
     family: str
     sums: tuple

@@ -21,7 +21,7 @@ from .core import DEFAULT_BUDGET
 from .energy import int_histogram
 from .errors import BudgetExceeded, InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet
+from .sets import RatSet, Record
 
 
 def _sum_hist(A1: RatSet, A2: RatSet) -> Counter:
@@ -50,7 +50,7 @@ def r_of_z(z, A1: RatSet, A2: RatSet) -> int:
 
 
 @dataclass(frozen=True)
-class RatioProfile:
+class RatioProfile(Record):
     """Per-z counts over Z plus the two bound-ratio reports.
 
     R = sum of r(z)^2; sum_r = sum of r(z); zero_sums = #{(a1,a2): a1+a2=0},
@@ -66,20 +66,6 @@ class RatioProfile:
     zero_sums: int
     lemma_ratio: Optional[tuple]
     theorem_ratio: Optional[tuple]
-
-    def to_json(self) -> dict:
-        from .sets import format_rational
-
-        data = {
-            "Z": [format_rational(z) for z in self.Z],
-            "r": {format_rational(z): c for z, c in sorted(self.r.items())},
-            "R": self.R,
-            "sum_r": self.sum_r,
-            "zero_sums": self.zero_sums,
-        }
-        data["lemma_ratio"] = list(self.lemma_ratio) if self.lemma_ratio else None
-        data["theorem_ratio"] = list(self.theorem_ratio) if self.theorem_ratio else None
-        return data
 
 
 def ratio_profile(Z: RatSet, A1: RatSet, A2: RatSet) -> RatioProfile:

@@ -7,6 +7,12 @@ clear denominators once and run on plain ints (`int_keys`, which the energy
 histograms share); only the distinct results become Fractions again.
 `integerize` is the one denominator-clearing step that every int route uses.
 
+This module also owns the text formats: rationals as "p/q", set files,
+corpus files, and the JSON form of every result.  `jsonable` is the one
+encoding rule of the reports (see its docstring), the result dataclasses
+inherit `Record` to get it as `to_json`, and `canonical_json` is the one
+dump (sorted keys, no spaces) that makes the reports byte-stable.
+
 Generators
 ----------
 AP(start, step, n)        arithmetic progression
@@ -25,7 +31,7 @@ its output is fully pinned by the seed across platforms and Python versions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -313,6 +319,42 @@ def read_corpus_file(path) -> list[GeneratorConfig]:
     if not isinstance(data, list) or not data:
         raise InvalidConfig("corpus file must be a nonempty JSON list")
     return [GeneratorConfig.from_json(d) for d in data]
+
+
+# ---------------------------------------------------------------------------
+# JSON reports: one encoding rule and one dump for every result type.
+
+def jsonable(obj):
+    """obj in its JSON form: the one encoding rule of every report.
+
+    A RatSet becomes a list of "p/q" strings and a Fraction one such
+    string, as a dict key too; a dataclass becomes an object of its fields;
+    a list or tuple (a NamedTuple included) becomes a list.  Anything else
+    is left as it is.
+    """
+    if isinstance(obj, RatSet):
+        return [format_rational(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {jsonable(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
+
+
+class Record:
+    """Base of the result dataclasses: `to_json` is their `jsonable` form."""
+
+    def to_json(self) -> dict:
+        return jsonable(self)
+
+
+def canonical_json(doc) -> str:
+    """doc as canonical JSON text: sorted keys, no spaces, no newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

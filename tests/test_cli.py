@@ -160,6 +160,8 @@ MALFORMED = {
                                           "a.json", "{"),
     "gen --start that is not a rational": (["gen", "--kind", "AP", "--start", "x",
                                             "--step", "1", "--n", "3"], None, None),
+    "gen --values with a non-rational entry": (["gen", "--kind", "Literal",
+                                                "--values", "1,x"], None, None),
     "missing --set file": (["energy", "--set", "missing.txt"], None, None),
 }
 

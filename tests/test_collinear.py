@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.collinear import (
+    coincident_tuples,
     t_count_brute,
     t_identity_check,
     t_o_count,
@@ -120,6 +121,20 @@ def test_report_split_always_consistent(a, b, c):
     if a == b == c:
         # the u1 = u2 = u3 diagonal always contributes |A x A| coincidences
         assert rep.degenerate_terms >= len(a) ** 2
+
+
+# subsets of one small pool, so the three sets overlap pairwise and jointly
+overlapping_sets = st.builds(
+    RatSet,
+    st.lists(st.sampled_from([-1, 0, Fraction(1, 2), 1, 2, 3]), min_size=1, max_size=4),
+)
+
+
+@given(overlapping_sets, overlapping_sets, overlapping_sets)
+@settings(max_examples=80, deadline=None)
+def test_coincident_tuples_closed_form(a, b, c):
+    total, distinct = t_split_brute(a, b, c)
+    assert coincident_tuples(a, b, c) == total - distinct
 
 
 def test_identity_hand_case():

@@ -221,7 +221,7 @@ _REG_SET = RatSet([1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48])
 
 
 def _tamper_step(tr, **changes):
-    return replace(tr, steps=(replace(tr.steps[0], **changes),) + tr.steps[1:])
+    return replace(tr, steps=(tr.steps[0]._replace(**changes),) + tr.steps[1:])
 
 
 def test_recheck_reg_trace_names_each_tampered_claim():
