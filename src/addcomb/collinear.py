@@ -11,6 +11,9 @@ exactly; the fast path is never trusted on its own.  The fast path (mode
 pivot-direction counting: it histograms, for each point of the smallest
 grid, the directions to the points of the other two, in
 O(|A1|^2 (|A2|^2 + |A3|^2)) time and O(|A2|^2 + |A3|^2) memory.
+`triple_count_report` takes T_o from it and T as T_o plus the closed-form
+`coincident_tuples`; the oracle suite checks that sum against the brute
+6-tuple count.
 """
 
 from __future__ import annotations
@@ -103,7 +106,12 @@ class TripleCountReport(Record):
 
 def triple_count_report(A1: RatSet, A2: RatSet, A3: RatSet,
                         budget: int = DEFAULT_BUDGET) -> TripleCountReport:
-    total, distinct = t_split_brute(A1, A2, A3, budget)
+    """T, T_o and their difference in O(n^4): T_o by the line-hash route
+    of `t_o_count`, which charges its cost against the budget, and T as
+    T_o plus the closed-form `coincident_tuples`.  The 6-tuple counters
+    are left to the oracle checks of this sum."""
+    distinct = t_o_count(A1, A2, A3, "linehash", budget)
+    total = distinct + coincident_tuples(A1, A2, A3)
     n1, n2, n3 = len(A1), len(A2), len(A3)
     ratio = power_sum_ratio_decimal(
         distinct,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional, Union
 
 from .energy import CountHistogram, energy, l4_union_check, rep_histogram
@@ -56,14 +57,14 @@ def dyadic_band(h: CountHistogram, k: int) -> DyadicBand:
     """
     if k < 1:
         raise InvalidConfig("dyadic_band needs k >= 1")
-    if not h.entries:
+    if not h.counts:
         raise EmptyHistogram("cannot band an empty histogram")
     support: dict = {}
     masses: dict = {}
     r_max = 0
-    for x, r in h.entries.items():
+    for key, r in h.counts.items():
         j = r.bit_length() - 1  # t = 2^j <= r < 2^(j+1)
-        support.setdefault(j, []).append(x)
+        support.setdefault(j, []).append(key)
         masses[j] = masses.get(j, 0) + r**k
         if r > r_max:
             r_max = r
@@ -73,12 +74,12 @@ def dyadic_band(h: CountHistogram, k: int) -> DyadicBand:
     # argmax mass >= total/(nonempty bands), and bands <= ceil(log2 r_max) + 1
     if best * ((r_max - 1).bit_length() + 1) < sum(masses.values()):
         raise PostconditionFailed("dyadic pigeonhole bound violated")
-    return DyadicBand(t=1 << best_j, P=RatSet(support[best_j]), mass=best)
+    return DyadicBand(t=1 << best_j, P=h.key_set(support[best_j]), mass=best)
 
 
 def band_count(h: CountHistogram) -> int:
     """Number of nonempty dyadic bands; equals floor(log2 r_max) + 1 at most."""
-    return len({r.bit_length() - 1 for r in h.entries.values()})
+    return len({r.bit_length() - 1 for r in h.counts.values()})
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +122,27 @@ class ExtractionCertificate(Record):
         )
 
 
-def _restricted_hist(pairs_hist: CountHistogram, keys: RatSet) -> CountHistogram:
-    # keep only the counts attained at elements of `keys`
-    entries = {}
-    for a in keys:
-        r = pairs_hist.entries.get(a)
-        if r:
-            entries[a] = r
-    return CountHistogram(entries)
-
-
 def _extract_core(A: RatSet):
     diff = rep_histogram(A, A, "diff")
     band = dyadic_band(diff, 3)
     t, P = band.t, band.P
 
     # popular abscissae: band of a -> r_{P+A}(a) over a in A
-    h1_full = rep_histogram(P, A, "sum")
-    h1 = _restricted_hist(h1_full, A)
+    h1 = rep_histogram(P, A, "sum").restrict(A)
     b1 = dyadic_band(h1, 1)
     q1, A1 = b1.t, b1.P
 
     # popular ordinates: band of b -> r_{A1-P}(b) over b in A
-    h2_full = rep_histogram(A1, P, "diff")
-    h2 = _restricted_hist(h2_full, A)
+    h2 = rep_histogram(A1, P, "diff").restrict(A)
     b2 = dyadic_band(h2, 1)
     q2, A2 = b2.t, b2.P
 
     # postcondition: band memberships hold verbatim
-    if not all(t <= diff.entries[x] < 2 * t for x in P):
+    if not all(t <= r < 2 * t for r in diff.counts_on(P)):
         raise PostconditionFailed("P left its difference band [t, 2t)")
-    if not all(q1 <= h1.entries[a] < 2 * q1 for a in A1):
+    if not all(q1 <= r < 2 * q1 for r in h1.counts_on(A1)):
         raise PostconditionFailed("A1 left its band [q1, 2 q1)")
-    if not all(q2 <= h2.entries[b] < 2 * q2 for b in A2):
+    if not all(q2 <= r < 2 * q2 for r in h2.counts_on(A2)):
         raise PostconditionFailed("A2 left its band [q2, 2 q2)")
 
     branch = "ordinates" if q2 <= len(A2) else "abscissae"
@@ -187,6 +176,11 @@ def extraction_ratio_decimal(source_size: int, cert: ExtractionCertificate):
     )
 
 
+def _level(h: CountHistogram, q: int) -> RatSet:
+    # the values x with q <= r(x) < 2q
+    return h.key_set(key for key, r in h.counts.items() if q <= r < 2 * q)
+
+
 def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     """Re-derive every certificate claim from the source set.
 
@@ -203,31 +197,25 @@ def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     failures = []
     A = source
     diff = rep_histogram(A, A, "diff")
-    band_ok = all(cert.t <= diff.entries.get(x, 0) < 2 * cert.t for x in cert.P)
+    band_ok = all(cert.t <= r < 2 * cert.t for r in diff.counts_on(cert.P))
     if not (band_ok and len(cert.P) > 0):
         failures.append("P_band_membership")
     if cert.E3_input != diff.moment(3):
         failures.append("E3_input")
 
-    h1 = _restricted_hist(rep_histogram(cert.P, A, "sum"), A)
-    expect_A1 = RatSet(
-        a for a, r in h1.entries.items() if cert.q1 <= r < 2 * cert.q1
-    )
-    if expect_A1 != cert.A1_pop:
+    h1 = rep_histogram(cert.P, A, "sum").restrict(A)
+    if _level(h1, cert.q1) != cert.A1_pop:
         failures.append("A1_band_definition")
-    mass1 = sum(h1.entries.get(a, 0) for a in cert.A1_pop)
+    mass1 = sum(h1.counts_on(cert.A1_pop))
     n1 = len(cert.A1_pop)
     if not (cert.q1 * n1 <= mass1 < 2 * cert.q1 * n1):
         failures.append("A1_mass_sandwich")
 
-    h2 = _restricted_hist(rep_histogram(cert.A1_pop, cert.P, "diff"), A)
-    expect_A2 = RatSet(
-        b for b, r in h2.entries.items() if cert.q2 <= r < 2 * cert.q2
-    )
-    if expect_A2 != cert.A2_pop:
+    h2 = rep_histogram(cert.A1_pop, cert.P, "diff").restrict(A)
+    if _level(h2, cert.q2) != cert.A2_pop:
         failures.append("A2_band_definition")
     n2 = len(cert.A2_pop)
-    mass2 = sum(h2.entries.get(b, 0) for b in cert.A2_pop)
+    mass2 = sum(h2.counts_on(cert.A2_pop))
     if not (cert.q2 * n2 <= mass2 < 2 * cert.q2 * n2):
         failures.append("A2_mass_sandwich")
 
@@ -262,7 +250,7 @@ def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
     for cert in res.certificates:
         failures += recheck_certificate(rem, cert)
         before_last, rem = rem, rem.difference(cert.chosen)
-    pieces = RatSet(x for cert in res.certificates for x in cert.chosen)
+    pieces = RatSet().union(*(cert.chosen for cert in res.certificates))
     if res.kind == "bw":
         B, C = res.parts["B"], res.parts["C"]
         if not (B.is_disjoint(C) and B.union(C) == source):
@@ -363,7 +351,7 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         parts_c.append(D)
         certs.append(cert)
         B = B.difference(D)
-    C = RatSet(x for D in parts_c for x in D)
+    C = RatSet().union(*parts_c)
     if parts_c:
         # quarter-power recombination across the extracted pieces
         if l4_union_check(parts_c) == "violated":
@@ -431,7 +419,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
             X = B_prev  # remainder before this final extraction
             break
         B_prev = B_prev.difference(D)
-    Y = RatSet(x for D in extracted for x in D)
+    Y = RatSet().union(*extracted)
     _raise_first(_cover_failures(A, X, Y))
     e3_x = energy(X, X, 3, "additive")
     e_mul_y = energy(Y, Y, 2, "multiplicative")
@@ -505,28 +493,28 @@ def _reg_step(cur: RatSet, k: int, eps: Fraction):
 
     Bands the k-th difference moment and keeps a iff its band degree
     deg(a) = #{b in cur : a - b in P} is at most |G| / (eps |cur|).
-    Returns (t, P, g_size, deg, kept_set, g_kept, stop): regularize runs
-    it, recheck_reg_trace replays it.
+    Returns (t, P, g_size, deg, kept_set, g_kept, stop), with deg the
+    degree histogram on cur: regularize runs it, recheck_reg_trace
+    replays it.
     """
     diff = rep_histogram(cur, cur, "diff")
     band = dyadic_band(diff, k)
     t, P = band.t, band.P
-    g_size = sum(diff.entries[x] for x in P)
-    deg_hist = _restricted_hist(rep_histogram(P, cur, "sum"), cur)
-    deg = {a: deg_hist.entries.get(a, 0) for a in cur}
+    g_size = sum(diff.counts_on(P))
+    deg = rep_histogram(P, cur, "sum").restrict(cur)
+    degs = deg.counts_on(cur)
     # keep a iff deg(a) <= |G| / (eps |cur|), cross-multiplied
     na = len(cur)
-    kept_set = RatSet(
-        a for a in cur
-        if deg[a] * eps.numerator * na <= g_size * eps.denominator
-    )
-    g_kept = sum(deg[a] for a in kept_set)
+    keep = [d * eps.numerator * na <= g_size * eps.denominator for d in degs]
+    kept_set = cur.select(keep)
+    g_kept = sum(compress(degs, keep))
     return t, P, g_size, deg, kept_set, g_kept, g_kept * 2**k >= g_size
 
 
-def _two_sided_core(kept_set: RatSet, deg: dict, k: int, n: int, g_size: int) -> RatSet:
+def _two_sided_core(kept_set: RatSet, deg: CountHistogram, k: int, n: int,
+                    g_size: int) -> RatSet:
     # deg(x) >= |G| / (2^(k+1) |B|), cross-multiplied
-    return RatSet(x for x in kept_set if deg[x] * 2 ** (k + 1) * n >= g_size)
+    return kept_set.select(d * 2 ** (k + 1) * n >= g_size for d in deg.counts_on(kept_set))
 
 
 def regularize(A: RatSet, k: int) -> RegTrace:
@@ -536,6 +524,14 @@ def regularize(A: RatSet, k: int) -> RegTrace:
     Each pass bands the k-th difference moment, drops the vertices whose
     band degree exceeds |G_i| / (epsilon |A_i|), and repeats while the kept
     graph loses a 2^k factor; all comparisons are exact rationals.
+
+    Lemma: if epsilon |A| <= 1, the loop stops after one step with
+    B = B' = A.  Each a has deg(a) = #{b : a - b in P} <= |P|, and every
+    x in P has r(x) >= t >= 1, so deg(a) <= |P| <= t |P| <= |G| <= |G| /
+    (epsilon |A|): the first step keeps every vertex.  It then keeps all
+    of G, since the degrees sum to |G|, so it stops.  epsilon |A| > 1 needs
+    |A| >= 1146 at k = 2 and |A| >= 5031 at k = 3, so the shrinking steps
+    are reached only by replaying tampered traces.
     """
     if not 2 <= k <= 8:
         raise InvalidConfig("regularize needs k in [2, 8]")
@@ -624,8 +620,7 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
             if _two_sided_core(kept_set, deg, tr.k, len(cur), g_size) != tr.B_dprime:
                 failures.append("core_set")
             # element-wise two-sided degree sandwich on the core
-            for x in tr.B_dprime:
-                d = deg.get(x, 0)  # 0 off the working set: fails lo_ok
+            for d in deg.counts_on(tr.B_dprime):  # 0 off cur: fails lo_ok
                 lo_ok = d * 2 ** (tr.k + 1) * len(cur) >= g_size
                 hi_ok = d * eps.numerator * len(cur) <= g_size * eps.denominator
                 if not (lo_ok and hi_ok):

@@ -3,18 +3,20 @@
 E_k of a pair (A, B) is the k-th moment of the difference (additive) or
 ratio (multiplicative) representation histogram.  Everything here is exact:
 the tallies run on plain ints after clearing denominators once (one common
-scale for A and B), `rep_histogram` turns only its distinct keys back into
-Fractions, and the one genuinely irrational comparison (the l4 union
-inequality) goes through outward-rounded interval arithmetic rather than
-floats.
+scale for A and B), and a `CountHistogram` keeps those int keys, so the
+decompositions band and look up counts without a Fraction per key; only
+its `entries` view turns keys back into Fractions, one per key read.  The
+one genuinely irrational comparison (the l4 union inequality) goes through
+outward-rounded interval arithmetic rather than floats.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import intervals
 from ._kernels import mul_pairs_count
@@ -24,36 +26,115 @@ from .errors import (
     InvalidConfig,
     PostconditionFailed,
 )
-from .sets import RatSet, int_keys, integerize, key_value
+from .sets import (
+    RatSet,
+    common_scale,
+    from_pairs,
+    int_keys,
+    integerize,
+    key_scale,
+    key_value,
+)
 
 K_MAX = 8
 
 _OPS = ("diff", "ratio", "sum", "prod")
 
 
-@dataclass(frozen=True)
 class CountHistogram:
-    """Multiplicity map x -> r(x); zero-count values are absent."""
+    """Multiplicity map x -> r(x); zero-count values are absent.
 
-    entries: dict
+    `counts` holds the map on int keys: a key k stands for x = k/den, or,
+    when den is None, the keys are the reduced pairs (p, q) of x = p/q (the
+    ratio histograms).  `CountHistogram(entries)` builds one from a map
+    keyed by rationals; `entries` is that map again, as a view that builds
+    the Fraction of a key only when it is read.
+    """
+
+    __slots__ = ("counts", "den")
+
+    def __init__(self, entries: Optional[dict] = None):
+        entries = {Fraction(x): r for x, r in (entries or {}).items()}
+        self.den = den = common_scale(entries)
+        self.counts = {x.numerator * (den // x.denominator): r
+                       for x, r in entries.items()}
+
+    @classmethod
+    def on_keys(cls, counts: dict, den: Optional[int]) -> "CountHistogram":
+        """The histogram of `counts` on int keys over den (see above)."""
+        out = cls.__new__(cls)
+        out.counts, out.den = counts, den
+        return out
 
     def moment(self, k: int) -> int:
-        return sum(m ** k for m in self.entries.values())
+        return sum(m ** k for m in self.counts.values())
 
     @property
     def mass(self) -> int:
-        return sum(self.entries.values())
+        return sum(self.counts.values())
 
     @property
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
     @property
     def max_count(self) -> int:
-        return max(self.entries.values()) if self.entries else 0
+        return max(self.counts.values()) if self.counts else 0
+
+    @property
+    def entries(self) -> Mapping:
+        return _Entries(self)
 
     def count(self, x) -> int:
-        return self.entries.get(Fraction(x), 0)
+        x = Fraction(x)
+        if self.den is None:
+            return self.counts.get((x.numerator, x.denominator), 0)
+        k, rem = divmod(x.numerator * self.den, x.denominator)
+        return 0 if rem else self.counts.get(k, 0)
+
+    def _keys_of(self, S: RatSet) -> list:
+        # the key of each element of S, None where no key can stand for it
+        if self.den is None:
+            return [(x.numerator, x.denominator) for x in S]
+        return S.keys_at(self.den)
+
+    def counts_on(self, S: RatSet) -> list:
+        """r(x) for each element x of S, in order."""
+        get = self.counts.get
+        return [get(k, 0) for k in self._keys_of(S)]
+
+    def restrict(self, S: RatSet) -> "CountHistogram":
+        """The histogram with only the counts attained at elements of S."""
+        counts = self.counts
+        return CountHistogram.on_keys(
+            {k: counts[k] for k in self._keys_of(S) if k in counts}, self.den)
+
+    def key_set(self, keys: Iterable) -> RatSet:
+        """The RatSet of the values that the distinct keys stand for."""
+        if self.den is None:
+            return from_pairs(keys)
+        return RatSet.from_ints(sorted(keys), self.den)
+
+
+class _Entries(Mapping):
+    """A histogram's counts keyed by Fractions, built per key read."""
+
+    __slots__ = ("_hist",)
+
+    def __init__(self, hist: CountHistogram):
+        self._hist = hist
+
+    def __getitem__(self, x) -> int:
+        r = self._hist.count(x)
+        if not r:
+            raise KeyError(x)
+        return r
+
+    def __iter__(self):
+        return map(key_value(self._hist.den), self._hist.counts)
+
+    def __len__(self) -> int:
+        return len(self._hist.counts)
 
 
 @dataclass(frozen=True)
@@ -69,17 +150,19 @@ def int_histogram(A: RatSet, B: RatSet, op: str) -> tuple[Counter, int]:
     """Counts of the `sets.int_keys` keys of a op b over A x B, and the scale."""
     if op not in _OPS:
         raise InvalidConfig(f"unknown op {op!r}")
-    if op == "ratio" and Fraction(0) in B:
+    if op == "ratio" and 0 in B:
         raise DivisionByZero("ratio histogram needs 0 not in B")
     keys, scale = int_keys(A, B, op)
     return Counter(keys), scale
 
 
 def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
-    """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}."""
+    """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}.
+
+    It keeps the int keys of `int_histogram`: no Fraction is built here.
+    """
     counts, scale = int_histogram(A, B, op)
-    value = key_value(op, scale)
-    return CountHistogram({value(k): m for k, m in counts.items()})
+    return CountHistogram.on_keys(counts, key_scale(op, scale))
 
 
 def energy_op(k: int, flavor: str) -> str:
@@ -160,7 +243,7 @@ def l4_union_check(parts: Sequence[RatSet]) -> str:
                 raise InvalidConfig("parts must be pairwise disjoint")
     if len(ps) == 1:
         return "ok"
-    union = RatSet(x for p in ps for x in p)
+    union = RatSet().union(*ps)
     lhs = energy(union, union, 2, "multiplicative")
     part_energies = [energy(p, p, 2, "multiplicative") for p in ps]
 

@@ -14,14 +14,15 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import groupby
+from math import gcd, lcm
 from typing import Optional
 
 from .core import DEFAULT_BUDGET
 from .energy import int_histogram
 from .errors import BudgetExceeded, InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, Record
+from .sets import RatSet, Record, from_pairs
 
 
 def _sum_hist(A1: RatSet, A2: RatSet) -> Counter:
@@ -106,7 +107,7 @@ def level_set(Z: RatSet, A1: RatSet, A2: RatSet, t: int) -> RatSet:
     if t < 1:
         raise InvalidConfig("level threshold t must be >= 1")
     hist = _sum_hist(A1, A2)
-    return RatSet(z for z in Z if _r_from_hist(hist, z) >= t)
+    return Z.select(_r_from_hist(hist, z) >= t for z in Z)
 
 
 def _charge_sum_pairs(n_sums: int, budget: int) -> None:
@@ -123,10 +124,22 @@ def full_ratio_set(A1: RatSet, A2: RatSet,
     diagonal contribution; z realized only through 0/0 pairs are excluded
     (every rational would qualify once a zero sum exists).  The quotients
     charge |nonzero sums|^2 against the budget.
+
+    No quotient becomes a Fraction.  With g the gcd of the sums and
+    u = s/g, the lcm of the reduced denominators of the s'/s is
+    L = lcm(|u|), and s'/s = u' (L/u) / L.  For each s the ints u' (L/u)
+    are monotone in s', so one merge of those runs, repeats dropped, gives
+    the result's ints in order without holding a set of them.
     """
-    sums = [s for s in _sum_hist(A1, A2) if s != 0]
+    sums = sorted(s for s in _sum_hist(A1, A2) if s != 0)
     _charge_sum_pairs(len(sums), budget)
-    return RatSet(Fraction(sp, s) for s in sums for sp in sums)
+    if not sums:
+        return RatSet()
+    g = gcd(*sums)
+    units = [s // g for s in sums]
+    scale = lcm(*units)
+    runs = [map((scale // u).__mul__, units if u > 0 else units[::-1]) for u in units]
+    return RatSet.from_ints([k for k, _ in groupby(heapq.merge(*runs))], scale)
 
 
 def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
@@ -159,4 +172,4 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
     mm = max((s * s for s, _ in sums), default=1)
     top = heapq.nsmallest(count, weight.items(),
                           key=lambda kv: (-kv[1], kv[0][0] * mm // kv[0][1]))
-    return RatSet(Fraction(p, q) for (p, q), _ in top)
+    return from_pairs(pq for pq, _ in top)

@@ -1,11 +1,15 @@
 """Finite rational sets: construction, algebra, and file I/O.
 
-A RatSet is an immutable, strictly sorted tuple of distinct Fractions.  All
-pairwise set operations (sumset, difference set, product set, ratio set) and
-the affine image keep exact arithmetic throughout.  The pairwise operations
-clear denominators once and run on plain ints (`int_keys`, which the energy
-histograms share); only the distinct results become Fractions again.
-`integerize` is the one denominator-clearing step that every int route uses.
+A RatSet is one positive `scale` and a strictly increasing tuple of distinct
+ints: the set {k/scale}.  The scale is the lcm of the reduced denominators,
+so each set has one form.  Membership, the set algebra, the pairwise set
+operations (sumset, difference set, product set, ratio set) and the affine
+image all run on ints; Fractions appear only where values are parsed, in the
+generators, and in the lazily built `elements` view that iteration reads.
+The pairwise operations clear denominators once (`int_keys`, which the
+energy histograms share) and hand their distinct keys straight to
+`RatSet.from_ints`.  `integerize` is the one denominator-clearing step that
+every int route uses; on RatSets it is one multiply per element.
 
 This module also owns the text formats: rationals as "p/q", set files,
 corpus files, and the JSON form of every result.  `jsonable` is the one
@@ -31,8 +35,10 @@ its output is fully pinned by the seed across platforms and Python versions.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -65,55 +71,144 @@ class SplitMix64:
                 return u % n
 
 
+def _num_den(v) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of v: an int, a Fraction, or
+    anything `Fraction` parses (a string "p/q", a float, ...)."""
+    if type(v) is int:
+        return v, 1
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator, v.denominator
+
+
 class RatSet:
-    """Immutable finite set of rationals, stored strictly increasing."""
+    """Immutable finite set of rationals: the values k/scale for k in `ints`.
 
-    __slots__ = ("elements", "_lookup")
+    `ints` is a strictly increasing tuple of ints and `scale` is canonical:
+    the lcm of the reduced denominators (1 for an empty or integer set), so
+    equal sets have equal (scale, ints).  Membership and the set algebra run
+    on these ints; `elements` and iteration give the Fractions, built once,
+    on first use.
+    """
 
-    def __init__(self, values: Iterable):
-        elems = sorted({Fraction(v) for v in values})
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_lookup", frozenset(elems))
+    __slots__ = ("scale", "ints", "_elements")
+
+    def __init__(self, values: Iterable = ()):
+        pairs = [_num_den(v) for v in values]
+        scale = lcm(*{d for _, d in pairs})
+        ints = {n * (scale // d) for n, d in pairs}
+        self._set(scale, tuple(sorted(ints)))
+
+    @classmethod
+    def from_ints(cls, ints, scale: int) -> "RatSet":
+        """The set {k/scale : k in ints}; ints strictly increasing, scale > 0.
+
+        The scale is reduced to the canonical one here, so any common
+        multiple of the denominators will do.
+        """
+        g = gcd(scale, *ints)
+        if g > 1:
+            scale //= g
+            ints = [k // g for k in ints]
+        out = cls.__new__(cls)
+        out._set(scale, tuple(ints))
+        return out
+
+    def _set(self, scale: int, ints: tuple) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, *_):
         raise AttributeError("RatSet is immutable")
 
+    @property
+    def elements(self) -> tuple:
+        """The elements as Fractions, strictly increasing (built once)."""
+        if self._elements is None:
+            s = self.scale
+            object.__setattr__(self, "_elements", tuple(Fraction(k, s) for k in self.ints))
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ints)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.elements)
 
     def __contains__(self, v) -> bool:
-        return Fraction(v) in self._lookup
+        n, d = _num_den(v)
+        k, rem = divmod(n * self.scale, d)
+        if rem:
+            return False  # d does not divide the scale
+        i = bisect_left(self.ints, k)
+        return i < len(self.ints) and self.ints[i] == k
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatSet) and self.elements == other.elements
+        return (isinstance(other, RatSet) and self.scale == other.scale
+                and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash((self.scale, self.ints))
 
     def __repr__(self) -> str:
         return f"RatSet({[str(e) for e in self.elements]})"
 
-    def union(self, other: "RatSet") -> "RatSet":
-        return RatSet(self.elements + other.elements)
+    def keys_at(self, scale: int) -> list:
+        """Each element times scale, in order; None where that is no int."""
+        s = self.scale
+        if scale % s == 0:
+            m = scale // s
+            return list(self.ints) if m == 1 else [k * m for k in self.ints]
+        return [q if r == 0 else None for q, r in (divmod(k * scale, s) for k in self.ints)]
+
+    def select(self, flags: Iterable) -> "RatSet":
+        """The subset of the elements whose flag (in element order) is true."""
+        return RatSet.from_ints(list(compress(self.ints, flags)), self.scale)
+
+    def _others_at(self, other: "RatSet") -> tuple[int, set]:
+        # (m, K): self's element k/s is in other iff k*m is in K, where both
+        # sets are scaled to the lcm of their scales
+        both = lcm(self.scale, other.scale)
+        return both // self.scale, set(other.keys_at(both))
+
+    def union(self, *others: "RatSet") -> "RatSet":
+        """self united with every set of others."""
+        sets = (self,) + others
+        scale = lcm(*(a.scale for a in sets))
+        ints = set()
+        for a in sets:
+            ints.update(a.keys_at(scale))
+        return RatSet.from_ints(sorted(ints), scale)
 
     def difference(self, other: "RatSet") -> "RatSet":
-        return RatSet(e for e in self.elements if e not in other._lookup)
+        m, theirs = self._others_at(other)
+        return self.select(k * m not in theirs for k in self.ints)
 
     def intersection(self, other: "RatSet") -> "RatSet":
-        return RatSet(e for e in self.elements if e in other._lookup)
+        m, theirs = self._others_at(other)
+        return self.select(k * m in theirs for k in self.ints)
 
     def is_subset(self, other: "RatSet") -> bool:
-        return self._lookup <= other._lookup
+        # each denominator of a subset divides the other set's scale
+        if other.scale % self.scale:
+            return False
+        return set(other.ints).issuperset(self.keys_at(other.scale))
 
     def is_disjoint(self, other: "RatSet") -> bool:
-        return self._lookup.isdisjoint(other._lookup)
+        m, theirs = self._others_at(other)
+        return theirs.isdisjoint(k * m for k in self.ints)
 
     def require_nonzero(self, context: str = "multiplicative operation"):
-        if 0 in self._lookup:
+        if 0 in self:
             raise DivisionByZero(f"{context}: set contains 0")
+
+
+def from_pairs(pairs: Iterable[tuple[int, int]]) -> RatSet:
+    """The RatSet of the values p/q of distinct reduced pairs (p, q), q > 0."""
+    pairs = list(pairs)
+    scale = lcm(*{q for _, q in pairs})
+    return RatSet.from_ints(sorted(p * (scale // q) for p, q in pairs), scale)
 
 
 @dataclass(frozen=True)
@@ -220,7 +315,7 @@ def generate(config: GeneratorConfig) -> RatSet:
         if not config.s or not config.p or config.s < 1 or config.p < 1:
             raise InvalidConfig("GridExample needs S >= 1, P >= 1")
         return RatSet(
-            Fraction((2 * m - 1) * 2**j)
+            (2 * m - 1) * 2**j
             for m in range(1, config.s + 1)
             for j in range(1, config.p + 1)
         )
@@ -237,7 +332,7 @@ def generate(config: GeneratorConfig) -> RatSet:
         chosen: set[int] = set()
         while len(chosen) < config.size:
             chosen.add(1 + rng.below(config.range))
-        return RatSet(Fraction(v) for v in chosen)
+        return RatSet(chosen)
     if k == "Literal":
         if config.values is None or len(config.values) == 0:
             raise InvalidConfig("Literal needs at least one value")
@@ -248,24 +343,32 @@ def generate(config: GeneratorConfig) -> RatSet:
 def set_op(a: RatSet, b: RatSet, op: str) -> RatSet:
     """Pairwise sumset / difference set / product set / ratio set.
 
-    The pairs run on cleared-denominator ints (`int_keys`); only the
-    distinct keys are turned back into Fractions.
+    The pairs run on cleared-denominator ints (`int_keys`), and the
+    distinct keys are the result's ints: at scale s (sum, diff) or s^2
+    (prod), or as reduced pairs (ratio).
     """
     if op not in ("sum", "diff", "prod", "ratio"):
         raise InvalidConfig(f"unknown set operation {op!r}")
     if op == "ratio":
         b.require_nonzero("ratio set")
     keys, scale = int_keys(a, b, op)
-    value = key_value(op, scale)
-    return RatSet(value(k) for k in set(keys))
+    if op == "ratio":
+        return from_pairs(set(keys))
+    return RatSet.from_ints(sorted(set(keys)), key_scale(op, scale))
 
 
 def affine(a: RatSet, scale, shift) -> RatSet:
-    """Image under x -> scale*x + shift; ZeroScale if scale == 0."""
-    scale, shift = Fraction(scale), Fraction(shift)
-    if scale == 0:
+    """Image under x -> scale*x + shift; ZeroScale if scale == 0.
+
+    With x = k/s, scale = p/q and shift = u/v the image is
+    (p v k + u q s) / (q s v), one int per element.
+    """
+    (p, q), (u, v) = _num_den(scale), _num_den(shift)
+    if p == 0:
         raise ZeroScale("affine scale must be nonzero")
-    return RatSet(scale * x + shift for x in a)
+    s = a.scale
+    ints = [p * v * k + u * q * s for k in a.ints]
+    return RatSet.from_ints(ints if p > 0 else ints[::-1], q * s * v)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +436,7 @@ def jsonable(obj):
     is left as it is.
     """
     if isinstance(obj, RatSet):
-        return [format_rational(v) for v in obj]
+        return [format_rational(v) for v in obj.elements]
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if is_dataclass(obj):
@@ -360,28 +463,31 @@ def canonical_json(doc) -> str:
 # ---------------------------------------------------------------------------
 # Integerization: clear denominators so hot kernels can run on plain ints.
 
-def common_scale(*sets: Iterable[Fraction]) -> int:
-    """Least common multiple of all denominators across the given iterables."""
-    m = 1
-    for s in sets:
-        for v in s:
-            m = lcm(m, v.denominator)
-    return m
+def common_scale(*sets: Iterable) -> int:
+    """Least common multiple of all denominators across the given sets:
+    RatSets (one lcm of their scales) or iterables of Fractions."""
+    return lcm(*(a.scale if isinstance(a, RatSet) else lcm(*{v.denominator for v in a})
+                 for a in sets))
 
 
-def scaled_ints(a: Iterable[Fraction], scale: int) -> list[int]:
+def scaled_ints(a: Iterable, scale: int) -> list[int]:
     """v * scale as ints; scale must be a multiple of every denominator."""
+    if isinstance(a, RatSet):
+        return a.keys_at(scale)
     return [v.numerator * (scale // v.denominator) for v in a]
 
 
-def integerize(*sets: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
-    """(s, [v * s for v in each set]) with s the common_scale of the sets."""
+def integerize(*sets: Iterable) -> tuple[int, list[list[int]]]:
+    """(s, [v * s for v in each set]) with s the common_scale of the sets.
+
+    For RatSets that is one multiply per element, or none when a set's
+    scale is already s.
+    """
     scale = common_scale(*sets)
     return scale, [scaled_ints(a, scale) for a in sets]
 
 
-def int_keys(A: Iterable[Fraction], B: Iterable[Fraction],
-             op: str) -> tuple[Iterator, int]:
+def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int]:
     """Keys of a op b over A x B on cleared-denominator ints, and the scale.
 
     With s = common_scale(A, B) and a, b the scaled ints, the keys are
@@ -403,9 +509,16 @@ def int_keys(A: Iterable[Fraction], B: Iterable[Fraction],
     return keys, scale
 
 
-def key_value(op: str, scale: int):
-    """The map from an `int_keys` key back to the Fraction it stands for."""
+def key_scale(op: str, scale: int) -> int | None:
+    """What an `int_keys` key k stands for: k/den with the den returned
+    (s^2 for prod, s otherwise); None for ratio, whose keys are pairs."""
     if op == "ratio":
+        return None
+    return scale * scale if op == "prod" else scale
+
+
+def key_value(den: int | None):
+    """The map from a key over den (see `key_scale`) back to its Fraction."""
+    if den is None:
         return lambda pq: Fraction(*pq)
-    den = scale * scale if op == "prod" else scale
     return lambda k: Fraction(k, den)

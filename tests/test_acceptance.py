@@ -2,19 +2,36 @@
 
 Run with `pytest -v tests/test_acceptance.py` to see the per-criterion
 lines.  Every assertion here is exact; the asymptotic material is covered
-by the byte-stable report regeneration of criterion 9.
+by the byte-stable report regeneration of criterion 9.  The suite runs
+behind the criteria also pin the bytes of their verify payloads.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from addcomb import harness
 from addcomb.decompose import dyadic_band
 from addcomb.energy import rep_histogram
-from addcomb.sets import generate
+from addcomb.sets import canonical_json, generate
+
+# sha256 of each suite's canonical JSON on the default corpus, the
+# environment block (seed and versions) left out
+PAYLOAD_SHA256 = {
+    "exact": "25561c8a2548a51fd5a6d4e9c68f7059e88a8e6cde25e527aa9ac4110f07b18f",
+    "decomposition": "1ffdb8304136511e9f2d2bf6afc499dec5ae0b61516fad0250c91648a8334854",
+    "regularization": "f719ab58b81abe18557e8ed3bf60c46896cc54c8b8c0fccc02e3e88e1148aa0c",
+}
+
+
+@cache
+def _suite(name):
+    # one run of each suite serves every test that reads it
+    return harness.run_suite(name)
 
 
 def _corpus_sets():
@@ -24,7 +41,7 @@ def _corpus_sets():
 @pytest.fixture(scope="module")
 def exact_suite():
     # criteria 2, 4 and 5 read the checks of one run of the exact suite
-    return {c.name: c for c in harness.run_suite("exact").checks}
+    return {c.name: c for c in _suite("exact").checks}
 
 
 def _passes(check):
@@ -86,7 +103,7 @@ def test_criterion_5_identity_50_random_triples(exact_suite):
 
 def _corpus_checks(suite, stems):
     # the suite's check of each stem on every corpus set, by corpus label
-    checks = {c.name: c for c in harness.run_suite(suite).checks}
+    checks = {c.name: c for c in _suite(suite).checks}
     labels = [cfg.label() for cfg in harness.DEFAULT_CORPUS]
     return [checks[f"{stem}:{label}"] for label in labels for stem in stems]
 
@@ -148,3 +165,11 @@ def test_criterion_9_reports_byte_stable_and_within_baselines():
         assert fam in baselines, fam
         assert Fraction(hi) <= 2 * Fraction(baselines[fam]), \
             f"{fam}: {hi} exceeds 2x baseline {baselines[fam]}"
+
+
+@pytest.mark.parametrize("suite", sorted(PAYLOAD_SHA256))
+def test_verify_payload_bytes_pinned(suite):
+    doc = _suite(suite).to_json()
+    doc.pop("environment")
+    text = canonical_json(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAYLOAD_SHA256[suite]

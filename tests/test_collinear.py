@@ -137,6 +137,23 @@ def test_coincident_tuples_closed_form(a, b, c):
     assert coincident_tuples(a, b, c) == total - distinct
 
 
+@given(overlapping_sets | tiny_sets, overlapping_sets | tiny_sets, overlapping_sets)
+@settings(max_examples=60, deadline=None)
+def test_triple_count_report_matches_six_tuple_brute(a, b, c):
+    rep = triple_count_report(a, b, c)
+    assert (rep.T, rep.T_o) == t_split_brute(a, b, c)
+
+
+def test_triple_count_report_n32_under_default_budget():
+    a = RatSet(range(1, 33))
+    # the 6-tuple route needs (32^3)^2 > 10^9 checks and is refused
+    with pytest.raises(BudgetExceeded):
+        t_split_brute(a, a, a)
+    rep = triple_count_report(a, a, a)
+    assert rep.T_o == t_o_count(a, a, a, "linehash")
+    assert rep.degenerate_terms == coincident_tuples(a, a, a) == 3 * 32**4 - 2 * 32**2
+
+
 def test_identity_hand_case():
     # A = {0,1}, C = {2}, D = {3}: only coincidence solutions, T = 2,
     # while the naive diagonal pairing would give 4

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb import decompose
+from addcomb import decompose, harness
 from addcomb.decompose import (
     ExtractionCertificate,
     RegTrace,
@@ -215,6 +215,27 @@ def test_regularize_epsilon_shrinks_with_size_and_k():
 @settings(max_examples=25, deadline=None)
 def test_regularize_random_rechecks(a, k):
     assert recheck_reg_trace(a, regularize(a, k)) == []
+
+
+def _assert_one_step_keeps_all(a, k):
+    # the regularize lemma: epsilon |A| <= 1 forces one step and B = B' = A
+    tr = regularize(a, k)
+    assert tr.epsilon * len(a) <= 1
+    assert len(tr.steps) == 1 and tr.steps[0].kept
+    assert tr.B == tr.B_prime == a
+
+
+def test_regularize_cannot_prune_on_default_corpus():
+    for cfg in harness.DEFAULT_CORPUS:
+        a = generate(cfg)
+        for k in (2, 3):
+            _assert_one_step_keeps_all(a, k)
+
+
+@given(nonzero_sets.filter(lambda a: len(a) >= 4), st.integers(2, 8))
+@settings(max_examples=40, deadline=None)
+def test_regularize_cannot_prune_when_epsilon_n_at_most_one(a, k):
+    _assert_one_step_keeps_all(a, k)
 
 
 _REG_SET = RatSet([1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48])

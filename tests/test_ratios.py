@@ -90,6 +90,13 @@ def test_full_ratio_set_excludes_zero_only_ratios():
     assert z == RatSet([1, -1])  # quotients of nonzero sums only
 
 
+@given(small_sets, small_sets)
+@settings(max_examples=60, deadline=None)
+def test_full_ratio_set_matches_fraction_brute(a1, a2):
+    sums = {x + y for x in a1 for y in a2} - {0}
+    assert full_ratio_set(a1, a2) == RatSet(sp / s for s in sums for sp in sums)
+
+
 @given(small_sets)
 @settings(max_examples=30, deadline=None)
 def test_full_ratio_set_members_have_solutions(a):

@@ -1,11 +1,15 @@
 """Rational set container, generators, file formats, RNG pinning."""
 
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from addcomb.decompose import dyadic_band
+from addcomb.energy import rep_histogram
 from addcomb.errors import DivisionByZero, InvalidConfig, ZeroScale
 from addcomb.sets import (
     GeneratorConfig,
@@ -205,3 +209,98 @@ def test_common_scale_clears_denominators(vals):
     ints = scaled_ints(vals, scale)
     assert all(isinstance(v, int) for v in ints)
     assert [Fraction(i, scale) for i in ints] == [Fraction(v) for v in vals]
+
+
+# ---------------------------------------------------------------------------
+# RatSet as (scale, ints), each property against a frozenset-of-Fractions
+# oracle
+
+_fracs = st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=7),
+                  max_size=8)
+
+
+def _same(got: RatSet, oracle) -> None:
+    assert got == RatSet(oracle) and hash(got) == hash(RatSet(oracle))
+    assert frozenset(got) == frozenset(oracle) and len(got) == len(oracle)
+    dens = [v.denominator for v in oracle]
+    assert got.scale == (lcm(*dens) if dens else 1)
+
+
+@given(_fracs, st.integers(1, 30))
+def test_ratset_construction_routes_agree(vals, factor):
+    oracle = frozenset(vals)
+    _same(RatSet(vals), oracle)
+    _same(RatSet(str(v) for v in vals), oracle)
+    _same(RatSet(int(v) if v.denominator == 1 else v for v in vals), oracle)
+    # any common multiple of the denominators reduces to the canonical scale
+    scale = factor * (lcm(*(v.denominator for v in vals)) if vals else 1)
+    _same(RatSet.from_ints(sorted(int(v * scale) for v in oracle), scale), oracle)
+    _same(RatSet(oracle).select(v >= 0 for v in sorted(oracle)),
+          {v for v in oracle if v >= 0})
+
+
+@given(_fracs, _fracs)
+def test_ratset_set_ops_and_algebra_agree(xs, ys):
+    a, b = RatSet(xs), RatSet(ys)
+    fa, fb = frozenset(xs), frozenset(ys)
+    _same(a.union(b), fa | fb)
+    _same(a.difference(b), fa - fb)
+    _same(a.intersection(b), fa & fb)
+    _same(RatSet().union(a, b, a), fa | fb)
+    for op, f in _BRUTE.items():
+        if op == "ratio" and 0 in fb:
+            continue
+        _same(set_op(a, b, op), {f(x, y) for x in fa for y in fb})
+
+
+@given(_fracs.filter(bool), _fracs.filter(bool), st.integers(1, 3))
+def test_ratset_histogram_bands_agree(xs, ys, k):
+    a, b = RatSet(xs), RatSet(ys)
+    for op, f in (("sum", lambda x, y: x + y), ("diff", lambda x, y: x - y)):
+        brute = Counter(f(x, y) for x in a for y in b)
+        band = dyadic_band(rep_histogram(a, b, op), k)
+        _same(band.P, {x for x, r in brute.items() if band.t <= r < 2 * band.t})
+
+
+def test_ratset_scale_is_canonical():
+    half = RatSet([Fraction(1, 2)])
+    assert set_op(half, half, "sum") == RatSet([1])
+    assert set_op(half, half, "sum").scale == 1
+    assert RatSet([Fraction(1, 2), Fraction(3, 2)]).difference(RatSet([Fraction(1, 2)])) \
+        == RatSet(["3/2"])
+    assert RatSet([Fraction(1, 2), 1]).intersection(RatSet([1, Fraction(1, 3)])).scale == 1
+    assert RatSet.from_ints([2, 4, 6], 4) == RatSet([Fraction(1, 2), 1, Fraction(3, 2)])
+    assert RatSet().scale == 1 and RatSet.from_ints([], 6) == RatSet()
+
+
+@given(_fracs, st.fractions(min_value=-12, max_value=12, max_denominator=13),
+       st.integers(1, 12))
+def test_ratset_membership_across_denominators(vals, v, scale):
+    # v's denominator need not divide the set's scale, nor scale the set's
+    a = RatSet(vals)
+    assert (v in a) == (v in frozenset(vals))
+    assert all(x in a for x in vals)
+    assert (str(v) in a) == (v in a)
+    assert a.keys_at(scale) == [int(x * scale) if (x * scale).denominator == 1 else None
+                                for x in sorted(set(vals))]
+
+
+@given(_fracs, _fracs)
+def test_ratset_subset_and_disjoint_across_scales(xs, ys):
+    a, b = RatSet(xs), RatSet(ys)
+    fa, fb = frozenset(xs), frozenset(ys)
+    assert a.is_subset(b) == (fa <= fb)
+    assert a.is_disjoint(b) == fa.isdisjoint(fb)
+    # the union's scale can exceed a's, and a stays a subset of it
+    assert a.is_subset(a.union(b)) and b.is_subset(a.union(b))
+    assert a.difference(b).is_disjoint(b)
+
+
+@given(_fracs)
+def test_ratset_iteration_strictly_increasing(vals):
+    a = RatSet(vals)
+    got = list(a)
+    assert got == sorted(set(vals))
+    assert all(x < y for x, y in zip(got, got[1:]))
+    assert all(type(x) is Fraction for x in got)
+    assert a.elements == tuple(got)
