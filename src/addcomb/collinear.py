@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from . import _kernels
 from ._kernels_py import mul_pairs_cross
-from .core import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvalidConfig
+from .core import DEFAULT_BUDGET, charge
+from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
 from .sets import RatSet, Record, integerize
 
@@ -35,9 +35,7 @@ def _six_counts(A: RatSet, B: RatSet, C: RatSet):
 
 
 def _check_tuple_budget(A, B, C, budget):
-    cost = (len(A) * len(B) * len(C)) ** 2
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} tuple checks exceed budget {budget}")
+    charge((len(A) * len(B) * len(C)) ** 2, budget, "tuple checks")
 
 
 def t_count_brute(A: RatSet, B: RatSet, C: RatSet,
@@ -82,9 +80,7 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
     if mode != "linehash":
         raise InvalidConfig(f"unknown mode {mode!r}")
     s1, s2, s3 = sorted((A1, A2, A3), key=len)
-    cost = len(s1) ** 2 * (len(s2) ** 2 + len(s3) ** 2)
-    if cost > budget:
-        raise BudgetExceeded(f"linehash cost {cost} exceeds budget {budget}")
+    charge(len(s1) ** 2 * (len(s2) ** 2 + len(s3) ** 2), budget, "direction tallies")
     _, ints = integerize(s1, s2, s3)
     return _kernels.t_o_linehash(*ints)
 

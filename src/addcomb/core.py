@@ -6,7 +6,7 @@ coordinates, lines in canonical integer form, the cross-product
 collinearity test, and line membership, which cross-multiplies the
 point's own denominators into the integer line equation instead of
 building Fractions.  All functions are pure; no floats are ever involved
-in a decision.
+in a decision.  `charge` is the package's one `--budget` check.
 """
 
 from __future__ import annotations
@@ -15,15 +15,21 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import DegeneratePair
-
-# Scalars are plain stdlib Fractions: always reduced, exact arithmetic,
-# hashable.  The alias exists so signatures read as intent.
-ExactScalar = Fraction
+from .errors import BudgetExceeded, DegeneratePair
 
 # Default work budget for the brute-force counters, measured in elementary
 # tuple checks.  Callers can raise or lower it per call.
 DEFAULT_BUDGET = 10**9
+
+
+def charge(units: int, budget: int, what: str) -> None:
+    """The one budget rule: refuse work of `units` above `budget`.
+
+    Every super-quadratic path states its cost in units of `what` and calls
+    this before doing the work; BudgetExceeded names both numbers.
+    """
+    if units > budget:
+        raise BudgetExceeded(f"{units} {what} exceed budget {budget}")
 
 
 class PlanePoint(NamedTuple):

@@ -26,7 +26,7 @@ from .errors import (
     PostconditionFailed,
 )
 from .intervals import ln2_bounds, log_squared_fraction_bounds, power_sum_ratio_decimal
-from .sets import RatSet, Record, parse_rational
+from .sets import RatSet, Record, affine, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ class ExtractionCertificate(Record):
         )
 
 
-def _extract_core(A: RatSet):
+def _extract_core(A: RatSet) -> ExtractionCertificate:
     diff = rep_histogram(A, A, "diff")
     band = dyadic_band(diff, 3)
     t, P = band.t, band.P
@@ -147,12 +147,11 @@ def _extract_core(A: RatSet):
 
     branch = "ordinates" if q2 <= len(A2) else "abscissae"
     chosen = A2 if branch == "ordinates" else A1
-    cert = ExtractionCertificate(
+    return ExtractionCertificate(
         t=t, q1=q1, q2=q2, P=P, A1_pop=A1, A2_pop=A2, branch=branch,
         E3_input=diff.moment(3),
         Emul_output=energy(chosen, chosen, 2, "multiplicative"),
     )
-    return chosen, cert
 
 
 def extract_mult_structured(A: RatSet):
@@ -165,7 +164,8 @@ def extract_mult_structured(A: RatSet):
     if len(A) < 2:
         raise DegenerateInput("extraction needs |A| >= 2")
     A.require_nonzero("extraction")
-    return _extract_core(A)
+    cert = _extract_core(A)
+    return cert.chosen, cert
 
 
 def extraction_ratio_decimal(source_size: int, cert: ExtractionCertificate):
@@ -315,8 +315,28 @@ class DecompositionResult(Record):
         )
 
 
-def _guard_energy_large(e3: int, n: int, M) -> bool:
-    # guard: E_3^+(B) > |A|^4 / M, in exact integer form
+def _extractions(A: RatSet, more, loop: str):
+    """Extract popular pieces from what is left of A while more(rest) holds.
+
+    Returns (rest, certificates); each piece is its certificate's `chosen`
+    set.  Every extraction removes a nonempty set, so more than |A| of them
+    mean a bug and raise NonTermination.
+    """
+    rest, certs = A, []
+    while more(rest):
+        if len(certs) >= len(A):
+            raise NonTermination(f"{loop} exceeded |A| iterations")
+        cert = _extract_core(rest)
+        certs.append(cert)
+        rest = rest.difference(cert.chosen)
+    return rest, certs
+
+
+def _guard_energy_large(B: RatSet, n: int, M) -> bool:
+    # guard: B is nonempty and E_3^+(B) > |A|^4 / M, in exact integer form
+    if len(B) == 0:
+        return False
+    e3 = energy(B, B, 3, "additive")
     if M == "auto":
         # M = |A|^(6/11): compare e3^11 * n^6 > n^44
         return e3**11 * n**6 > n**44
@@ -339,23 +359,12 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         if Fraction(M) <= 0:
             raise InvalidConfig("M must be positive or 'auto'")
     n = len(A)
-    B = A
-    parts_c = []
-    certs = []
-    iters = 0
-    while len(B) > 0 and _guard_energy_large(energy(B, B, 3, "additive"), n, M):
-        iters += 1
-        if iters > n:
-            raise NonTermination("energy split exceeded |A| iterations")
-        D, cert = _extract_core(B)
-        parts_c.append(D)
-        certs.append(cert)
-        B = B.difference(D)
-    C = RatSet().union(*parts_c)
-    if parts_c:
-        # quarter-power recombination across the extracted pieces
-        if l4_union_check(parts_c) == "violated":
-            raise PostconditionFailed("quarter-power union bound violated")
+    B, certs = _extractions(A, lambda rest: _guard_energy_large(rest, n, M), "energy split")
+    pieces = [cert.chosen for cert in certs]
+    C = RatSet().union(*pieces)
+    # quarter-power recombination across the extracted pieces
+    if pieces and l4_union_check(pieces) == "violated":
+        raise PostconditionFailed("quarter-power union bound violated")
     e_plus_b = energy(B, B, 2, "additive") if len(B) else 0
     e_mul_c = energy(C, C, 2, "multiplicative") if len(C) else 0
     ratio = power_sum_ratio_decimal(
@@ -367,7 +376,7 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         certificates=tuple(certs),
         energies={"E_plus_B": e_plus_b, "E_mul_C": e_mul_c},
         target_ratio=ratio,
-        meta={"M": "auto" if M == "auto" else str(Fraction(M)), "pieces": len(parts_c)},
+        meta={"M": "auto" if M == "auto" else str(Fraction(M)), "pieces": len(certs)},
     )
 
 
@@ -401,25 +410,9 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
     if len(A) < 2:
         raise DegenerateInput("xy decomposition needs |A| >= 2")
     n = len(A)
-    B_prev = A  # B_{j-1} entering iteration j
-    X = A
-    extracted = []
-    certs = []
-    covered = 0
-    iters = 0
-    while 2 * covered < n:
-        iters += 1
-        if iters > n:
-            raise NonTermination("cover loop exceeded |A| iterations")
-        D, cert = _extract_core(B_prev)
-        extracted.append(D)
-        certs.append(cert)
-        covered += len(D)
-        if 2 * covered >= n:
-            X = B_prev  # remainder before this final extraction
-            break
-        B_prev = B_prev.difference(D)
-    Y = RatSet().union(*extracted)
+    rest, certs = _extractions(A, lambda rest: 2 * (n - len(rest)) < n, "cover loop")
+    X = rest.union(certs[-1].chosen)  # the remainder before the last extraction
+    Y = A.difference(rest)
     _raise_first(_cover_failures(A, X, Y))
     e3_x = energy(X, X, 3, "additive")
     e_mul_y = energy(Y, Y, 2, "multiplicative")
@@ -430,7 +423,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
         certificates=tuple(certs),
         energies={"E3_X": e3_x, "E_mul_Y": e_mul_y},
         target_ratio=ratio,
-        meta={"pieces": len(extracted)},
+        meta={"pieces": len(certs)},
     )
 
 
@@ -649,9 +642,9 @@ def default_dilates(A: RatSet) -> RatSet:
 def best_z(A: RatSet, candidates: Optional[RatSet] = None):
     """The candidate z maximizing #{(a,b) in A^2 : z a b in A}.
 
-    That count equals the self-correlation sum over the dilated set zA:
-    for x in zA, |zA intersect x zA| summed over x.  Ties go to the
-    smaller z; returns (z, value).  The search is over the supplied
+    That count is the sum over c in A of r_{A.A}(c / z), so one product
+    histogram serves every candidate with |A| lookups each.  Ties go to
+    the smaller z; returns (z, value).  The search is over the supplied
     candidates only (default {1} union {1/a : a in A}).
     """
     A.require_nonzero("best_z")
@@ -660,9 +653,10 @@ def best_z(A: RatSet, candidates: Optional[RatSet] = None):
     if len(candidates) == 0:
         raise EmptyCandidateList("best_z needs at least one candidate")
     candidates.require_nonzero("best_z candidates")
+    prod = rep_histogram(A, A, "prod")
     best = None
     for z in candidates:
-        val = sum(1 for a in A for b in A if z * a * b in A)
+        val = sum(prod.counts_on(affine(A, 1 / z, 0)))
         if best is None or val > best[1]:
             best = (z, val)
     return best

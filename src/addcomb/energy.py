@@ -182,12 +182,11 @@ def energy(A: RatSet, B: Optional[RatSet] = None, k: int = 2,
 
     B defaults to A.  k is capped at 8; the cap only bounds runtime,
     the arithmetic is arbitrary precision either way.  The moment is taken
-    straight from the int counts; no Fraction is built.
+    from the int counts of `rep_histogram`; no Fraction is built.
     """
     if B is None:
         B = A
-    counts, _ = int_histogram(A, B, energy_op(k, flavor))
-    return sum(m ** k for m in counts.values())
+    return rep_histogram(A, B, energy_op(k, flavor)).moment(k)
 
 
 def energy_mul_product_form(X: RatSet, Y: RatSet) -> int:

@@ -30,8 +30,16 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from ._kernels_py import _spanned_lines
-from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, line_through, point
-from .errors import BudgetExceeded, InvalidConfig, PostconditionFailed
+from .core import (
+    DEFAULT_BUDGET,
+    LineKey,
+    PlanePoint,
+    canonical_line,
+    charge,
+    line_through,
+    point,
+)
+from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
 from .sets import (
     RatSet,
@@ -211,10 +219,7 @@ def _triple_family_alphas(A1: RatSet, A2: RatSet, A3: RatSet, budget: int) -> di
     # lines with at least one pairwise-distinct triple (u1, u2, u3),
     # u_i in A_i x A_i, mapped to their grid counts (n1, n2, n3)
     scale, (v1, v2, v3) = integerize(A1, A2, A3)
-    if (len(v1) * len(v2)) ** 2 > budget:
-        raise BudgetExceeded(
-            f"line spanning needs {(len(v1) * len(v2))**2} pair checks, budget {budget}"
-        )
+    charge((len(v1) * len(v2)) ** 2, budget, "pair checks")
     # keys are in scaled coordinates; rescale to the original plane:
     # a*X + b*Y = c with X = scale*x becomes (a*scale, b*scale, c)
     return {
@@ -247,8 +252,7 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
     elif family == "pairs":
         sums_l = []
         for A in sets:
-            if (len(A) ** 2) ** 2 > budget:
-                raise BudgetExceeded("pairs family over budget")
+            charge(len(A) ** 4, budget, "grid point pairs")
             grid = [point(x, y) for x in A for y in A]
             mult = spanned_line_multiplicities(grid)
             sums_l.append(sum(m ** p for m in mult.values() if m >= 2))

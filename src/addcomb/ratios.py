@@ -18,9 +18,9 @@ from itertools import groupby
 from math import gcd, lcm
 from typing import Optional
 
-from .core import DEFAULT_BUDGET
+from .core import DEFAULT_BUDGET, charge
 from .energy import int_histogram
-from .errors import BudgetExceeded, InvalidConfig
+from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
 from .sets import RatSet, Record, from_pairs
 
@@ -110,12 +110,6 @@ def level_set(Z: RatSet, A1: RatSet, A2: RatSet, t: int) -> RatSet:
     return Z.select(_r_from_hist(hist, z) >= t for z in Z)
 
 
-def _charge_sum_pairs(n_sums: int, budget: int) -> None:
-    cost = n_sums ** 2
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} sum pairs exceed budget {budget}")
-
-
 def full_ratio_set(A1: RatSet, A2: RatSet,
                    budget: int = DEFAULT_BUDGET) -> RatSet:
     """All quotients of nonzero sums: {s'/s : s, s' in A1+A2, both != 0}.
@@ -132,7 +126,7 @@ def full_ratio_set(A1: RatSet, A2: RatSet,
     the result's ints in order without holding a set of them.
     """
     sums = sorted(s for s in _sum_hist(A1, A2) if s != 0)
-    _charge_sum_pairs(len(sums), budget)
+    charge(len(sums) ** 2, budget, "sum pairs")
     if not sums:
         return RatSet()
     g = gcd(*sums)
@@ -160,7 +154,7 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
     elif count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
     sums = [(s, m) for s, m in _sum_hist(A1, A2).items() if s != 0]
-    _charge_sum_pairs(len(sums), budget)
+    charge(len(sums) ** 2, budget, "sum pairs")
     weight: Counter = Counter()
     for s, m in sums:
         sign = 1 if s > 0 else -1  # keeps the reduced denominator positive

@@ -239,18 +239,8 @@ class GeneratorConfig:
         return f"Literal(n={len(self.values or ())})"
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("start", "step", "ratio"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = str(v)
-        for key in ("n", "s", "p", "size", "range", "seed"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        if self.values is not None:
-            d["values"] = [str(v) for v in self.values]
-        return d
+        """The `jsonable` form without the fields that are None."""
+        return {key: v for key, v in jsonable(self).items() if v is not None}
 
     @staticmethod
     def from_json(d: dict) -> "GeneratorConfig":

@@ -34,8 +34,9 @@ from addcomb.errors import (
     EmptyCandidateList,
     EmptyHistogram,
     InvalidConfig,
+    NonTermination,
 )
-from addcomb.sets import RatSet, generate, grid_example
+from addcomb.sets import RatSet, affine, generate, grid_example
 
 nonzero_sets = st.builds(
     RatSet,
@@ -166,6 +167,26 @@ def test_xy_postconditions_ap32():
 @settings(max_examples=30, deadline=None)
 def test_xy_postconditions_random(a):
     assert recheck_decomposition(a, xy_decompose(a)) == []
+
+
+@pytest.mark.parametrize("run, message", [
+    (bw_decompose, "energy split exceeded |A| iterations"),
+    (xy_decompose, "cover loop exceeded |A| iterations"),
+])
+def test_extraction_chain_stops_after_size_of_a(monkeypatch, run, message):
+    # an extraction that removes nothing would loop forever: both
+    # decompositions stop after |A| of them
+    empty = RatSet()
+    stuck = ExtractionCertificate(t=1, q1=1, q2=1, P=empty, A1_pop=empty, A2_pop=empty,
+                                  branch="ordinates", E3_input=0, Emul_output=0)
+    calls = []
+    monkeypatch.setattr(decompose, "_extract_core",
+                        lambda rest: calls.append(rest) or stuck)
+    a = RatSet(range(1, 9))
+    with pytest.raises(NonTermination) as exc:
+        run(a)
+    assert str(exc.value) == message
+    assert calls == [a] * len(a)
 
 
 def test_decomposition_result_json_roundtrip():
@@ -390,6 +411,38 @@ def test_best_z_tie_prefers_smaller():
     a = RatSet([1, -1])
     z, val = best_z(a, [Fraction(1), Fraction(-1)])
     assert z == Fraction(-1)
+
+
+def _best_z_cubic(A, candidates):
+    # the definition, n^3 Fraction products per candidate; ties to smaller z
+    best = None
+    for z in sorted(candidates):
+        val = sum(1 for a in A for b in A if z * a * b in A)
+        if best is None or val > best[1]:
+            best = (z, val)
+    return best
+
+
+_dilates = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4)
+                    .filter(lambda v: v != 0), min_size=1, max_size=6)
+
+
+@given(nonzero_sets, st.none() | _dilates)
+@settings(max_examples=80, deadline=None)
+def test_best_z_matches_cubic_oracle(a, cands):
+    assert best_z(a, cands) == _best_z_cubic(a, default_dilates(a) if cands is None
+                                             else set(cands))
+
+
+@given(nonzero_sets, _dilates)
+@settings(max_examples=40, deadline=None)
+def test_best_z_ties_match_cubic_oracle(a, cands):
+    # on a set symmetric about 0, z and -z always reach the same count
+    sym = a.union(affine(a, -1, 0))
+    cands = set(cands) | {-z for z in cands}
+    z, val = best_z(sym, cands)
+    assert (z, val) == _best_z_cubic(sym, cands)
+    assert z < 0
 
 
 def test_best_z_validation():

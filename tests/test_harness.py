@@ -142,6 +142,24 @@ def test_shift_product_report_validation():
 def test_shift_product_report_budget_skip():
     rep = harness.shift_product_report(RatSet([1, 2, 4, 8]), 1, 1, budget=10)
     assert rep["identity"] == "skipped (budget)"
+    # the identity charges (|A| |AA/alpha| |AA/beta|)^2 = (4 * 7 * 7)^2 tuple checks
+    cost = (4 * 7 * 7) ** 2
+    assert harness.shift_product_report(RatSet([1, 2, 4, 8]), 1, 1, cost)["identity"] == "ok"
+    rep = harness.shift_product_report(RatSet([1, 2, 4, 8]), 1, 1, cost - 1)
+    assert rep["identity"] == "skipped (budget)"
+
+
+_nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(lambda v: v != 0)
+
+
+@given(st.lists(_nonzero, min_size=1, max_size=5), _nonzero, _nonzero)
+@settings(max_examples=60, deadline=None)
+def test_triple_sum_size_matches_fraction_brute(vals, alpha, beta):
+    a = RatSet(vals)
+    brute = {x + alpha * y + beta * z for x in a for y in a for z in a}
+    # budget 0 skips the identity; only the sizes are under test here
+    rep = harness.shift_product_report(a, alpha, beta, budget=0)
+    assert rep["triple_sum_size"] == len(brute)
 
 
 def test_baselines_file_present_and_covering():

@@ -159,6 +159,22 @@ def test_generator_config_json_roundtrip():
         assert generate(back) == generate(cfg)
 
 
+@pytest.mark.parametrize("cfg, pinned", [
+    (ap(Fraction(1, 2), Fraction(-1, 3), 12),
+     [("kind", "AP"), ("start", "1/2"), ("step", "-1/3"), ("n", 12)]),
+    (gp(Fraction(2, 3), Fraction(3, 2), 12),
+     [("kind", "GP"), ("start", "2/3"), ("ratio", "3/2"), ("n", 12)]),
+    (grid_example(3, 4), [("kind", "GridExample"), ("s", 3), ("p", 4)]),
+    (random_set(16, 100, 1),
+     [("kind", "Random"), ("size", 16), ("range", 100), ("seed", 1)]),
+    (literal([3, Fraction(-5, 7), 0]), [("kind", "Literal"), ("values", ["3", "-5/7", "0"])]),
+], ids=["AP", "GP", "GridExample", "Random", "Literal"])
+def test_generator_config_json_pinned(cfg, pinned):
+    # the exact dict, key order included, that corpus files have always held
+    assert list(cfg.to_json().items()) == pinned
+    assert GeneratorConfig.from_json(dict(pinned)) == cfg
+
+
 def test_splitmix64_reference_values():
     # published reference sequence for seed 0 (Vigna's splitmix64.c)
     rng = SplitMix64(0)
