@@ -2,11 +2,13 @@
 
 E_k of a pair (A, B) is the k-th moment of the difference (additive) or
 ratio (multiplicative) representation histogram.  Everything here is exact:
-the tallies run on plain ints after clearing denominators once (one common
-scale for A and B), and a `CountHistogram` keeps those int keys, so the
-decompositions band and look up counts without a Fraction per key; only
-its `entries` view turns keys back into Fractions, one per key read.  The
-one genuinely irrational comparison (the l4 union inequality) goes through
+the tallies count the pair keys of `sets.int_keys` (plain ints after
+clearing denominators once, one common scale for A and B), and a
+`CountHistogram` keeps those keys, so the decompositions band and look up
+counts without a Fraction per key; only its `entries` view turns keys
+back into Fractions, one per key read.  `sets` encodes and decodes the
+keys, so this module never looks at their form.  The one genuinely
+irrational comparison (the l4 union inequality) goes through
 outward-rounded interval arithmetic rather than floats.
 """
 
@@ -20,33 +22,26 @@ from typing import Iterable, Optional, Sequence
 
 from . import intervals
 from ._kernels import mul_pairs_count
-from .errors import (
-    DivisionByZero,
-    EmptyCandidateList,
-    InvalidConfig,
-    PostconditionFailed,
-)
+from .errors import EmptyCandidateList, InvalidConfig, PostconditionFailed
 from .sets import (
     RatSet,
     common_scale,
-    from_pairs,
+    from_keys,
     int_keys,
     integerize,
-    key_scale,
     key_value,
+    keys_of,
 )
 
 K_MAX = 8
-
-_OPS = ("diff", "ratio", "sum", "prod")
 
 
 class CountHistogram:
     """Multiplicity map x -> r(x); zero-count values are absent.
 
-    `counts` holds the map on int keys: a key k stands for x = k/den, or,
-    when den is None, the keys are the reduced pairs (p, q) of x = p/q (the
-    ratio histograms).  `CountHistogram(entries)` builds one from a map
+    `counts` holds the map on the pair keys of `sets` over `den` (see
+    `sets.int_keys`); `sets` encodes and decodes them, so nothing here
+    depends on their form.  `CountHistogram(entries)` builds one from a map
     keyed by rationals; `entries` is that map again, as a view that builds
     the Fraction of a key only when it is read.
     """
@@ -86,34 +81,22 @@ class CountHistogram:
         return _Entries(self)
 
     def count(self, x) -> int:
-        x = Fraction(x)
-        if self.den is None:
-            return self.counts.get((x.numerator, x.denominator), 0)
-        k, rem = divmod(x.numerator * self.den, x.denominator)
-        return 0 if rem else self.counts.get(k, 0)
-
-    def _keys_of(self, S: RatSet) -> list:
-        # the key of each element of S, None where no key can stand for it
-        if self.den is None:
-            return [(x.numerator, x.denominator) for x in S]
-        return S.keys_at(self.den)
+        return self.counts_on(RatSet((x,)))[0]
 
     def counts_on(self, S: RatSet) -> list:
         """r(x) for each element x of S, in order."""
         get = self.counts.get
-        return [get(k, 0) for k in self._keys_of(S)]
+        return [get(k, 0) for k in keys_of(S, self.den)]
 
     def restrict(self, S: RatSet) -> "CountHistogram":
         """The histogram with only the counts attained at elements of S."""
         counts = self.counts
         return CountHistogram.on_keys(
-            {k: counts[k] for k in self._keys_of(S) if k in counts}, self.den)
+            {k: counts[k] for k in keys_of(S, self.den) if k in counts}, self.den)
 
     def key_set(self, keys: Iterable) -> RatSet:
         """The RatSet of the values that the distinct keys stand for."""
-        if self.den is None:
-            return from_pairs(keys)
-        return RatSet.from_ints(sorted(keys), self.den)
+        return from_keys(keys, self.den)
 
 
 class _Entries(Mapping):
@@ -146,23 +129,13 @@ class DLowerEstimate:
     witness: RatSet
 
 
-def int_histogram(A: RatSet, B: RatSet, op: str) -> tuple[Counter, int]:
-    """Counts of the `sets.int_keys` keys of a op b over A x B, and the scale."""
-    if op not in _OPS:
-        raise InvalidConfig(f"unknown op {op!r}")
-    if op == "ratio" and 0 in B:
-        raise DivisionByZero("ratio histogram needs 0 not in B")
-    keys, scale = int_keys(A, B, op)
-    return Counter(keys), scale
-
-
 def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
     """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}.
 
-    It keeps the int keys of `int_histogram`: no Fraction is built here.
+    It counts the `sets.int_keys` keys: no Fraction is built here.
     """
-    counts, scale = int_histogram(A, B, op)
-    return CountHistogram.on_keys(counts, key_scale(op, scale))
+    keys, den = int_keys(A, B, op)
+    return CountHistogram.on_keys(Counter(keys), den)
 
 
 def energy_op(k: int, flavor: str) -> str:

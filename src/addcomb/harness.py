@@ -179,12 +179,17 @@ def load_baselines() -> dict:
 # small deterministic generators for the pinned-seed suites
 
 
-def _seeded_rat_set(rng: SplitMix64, size: int, num_range: int = 10,
-                    max_den: int = 3) -> RatSet:
+# numerators of the seeded sets lie in [-SEEDED_NUM_RANGE, SEEDED_NUM_RANGE],
+# denominators in [1, SEEDED_MAX_DEN]
+SEEDED_NUM_RANGE = 10
+SEEDED_MAX_DEN = 3
+
+
+def _seeded_rat_set(rng: SplitMix64, size: int) -> RatSet:
     vals = set()
     while len(vals) < size:
-        num = rng.below(2 * num_range + 1) - num_range
-        den = 1 + rng.below(max_den)
+        num = rng.below(2 * SEEDED_NUM_RANGE + 1) - SEEDED_NUM_RANGE
+        den = 1 + rng.below(SEEDED_MAX_DEN)
         vals.add(Fraction(num, den))
     return RatSet(vals)
 

@@ -215,17 +215,13 @@ class MomentSumReport(Record):
     ratios: tuple  # exact Fractions: sums[i] / (|A1|^(3-p) |A_i|^(p+1))
 
 
-def _triple_family_alphas(A1: RatSet, A2: RatSet, A3: RatSet, budget: int) -> dict:
-    # lines with at least one pairwise-distinct triple (u1, u2, u3),
-    # u_i in A_i x A_i, mapped to their grid counts (n1, n2, n3)
-    scale, (v1, v2, v3) = integerize(A1, A2, A3)
+def _triple_family_alphas(A1: RatSet, A2: RatSet, A3: RatSet, budget: int) -> list:
+    # the grid counts (n1, n2, n3) of each line (distinct, so each once) with
+    # at least one pairwise-distinct triple (u1, u2, u3), u_i in A_i x A_i;
+    # rescaling the plane moves the lines but not their counts
+    _, (v1, v2, v3) = integerize(A1, A2, A3)
     charge((len(v1) * len(v2)) ** 2, budget, "pair checks")
-    # keys are in scaled coordinates; rescale to the original plane:
-    # a*X + b*Y = c with X = scale*x becomes (a*scale, b*scale, c)
-    return {
-        canonical_line(a * scale, b * scale, c): (n1, n2, n3)
-        for a, b, c, n1, n2, n3, _ in _spanned_lines(v1, v2, v3)
-    }
+    return [(n1, n2, n3) for _, _, _, n1, n2, n3, _ in _spanned_lines(v1, v2, v3)]
 
 
 def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
@@ -247,12 +243,12 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
     if family == "triple":
         alphas = _triple_family_alphas(A1, A2, A3, budget)
         sums = tuple(
-            sum(al[i] ** p for al in alphas.values() if al[i] >= 2) for i in range(3)
+            sum(al[i] ** p for al in alphas if al[i] >= 2) for i in range(3)
         )
     elif family == "pairs":
+        charge(sum(len(A) ** 4 for A in sets), budget, "grid point pairs")
         sums_l = []
         for A in sets:
-            charge(len(A) ** 4, budget, "grid point pairs")
             grid = [point(x, y) for x in A for y in A]
             mult = spanned_line_multiplicities(grid)
             sums_l.append(sum(m ** p for m in mult.values() if m >= 2))

@@ -20,6 +20,8 @@ from mpmath.libmp import to_rational
 
 BASE_PREC = 128
 MAX_PREC = 2048
+# digits after the point in every decimal rendering of a report
+DECIMAL_DIGITS = 20
 
 
 @contextmanager
@@ -84,13 +86,13 @@ def decide_leq(
     return None
 
 
-def decimal_bounds(x, digits: int = 20) -> tuple[str, str]:
+def decimal_bounds(x) -> tuple[str, str]:
     """Deterministic decimal rendering of interval endpoints, for reports."""
     lo, hi = bounds(x)
-    return (_decimal(lo, digits), _decimal(hi, digits))
+    return (fraction_decimal(lo), fraction_decimal(hi))
 
 
-def _decimal(f: Fraction, digits: int) -> str:
+def fraction_decimal(f: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     """Round-half-even fixed-point rendering of an exact rational."""
     sign = "-" if f < 0 else ""
     f = abs(f)
@@ -101,10 +103,6 @@ def _decimal(f: Fraction, digits: int) -> str:
         whole += 1
     text = str(whole).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
-def fraction_decimal(f: Fraction, digits: int = 20) -> str:
-    return _decimal(f, digits)
 
 
 def _power_product(term):
@@ -127,7 +125,7 @@ def _power_sum(terms):
     return acc
 
 
-def power_sum_ratio_decimal(numer: int, terms, digits: int = 20) -> tuple[str, str]:
+def power_sum_ratio_decimal(numer: int, terms) -> tuple[str, str]:
     """Decimal endpoints of numer / sum_of_power_products, outward rounded.
 
     terms is a list of terms, each a list of (base, exponent) factors; the
@@ -135,13 +133,13 @@ def power_sum_ratio_decimal(numer: int, terms, digits: int = 20) -> tuple[str, s
     report ratios whose denominators mix fractional powers.
     """
     with _precision(BASE_PREC):
-        return decimal_bounds(iv.mpf(numer) / _power_sum(terms), digits)
+        return decimal_bounds(iv.mpf(numer) / _power_sum(terms))
 
 
-def power_sum_decimal(terms, digits: int = 20) -> tuple[str, str]:
+def power_sum_decimal(terms) -> tuple[str, str]:
     """Decimal endpoints of a sum of power products, outward rounded."""
     with _precision(BASE_PREC):
-        return decimal_bounds(_power_sum(terms), digits)
+        return decimal_bounds(_power_sum(terms))
 
 
 def log_squared_fraction_bounds(n: int) -> tuple[Fraction, Fraction]:

@@ -19,21 +19,17 @@ from math import gcd, lcm
 from typing import Optional
 
 from .core import DEFAULT_BUDGET, charge
-from .energy import int_histogram
+from .energy import rep_histogram
 from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, Record, from_pairs
-
-
-def _sum_hist(A1: RatSet, A2: RatSet) -> Counter:
-    # histogram of a1 + a2 over integerized copies; r(z) is invariant under
-    # the common rescaling because it multiplies both sides of the equation
-    return int_histogram(A1, A2, "sum")[0]
+from .sets import RatSet, Record, from_keys
 
 
 def _r_from_hist(hist, z: Fraction) -> int:
     # r(z) = sum over sums s of h(s) * h(z*s); the s = 0 term contributes
-    # h(0)^2 for every z since z*0 = 0
+    # h(0)^2 for every z since z*0 = 0.  hist may count the sums on any
+    # common rescaling (the int keys of the sum histogram): rescaling
+    # multiplies both sides of s' = z*s alike, so r(z) does not change
     p, q = z.numerator, z.denominator
     total = 0
     for s, m in hist.items():
@@ -47,7 +43,7 @@ def _r_from_hist(hist, z: Fraction) -> int:
 
 def r_of_z(z, A1: RatSet, A2: RatSet) -> int:
     """Exact count of (a1, a1', a2, a2') with a1' + a2' = z (a1 + a2)."""
-    return _r_from_hist(_sum_hist(A1, A2), Fraction(z))
+    return _r_from_hist(rep_histogram(A1, A2, "sum").counts, Fraction(z))
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def ratio_profile(Z: RatSet, A1: RatSet, A2: RatSet) -> RatioProfile:
              + |Z| |A1|^2
       R:     |A1|^(10/3) |A2|^(8/3)
     """
-    hist = _sum_hist(A1, A2)
+    hist = rep_histogram(A1, A2, "sum").counts
     r_map = {z: _r_from_hist(hist, z) for z in Z}
     R = sum(c * c for c in r_map.values())
     sum_r = sum(r_map.values())
@@ -106,7 +102,7 @@ def level_set(Z: RatSet, A1: RatSet, A2: RatSet, t: int) -> RatSet:
     """Z_t = {z in Z : r(z) >= t}, antitone in t."""
     if t < 1:
         raise InvalidConfig("level threshold t must be >= 1")
-    hist = _sum_hist(A1, A2)
+    hist = rep_histogram(A1, A2, "sum").counts
     return Z.select(_r_from_hist(hist, z) >= t for z in Z)
 
 
@@ -125,7 +121,7 @@ def full_ratio_set(A1: RatSet, A2: RatSet,
     are monotone in s', so one merge of those runs, repeats dropped, gives
     the result's ints in order without holding a set of them.
     """
-    sums = sorted(s for s in _sum_hist(A1, A2) if s != 0)
+    sums = sorted(s for s in rep_histogram(A1, A2, "sum").counts if s != 0)
     charge(len(sums) ** 2, budget, "sum pairs")
     if not sums:
         return RatSet()
@@ -153,7 +149,7 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
         count = len(A1) ** 2
     elif count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
-    sums = [(s, m) for s, m in _sum_hist(A1, A2).items() if s != 0]
+    sums = [(s, m) for s, m in rep_histogram(A1, A2, "sum").counts.items() if s != 0]
     charge(len(sums) ** 2, budget, "sum pairs")
     weight: Counter = Counter()
     for s, m in sums:
@@ -166,4 +162,4 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
     mm = max((s * s for s, _ in sums), default=1)
     top = heapq.nsmallest(count, weight.items(),
                           key=lambda kv: (-kv[1], kv[0][0] * mm // kv[0][1]))
-    return from_pairs(pq for pq, _ in top)
+    return from_keys((pq for pq, _ in top), None)

@@ -6,10 +6,12 @@ so each set has one form.  Membership, the set algebra, the pairwise set
 operations (sumset, difference set, product set, ratio set) and the affine
 image all run on ints; Fractions appear only where values are parsed, in the
 generators, and in the lazily built `elements` view that iteration reads.
-The pairwise operations clear denominators once (`int_keys`, which the
-energy histograms share) and hand their distinct keys straight to
-`RatSet.from_ints`.  `integerize` is the one denominator-clearing step that
-every int route uses; on RatSets it is one multiply per element.
+The pairwise operations clear denominators once, and each a op b becomes a
+pair key.  This module is the one home of that key format, which every
+energy histogram shares: `int_keys` encodes, `keys_of` keys the elements
+of a set, and `from_keys` and `key_value` decode.  `integerize` is the one
+denominator-clearing step that every int route uses; on RatSets it is one
+multiply per element.
 
 This module also owns the text formats: rationals as "p/q", set files,
 corpus files, and the JSON form of every result.  `jsonable` is the one
@@ -204,13 +206,6 @@ class RatSet:
             raise DivisionByZero(f"{context}: set contains 0")
 
 
-def from_pairs(pairs: Iterable[tuple[int, int]]) -> RatSet:
-    """The RatSet of the values p/q of distinct reduced pairs (p, q), q > 0."""
-    pairs = list(pairs)
-    scale = lcm(*{q for _, q in pairs})
-    return RatSet.from_ints(sorted(p * (scale // q) for p, q in pairs), scale)
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Declarative description of a set; serializes to/from plain JSON."""
@@ -331,20 +326,10 @@ def generate(config: GeneratorConfig) -> RatSet:
 
 
 def set_op(a: RatSet, b: RatSet, op: str) -> RatSet:
-    """Pairwise sumset / difference set / product set / ratio set.
-
-    The pairs run on cleared-denominator ints (`int_keys`), and the
-    distinct keys are the result's ints: at scale s (sum, diff) or s^2
-    (prod), or as reduced pairs (ratio).
-    """
-    if op not in ("sum", "diff", "prod", "ratio"):
-        raise InvalidConfig(f"unknown set operation {op!r}")
-    if op == "ratio":
-        b.require_nonzero("ratio set")
-    keys, scale = int_keys(a, b, op)
-    if op == "ratio":
-        return from_pairs(set(keys))
-    return RatSet.from_ints(sorted(set(keys)), key_scale(op, scale))
+    """Pairwise sumset / difference set / product set / ratio set: the
+    values of the distinct `int_keys` keys of a op b."""
+    keys, den = int_keys(a, b, op)
+    return from_keys(set(keys), den)
 
 
 def affine(a: RatSet, scale, shift) -> RatSet:
@@ -477,38 +462,54 @@ def integerize(*sets: Iterable) -> tuple[int, list[list[int]]]:
     return scale, [scaled_ints(a, scale) for a in sets]
 
 
-def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int]:
-    """Keys of a op b over A x B on cleared-denominator ints, and the scale.
+# ---------------------------------------------------------------------------
+# Pair keys: the one int form of the values a op b, read by set_op and by
+# every representation histogram.  A key over den is an int k for k/den, or,
+# when den is None (ratios), a reduced pair (p, q) with q > 0 for p/q.
+
+def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int | None]:
+    """Keys of a op b over A x B on cleared-denominator ints, and their den.
 
     With s = common_scale(A, B) and a, b the scaled ints, the keys are
-    a -/+ b for diff/sum (value k/s), a*b for prod (value k/s^2), and the
-    reduced pair (p, q) with q > 0 for ratio (value p/q; 0 must not be in
-    B).  Pairs run A-major, so each key first appears where the Fraction
-    loop would put it.  Callers check `op` and the zero divisor.
+    a -/+ b for diff/sum (den s), a*b for prod (den s^2), and the reduced
+    pair (a/g, b/g) for ratio (den None).  Pairs run A-major, so each key
+    first appears where the Fraction loop would put it.  InvalidConfig if
+    op is none of these, DivisionByZero for a ratio with 0 in B.
     """
+    if op not in ("sum", "diff", "prod", "ratio"):
+        raise InvalidConfig(f"unknown set operation {op!r}")
+    if op == "ratio":
+        B.require_nonzero("ratio set")
     scale, (xs, ys) = integerize(A, B)
     if op == "diff":
-        keys = (a - b for a in xs for b in ys)
-    elif op == "sum":
-        keys = (a + b for a in xs for b in ys)
-    elif op == "prod":
-        keys = (a * b for a in xs for b in ys)
-    else:
-        keys = ((a // g, b // g) for a in xs for b in ys
-                for g in (gcd(a, b) if b > 0 else -gcd(a, b),))
-    return keys, scale
+        return (a - b for a in xs for b in ys), scale
+    if op == "sum":
+        return (a + b for a in xs for b in ys), scale
+    if op == "prod":
+        return (a * b for a in xs for b in ys), scale * scale
+    return ((a // g, b // g) for a in xs for b in ys
+            for g in (gcd(a, b) if b > 0 else -gcd(a, b),)), None
 
 
-def key_scale(op: str, scale: int) -> int | None:
-    """What an `int_keys` key k stands for: k/den with the den returned
-    (s^2 for prod, s otherwise); None for ratio, whose keys are pairs."""
-    if op == "ratio":
-        return None
-    return scale * scale if op == "prod" else scale
+def keys_of(S: RatSet, den: int | None) -> list:
+    """The key over den of each element of S, in order; None where no key
+    stands for the element."""
+    if den is None:
+        return [(x.numerator, x.denominator) for x in S]
+    return S.keys_at(den)
+
+
+def from_keys(keys: Iterable, den: int | None) -> RatSet:
+    """The RatSet of the values that the distinct keys over den stand for."""
+    if den is None:
+        keys = list(keys)
+        den = lcm(*{q for _, q in keys})
+        keys = [p * (den // q) for p, q in keys]
+    return RatSet.from_ints(sorted(keys), den)
 
 
 def key_value(den: int | None):
-    """The map from a key over den (see `key_scale`) back to its Fraction."""
+    """The map from a key over den back to its Fraction."""
     if den is None:
         return lambda pq: Fraction(*pq)
     return lambda k: Fraction(k, den)

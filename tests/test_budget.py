@@ -85,9 +85,8 @@ ENTRY_POINTS = {
                        "sum pairs"),
     "line_moment_sums-triple": (lambda bud: line_moment_sums(A, B, C, 2, "triple", bud),
                                 (2 * 3) ** 2, "pair checks"),
-    # each grid is charged on its own; the largest, |C|^4, is the one that binds
     "line_moment_sums-pairs": (lambda bud: line_moment_sums(A, B, C, 2, "pairs", bud),
-                               4 ** 4, "grid point pairs"),
+                               2 ** 4 + 3 ** 4 + 4 ** 4, "grid point pairs"),
 }
 
 
