@@ -2,8 +2,11 @@
 
 These are the hot inner loops, expressed over plain Python ints, so they
 are exact at any magnitude; _kernels re-exports the ones callers use.
-t_o_linehash counts by pivot directions, while _spanned_lines hashes every
-spanned line, so the line census is its independent check.
+t_o_linehash counts by pivot slope keys, while _spanned_lines hashes every
+spanned line, so the line census is its independent check.  t_o_linehash
+and both mul_pairs kernels match parallel vectors through
+`_direction_hist`, which keys a vector (u, v) by the exact int slope key
+v*m // u, with one m >= D**2 per call for D a bound on |u|; no gcd is taken.
 count_incidences packs all points into fixed-width slots of two bigints and
 tests every point against a line with one linear form on those ints; its
 checks are the Fraction recount `LineKey.contains` and a direct double loop
@@ -13,6 +16,7 @@ every routine here assumes integer inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 from typing import Sequence
 
@@ -130,10 +134,12 @@ def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
 def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
     """Ordered pairwise-distinct collinear triples (u1,u2,u3), ui in gi x gi.
 
-    Pivot-direction counting: for each pivot u1 in g1 x g1, histogram the
-    primitive directions from u1 to the points of g2 x g2 and of g3 x g3
-    (u1 itself, the zero direction, is dropped).  Points u2 != u1 and
-    u3 != u1 are collinear with u1 iff their directions match, so the pivot
+    Pivot slope-key counting: for each pivot u1 in g1 x g1, histogram the
+    slope keys of the vectors from u1 to the points of g2 x g2 and of
+    g3 x g3 (u1 itself, the zero vector, is dropped).  Every such vector's
+    x component is at most the span D of g1 | g2 | g3 in size, so with
+    m = D**2, computed once per call, points u2 != u1 and u3 != u1 are
+    collinear with u1 iff their keys match (`_direction_hist`).  The pivot
     contributes sum_d c2(d) c3(d) minus the pairs with u2 == u3, which are
     the points of (g2 & g3)^2 other than u1.  Equal g2 and g3 need one
     histogram and sum_d c(d) (c(d) - 1).  Swapping coordinates maps every
@@ -144,6 +150,8 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
     The name matches the "linehash" mode of collinear.t_o_count.
     """
     l1, l2, l3 = list(g1), list(g2), list(g3)
+    union = l1 + l2 + l3
+    m = (max(union, default=0) - min(union, default=0)) ** 2
     same = set(l2) == set(l3)
     shared = set(l2) & set(l3)
     n_shared = len(shared) ** 2
@@ -154,11 +162,11 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
         x_shared = x in shared
         for j in range(i, len(l1)):
             y = l1[j]
-            h2 = _direction_hist(d2x, [b - y for b in l2])[0]
+            h2 = _direction_hist(d2x, [b - y for b in l2], m)[0]
             if same:
                 count = sum(c * (c - 1) for c in h2.values())
             else:
-                h3 = _direction_hist(d3x, [b - y for b in l3])[0]
+                h3 = _direction_hist(d3x, [b - y for b in l3], m)[0]
                 if len(h2) > len(h3):
                     h2, h3 = h3, h2
                 get = h3.get
@@ -225,30 +233,38 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
     return n * len(las) - off
 
 
-def _direction_hist(us, vs):
-    # histogram of primitive direction vectors (u, v) over us x vs;
-    # the zero vector (0,0) is tallied separately
-    hist: dict = {}
-    zero_pairs = 0
-    for u in us:
-        for v in vs:
-            if u == 0 and v == 0:
-                zero_pairs += 1
-                continue
-            g = gcd(u, v)
-            if u < 0 or (u == 0 and v < 0):
-                g = -g
-            key = (u // g, v // g)
-            hist[key] = hist.get(key, 0) + 1
+def _direction_hist(us, vs, m):
+    """Histogram of the slope keys of the vectors (u, v) over us x vs.
+
+    The key of (u, v) is v*m // u for u != 0 and None for a vertical vector
+    (u == 0, v != 0); the zero vector (0, 0) is tallied apart.  Returns
+    (hist, zero_pairs).
+
+    Lemma: if every |u| over the histograms compared is at most D and
+    m >= D**2, two nonzero vectors have equal keys iff they are parallel.
+    Parallel vectors have equal slopes v/u, so equal keys, and the key
+    floor(m*v/u) does not depend on the sign of (u, v).  Two distinct
+    slopes differ by |v u' - v' u| / |u u'| >= 1/D**2, so m times them
+    differ by at least 1 and their floors differ.  A vertical vector's key
+    None matches only the other vertical ones.  No gcd is needed.
+    """
+    vms = [v * m for v in vs]
+    hist = Counter([vm // u for u in us if u for vm in vms])
+    on_axis = us.count(0) * len(vs)
+    zero_pairs = us.count(0) * vs.count(0)
+    if on_axis > zero_pairs:
+        hist[None] = on_axis - zero_pairs
     return hist, zero_pairs
 
 
 def _parallel_pairs(x1, x2, y1, y2) -> int:
     # #{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c}: the vectors (a,b)
-    # and (c,d) are parallel iff their primitive directions match, and the
-    # zero vector is parallel to everything
-    hx, zx = _direction_hist(x1, x2)
-    hy, zy = _direction_hist(y1, y2)
+    # and (c,d) are parallel iff their slope keys match, with m = D**2 for
+    # D = max |.| over x1 and y1, and the zero vector is parallel to
+    # everything
+    m = max(map(abs, [*x1, *y1]), default=0) ** 2
+    hx, zx = _direction_hist(x1, x2, m)
+    hy, zy = _direction_hist(y1, y2, m)
     total = zx * len(y1) * len(y2) + zy * len(x1) * len(x2) - zx * zy
     if len(hx) > len(hy):
         hx, hy = hy, hx
@@ -264,7 +280,8 @@ def mul_pairs_count(x: Sequence[int], y: Sequence[int]) -> int:
     """#{(x1,x2,y1,y2) in x^2 * y^2 : x1*y2 == x2*y1}, zeros allowed.
 
     Two pairs satisfy the equation iff they are parallel as vectors, so
-    hash primitive directions and match; the zero vector matches everything.
+    histogram their slope keys (`_direction_hist`, m = max |.|**2 over x
+    and y) and match; the zero vector matches everything.
     """
     return _parallel_pairs(x, x, y, y)
 

@@ -8,8 +8,9 @@ so a line meeting each grid in the same 3 points contributes 3! = 6.
 Both a brute-force oracle and a fast path are provided and must agree
 exactly; the fast path is never trusted on its own.  The fast path (mode
 "linehash", a name kept from the line-materialising route it replaced) is
-pivot-direction counting: it histograms, for each point of the smallest
-grid, the directions to the points of the other two, in
+pivot slope-key counting: it histograms, for each point of the smallest
+grid, the exact int slope keys of the vectors to the points of the other
+two, in
 O(|A1|^2 (|A2|^2 + |A3|^2)) time and O(|A2|^2 + |A3|^2) memory.
 `triple_count_report` takes T_o from it and T as T_o plus the closed-form
 `coincident_tuples`; the oracle suite checks that sum against the brute

@@ -63,9 +63,11 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection on the top multiple of n."""
-        if n <= 0:
-            raise InvalidConfig("bound must be positive")
+        """Uniform integer in [0, n) by rejection on the top multiple of n.
+
+        One draw holds 64 bits, so n must lie in [1, 2**64]."""
+        if not 1 <= n <= 1 << 64:
+            raise InvalidConfig("bound must be in [1, 2**64]")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()
@@ -311,8 +313,9 @@ def generate(config: GeneratorConfig) -> RatSet:
             or config.seed is None
             or config.size < 1
             or config.range < config.size
+            or config.range > 1 << 64
         ):
-            raise InvalidConfig("Random needs size >= 1, range >= size, seed")
+            raise InvalidConfig("Random needs size >= 1, size <= range <= 2**64, seed")
         rng = SplitMix64(config.seed)
         chosen: set[int] = set()
         while len(chosen) < config.size:

@@ -135,6 +135,18 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_random_range_above_two_to_64_is_an_error(tmp_path, capsys):
+    # in-process: a range no 64-bit draw can cover once looped forever
+    out = tmp_path / "r.txt"
+    assert run(["gen", "--kind", "Random", "--size", "3",
+                "--range", str(2**64 + 1), "--seed", "1", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["gen", "--kind", "Random", "--size", "3",
+                "--range", str(2**64), "--seed", "1", "--out", str(out)]) == 0
+    assert len(read_set_file(out)) == 3
+
+
 def test_json_to_stdout(tmp_path, capsys):
     s = tmp_path / "s.txt"
     s.write_text("1\n2\n")

@@ -4,10 +4,17 @@ No kernel is checked against a second copy of itself:
 
 - collinear_six_counts: its total equals the shift identity, a sum over
   pivots (a1, a2) of mul_pairs_cross on shifted lists, and its distinct
-  count equals the pivot-direction t_o_linehash;
+  count equals the pivot slope-key t_o_linehash;
 - t_o_linehash: equals the line census `_spanned_lines`, on random small
   lists and at sizes where the n^6 brute force is too slow;
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop;
+- `_direction_hist`, the slope-key histogram behind t_o_linehash and both
+  mul_pairs kernels: has the class sizes and zero tally of the gcd
+  primitive-direction histogram kept here as its reference, and Farey
+  neighbours at the span pin its m >= D**2 precondition (a smaller m merges
+  them).  mul_pairs_count no longer shares the gcd pair reduction with the
+  ratio histogram of `sets.int_keys`, so the "E_mul hist vs product form"
+  check of the benchmark now compares two different keyings;
 - count_incidences (packed slots): equals a direct double loop on raw
   parallel arrays (duplicate points and lines, non-reduced lines, a = 0 or
   b = 0, magnitudes up to 2**70, largest |aX + bY - c| at the slot-width
@@ -15,11 +22,14 @@ No kernel is checked against a second copy of itself:
   points with non-integer coordinates.
 
 Inputs are small signed ints, mapped by x -> s*x + t with s and t far past
-int64 as well, where every kernel must stay exact.
+int64 as well, where every kernel must stay exact (the slope keys of the
+2**61-scaled lists reach about 2**210).
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +123,75 @@ def test_count_incidences_equivalent(coords, lines, s):
     arr = Arrangement.build(pts, lns)
     assert incidences(arr) == sum(
         l.contains(p) for l in arr.lines for p in arr.points)
+
+
+def _primitive_direction_hist(us, vs):
+    # the reference keying: (u, v) divided by its gcd, signed so that the
+    # first nonzero entry is positive; the zero vector is tallied apart
+    hist = Counter()
+    zero_pairs = 0
+    for u in us:
+        for v in vs:
+            if u == 0 and v == 0:
+                zero_pairs += 1
+                continue
+            g = gcd(u, v)
+            if u < 0 or (u == 0 and v < 0):
+                g = -g
+            hist[u // g, v // g] += 1
+    return hist, zero_pairs
+
+
+def _class_sizes(hist_and_zero):
+    hist, zero_pairs = hist_and_zero
+    return sorted(hist.values()), zero_pairs
+
+
+@given(int_lists, int_lists, ints, ints, st.booleans(), st.booleans(), affine_maps)
+@settings(max_examples=200, deadline=None)
+def test_direction_hist_matches_primitive_directions(xs, ys, p, q, p_in, q_in, m):
+    # vectors from a pivot (p, q) as t_o_linehash forms them; a pivot
+    # coordinate in its list gives vertical vectors and the zero vector
+    p = xs[0] if p_in else p
+    q = ys[-1] if q_in else q
+    xs, ys = _affine(xs + [p], m), _affine(ys + [q], m)
+    us = [x - xs[-1] for x in xs[:-1]]
+    vs = [y - ys[-1] for y in ys[:-1]]
+    d = max(map(abs, us))
+    assert _class_sizes(_kernels_py._direction_hist(us, vs, d * d)) == _class_sizes(
+        _primitive_direction_hist(us, vs))
+
+
+def _farey_pairs(d):
+    # slopes 1/d, 1/(d-1) and (d-1)/d, (d-2)/(d-1): neighbours in the Farey
+    # sequence of order d, so they differ by 1/(d (d-1)), about 1/D**2
+    return [((d, 1), (d - 1, 1)), ((d, d - 1), (d - 1, d - 2))]
+
+
+def test_slope_keys_need_m_at_least_d_squared():
+    # the bare key v*m // u: m = D**2 keeps the neighbours apart, while
+    # m = D**2 / 4 merges both pairs at D = 10
+    for (u, v), (u2, v2) in _farey_pairs(10):
+        assert v * 100 // u != v2 * 100 // u2
+        assert v * 25 // u == v2 * 25 // u2   # 25 // 10 == 25 // 9 == 2
+    # so _direction_hist with the smaller m tallies two directions as one
+    assert sorted(_kernels_py._direction_hist([10, 9], [1], 25)[0].values()) == [2]
+    assert sorted(_kernels_py._direction_hist([10, 9], [1], 100)[0].values()) == [1, 1]
+    for d in range(3, 41):
+        # the grid {0, 1, d-2, d-1, d} spans d and, from the pivot (0, 0),
+        # holds the vectors (d, 1), (d-1, 1), (d, d-1) and (d-1, d-2); the
+        # unequal triple keeps the span at d
+        g = sorted({0, 1, d - 2, d - 1, d})
+        assert _kernels.t_o_linehash(g, g, g) == _census_t_o(g, g, g)
+        h = sorted({0, 2, d - 1})
+        assert _kernels.t_o_linehash(h, g, g) == _census_t_o(h, g, g)
+        assert _kernels.t_o_linehash(g, h, g) == _census_t_o(g, h, g)
+        for (u, v), (u2, v2) in _farey_pairs(d):
+            assert v * d * d // u != v2 * d * d // u2
+            x1, x2, y1, y2 = [u, u2], [v, v2, 0], [u2, -u], [v2, -v, 1]
+            direct = sum(a * dd == b * c for a in x1 for b in x2
+                         for c in y1 for dd in y2)
+            assert _kernels_py.mul_pairs_cross(x1, x2, y1, y2) == direct
 
 
 @given(signed_lists, signed_lists, signed_lists, signed_lists, scales)

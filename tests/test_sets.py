@@ -189,6 +189,23 @@ def test_splitmix64_below_unbiased_range():
     assert set(vals) == set(range(7))
 
 
+def test_splitmix64_below_bounds_one_draw():
+    # n = 2**64 takes every draw; above it no draw could be accepted, so
+    # the call must refuse instead of looping
+    assert SplitMix64(0).below(1 << 64) == 0xE220A8397B1DCDAF
+    assert SplitMix64(0).below(1) == 0
+    for n in (0, -1, (1 << 64) + 1, 1 << 70):
+        with pytest.raises(InvalidConfig, match="2\\*\\*64"):
+            SplitMix64(0).below(n)
+
+
+def test_generate_random_range_at_most_two_to_64():
+    top = generate(random_set(3, 1 << 64, 1))
+    assert len(top) == 3 and all(1 <= x <= 1 << 64 for x in top)
+    with pytest.raises(InvalidConfig, match="range <= 2\\*\\*64"):
+        generate(random_set(3, (1 << 64) + 1, 1))
+
+
 def test_rational_text_roundtrip():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-5, 7)) == "-5/7"
