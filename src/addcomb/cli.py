@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from fractions import Fraction
 
 from . import decompose as dec
 from . import harness, ratios
@@ -123,7 +122,7 @@ def _cmd_incidence(args) -> int:
 def _cmd_decompose(args) -> int:
     (A,) = _load_sets(args.set, 1, "decompose")
     if args.mode == "bw":
-        M = "auto" if args.M == "auto" else Fraction(args.M)
+        M = "auto" if args.M == "auto" else parse_rational(args.M)
         res = dec.bw_decompose(A, M)
     else:
         res = dec.xy_decompose(A)

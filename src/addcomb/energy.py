@@ -3,13 +3,12 @@
 E_k of a pair (A, B) is the k-th moment of the difference (additive) or
 ratio (multiplicative) representation histogram.  Everything here is exact:
 the tallies count the pair keys of `sets.int_keys` (plain ints after
-clearing denominators once, one common scale for A and B), and a
-`CountHistogram` keeps those keys, so the decompositions band and look up
-counts without a Fraction per key; only its `entries` view turns keys
-back into Fractions, one per key read.  `sets` encodes and decodes the
-keys, so this module never looks at their form.  The one genuinely
-irrational comparison (the l4 union inequality) goes through
-outward-rounded interval arithmetic rather than floats.
+clearing denominators once; each key k stands for k/den, with one den per
+histogram, quotients included), and a `CountHistogram` keeps those keys,
+so the decompositions band and look up counts without a Fraction per key;
+only its `entries` view turns keys back into Fractions, one per key read.
+The one genuinely irrational comparison (the l4 union inequality) goes
+through outward-rounded interval arithmetic rather than floats.
 """
 
 from __future__ import annotations
@@ -23,15 +22,7 @@ from typing import Iterable, Optional, Sequence
 from . import intervals
 from ._kernels import mul_pairs_count
 from .errors import EmptyCandidateList, InvalidConfig, PostconditionFailed
-from .sets import (
-    RatSet,
-    common_scale,
-    from_keys,
-    int_keys,
-    integerize,
-    key_value,
-    keys_of,
-)
+from .sets import RatSet, common_scale, from_keys, int_keys, integerize
 
 K_MAX = 8
 
@@ -39,11 +30,12 @@ K_MAX = 8
 class CountHistogram:
     """Multiplicity map x -> r(x); zero-count values are absent.
 
-    `counts` holds the map on the pair keys of `sets` over `den` (see
-    `sets.int_keys`); `sets` encodes and decodes them, so nothing here
-    depends on their form.  `CountHistogram(entries)` builds one from a map
-    keyed by rationals; `entries` is that map again, as a view that builds
-    the Fraction of a key only when it is read.
+    `counts` holds the map on the int pair keys of `sets.int_keys`, each
+    key k standing for k/den, for every op alike (quotients included): an
+    element x of a set keys as x*den, and `sets.from_keys` decodes.
+    `CountHistogram(entries)` builds one from a map keyed by rationals;
+    `entries` is that map again, as a view that builds the Fraction of a
+    key only when it is read.
     """
 
     __slots__ = ("counts", "den")
@@ -55,7 +47,7 @@ class CountHistogram:
                        for x, r in entries.items()}
 
     @classmethod
-    def on_keys(cls, counts: dict, den: Optional[int]) -> "CountHistogram":
+    def on_keys(cls, counts: dict, den: int) -> "CountHistogram":
         """The histogram of `counts` on int keys over den (see above)."""
         out = cls.__new__(cls)
         out.counts, out.den = counts, den
@@ -86,13 +78,13 @@ class CountHistogram:
     def counts_on(self, S: RatSet) -> list:
         """r(x) for each element x of S, in order."""
         get = self.counts.get
-        return [get(k, 0) for k in keys_of(S, self.den)]
+        return [get(k, 0) for k in S.keys_at(self.den)]
 
     def restrict(self, S: RatSet) -> "CountHistogram":
         """The histogram with only the counts attained at elements of S."""
         counts = self.counts
         return CountHistogram.on_keys(
-            {k: counts[k] for k in keys_of(S, self.den) if k in counts}, self.den)
+            {k: counts[k] for k in S.keys_at(self.den) if k in counts}, self.den)
 
     def key_set(self, keys: Iterable) -> RatSet:
         """The RatSet of the values that the distinct keys stand for."""
@@ -114,7 +106,8 @@ class _Entries(Mapping):
         return r
 
     def __iter__(self):
-        return map(key_value(self._hist.den), self._hist.counts)
+        den = self._hist.den
+        return (Fraction(k, den) for k in self._hist.counts)
 
     def __len__(self) -> int:
         return len(self._hist.counts)

@@ -11,18 +11,18 @@ R is defined as the sum of r(z)^2 over z in Z.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional
 
 from .core import DEFAULT_BUDGET, charge
 from .energy import rep_histogram
 from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, Record, from_keys
+from .sets import RatSet, Record
 
 
 def _r_from_hist(hist, z: Fraction) -> int:
@@ -106,30 +106,44 @@ def level_set(Z: RatSet, A1: RatSet, A2: RatSet, t: int) -> RatSet:
     return Z.select(_r_from_hist(hist, z) >= t for z in Z)
 
 
+def _quotients(A1: RatSet, A2: RatSet, budget: int):
+    """(scale, zs): each quotient z = s'/s of nonzero sums of A1 + A2 once,
+    in ascending z, as (z*scale, weight), weight = sum of h(s) h(s') over
+    its pairs of sums.  Charges |nonzero sums|^2 "sum pairs".
+
+    No quotient becomes a Fraction.  With g the gcd of the sums and
+    u = s/g, scale = lcm(|u|) and s'/s = u' (scale/u) / scale.  For each s
+    these ints are monotone in s', so one merge of those |sums| runs makes
+    equal quotients adjacent without a table of them.
+    """
+    hist = rep_histogram(A1, A2, "sum").counts
+    sums = sorted(s for s in hist if s != 0)
+    charge(len(sums) ** 2, budget, "sum pairs")
+    g = gcd(*sums) or 1  # 0 only when there are no sums
+    up = [(s // g, hist[s]) for s in sums]
+    down = up[::-1]
+    scale = lcm(*(u for u, _ in up))
+
+    def run(u, h):
+        m = scale // u
+        return ((v * m, h * hv) for v, hv in (up if u > 0 else down))
+
+    merged = heapq.merge(*(run(u, h) for u, h in up), key=itemgetter(0))
+    return scale, ((k, sum(w for _, w in grp))
+                   for k, grp in groupby(merged, key=itemgetter(0)))
+
+
 def full_ratio_set(A1: RatSet, A2: RatSet,
                    budget: int = DEFAULT_BUDGET) -> RatSet:
     """All quotients of nonzero sums: {s'/s : s, s' in A1+A2, both != 0}.
 
     These are exactly the z whose r(z) exceeds the ever-present zero-sum
     diagonal contribution; z realized only through 0/0 pairs are excluded
-    (every rational would qualify once a zero sum exists).  The quotients
-    charge |nonzero sums|^2 against the budget.
-
-    No quotient becomes a Fraction.  With g the gcd of the sums and
-    u = s/g, the lcm of the reduced denominators of the s'/s is
-    L = lcm(|u|), and s'/s = u' (L/u) / L.  For each s the ints u' (L/u)
-    are monotone in s', so one merge of those runs, repeats dropped, gives
-    the result's ints in order without holding a set of them.
+    (every rational would qualify once a zero sum exists).  The keys come
+    in order from `_quotients`, which charges |nonzero sums|^2.
     """
-    sums = sorted(s for s in rep_histogram(A1, A2, "sum").counts if s != 0)
-    charge(len(sums) ** 2, budget, "sum pairs")
-    if not sums:
-        return RatSet()
-    g = gcd(*sums)
-    units = [s // g for s in sums]
-    scale = lcm(*units)
-    runs = [map((scale // u).__mul__, units if u > 0 else units[::-1]) for u in units]
-    return RatSet.from_ints([k for k, _ in groupby(heapq.merge(*runs))], scale)
+    scale, zs = _quotients(A1, A2, budget)
+    return RatSet.from_ints([k for k, _ in zs], scale)
 
 
 def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
@@ -138,28 +152,19 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
 
     Ordered by r(z) descending, then z ascending, so the selection is
     deterministic; default count is |A1|^2, an explicit count must be >= 1.
-    One weighted pass over ordered pairs (s, s') of nonzero sums adds
-    h(s) h(s') under the reduced key of s'/s.  That weight is r(z) - h(0)^2:
-    the zero-sum diagonal adds h(0)^2 to every z alike, so it cannot change
-    the order, and z = 0 or z reached only through 0/0 are never candidates
-    (as in `full_ratio_set`).  The pass charges |nonzero sums|^2 against
-    the budget.
+    The candidates and weights come from `_quotients`; a weight is
+    r(z) - h(0)^2, and the zero-sum diagonal adds h(0)^2 to every z alike,
+    so it cannot change the order; z = 0 or z reached only through 0/0 are
+    never candidates (as in `full_ratio_set`).  The quotients arrive
+    z-ascending and the top-`count` pick is stable, so ties stay in z
+    order.  Memory is O(|nonzero sums| + count); the merge's heap makes it
+    slower than a table of every quotient would be.  The pass charges
+    |nonzero sums|^2 against the budget.
     """
     if count is None:
         count = len(A1) ** 2
     elif count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
-    sums = [(s, m) for s, m in rep_histogram(A1, A2, "sum").counts.items() if s != 0]
-    charge(len(sums) ** 2, budget, "sum pairs")
-    weight: Counter = Counter()
-    for s, m in sums:
-        sign = 1 if s > 0 else -1  # keeps the reduced denominator positive
-        for sp, mp in sums:
-            g = sign * gcd(sp, s)
-            weight[sp // g, s // g] += m * mp
-    # distinct p/q with q <= M differ by at least 1/M^2, so p*M^2 // q is an
-    # exact int stand-in for z when ranking (M = largest |nonzero sum|)
-    mm = max((s * s for s, _ in sums), default=1)
-    top = heapq.nsmallest(count, weight.items(),
-                          key=lambda kv: (-kv[1], kv[0][0] * mm // kv[0][1]))
-    return from_keys((pq for pq, _ in top), None)
+    scale, zs = _quotients(A1, A2, budget)
+    top = heapq.nsmallest(count, zs, key=lambda kw: -kw[1])
+    return RatSet.from_ints(sorted(k for k, _ in top), scale)

@@ -7,11 +7,12 @@ operations (sumset, difference set, product set, ratio set) and the affine
 image all run on ints; Fractions appear only where values are parsed, in the
 generators, and in the lazily built `elements` view that iteration reads.
 The pairwise operations clear denominators once, and each a op b becomes a
-pair key.  This module is the one home of that key format, which every
-energy histogram shares: `int_keys` encodes, `keys_of` keys the elements
-of a set, and `from_keys` and `key_value` decode.  `integerize` is the one
-denominator-clearing step that every int route uses; on RatSets it is one
-multiply per element.
+pair key: one int k over one denominator den for all four ops, quotients
+included, standing for k/den.  This module is the one home of that key
+format, which every energy histogram shares: `int_keys` encodes, a set's
+elements key as `RatSet.keys_at(den)`, and `from_keys` decodes.
+`integerize` is the one denominator-clearing step that every int route
+uses; on RatSets it is one multiply per element.
 
 This module also owns the text formats: rationals as "p/q", set files,
 corpus files, and the JSON form of every result.  `jsonable` is the one
@@ -467,17 +468,18 @@ def integerize(*sets: Iterable) -> tuple[int, list[list[int]]]:
 
 # ---------------------------------------------------------------------------
 # Pair keys: the one int form of the values a op b, read by set_op and by
-# every representation histogram.  A key over den is an int k for k/den, or,
-# when den is None (ratios), a reduced pair (p, q) with q > 0 for p/q.
+# every representation histogram.  A key over den is an int k for k/den.
 
-def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int | None]:
+def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int]:
     """Keys of a op b over A x B on cleared-denominator ints, and their den.
 
     With s = common_scale(A, B) and a, b the scaled ints, the keys are
-    a -/+ b for diff/sum (den s), a*b for prod (den s^2), and the reduced
-    pair (a/g, b/g) for ratio (den None).  Pairs run A-major, so each key
-    first appears where the Fraction loop would put it.  InvalidConfig if
-    op is none of these, DivisionByZero for a ratio with 0 in B.
+    a -/+ b for diff/sum (den s) and a*b for prod (den s^2).  For ratio,
+    den = lcm(b) and the key of a/b is a*(den//b): exact, without a gcd,
+    and one key per value, though a key has about as many bits as that
+    lcm.  Pairs run A-major, so each key first appears where the Fraction
+    loop would put it.  InvalidConfig if op is none of these,
+    DivisionByZero for a ratio with 0 in B.
     """
     if op not in ("sum", "diff", "prod", "ratio"):
         raise InvalidConfig(f"unknown set operation {op!r}")
@@ -490,29 +492,11 @@ def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int | None]:
         return (a + b for a in xs for b in ys), scale
     if op == "prod":
         return (a * b for a in xs for b in ys), scale * scale
-    return ((a // g, b // g) for a in xs for b in ys
-            for g in (gcd(a, b) if b > 0 else -gcd(a, b),)), None
+    den = lcm(*ys)
+    ms = [den // b for b in ys]
+    return (a * m for a in xs for m in ms), den
 
 
-def keys_of(S: RatSet, den: int | None) -> list:
-    """The key over den of each element of S, in order; None where no key
-    stands for the element."""
-    if den is None:
-        return [(x.numerator, x.denominator) for x in S]
-    return S.keys_at(den)
-
-
-def from_keys(keys: Iterable, den: int | None) -> RatSet:
+def from_keys(keys: Iterable, den: int) -> RatSet:
     """The RatSet of the values that the distinct keys over den stand for."""
-    if den is None:
-        keys = list(keys)
-        den = lcm(*{q for _, q in keys})
-        keys = [p * (den // q) for p, q in keys]
     return RatSet.from_ints(sorted(keys), den)
-
-
-def key_value(den: int | None):
-    """The map from a key over den back to its Fraction."""
-    if den is None:
-        return lambda pq: Fraction(*pq)
-    return lambda k: Fraction(k, den)

@@ -90,6 +90,15 @@ def test_decompose_and_regularize(tmp_path, capsys):
     assert "steps=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["abc", "1/0"])
+def test_decompose_bad_m_is_an_error_line(bad, tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n3\n")
+    assert main(["decompose", "--set", str(s), "--M", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: not a rational: {bad!r}"], err
+
+
 def test_incidence_arrangement_file(tmp_path, capsys):
     from addcomb.core import canonical_line, point
     from addcomb.incidence import Arrangement, write_arrangement

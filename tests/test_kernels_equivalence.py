@@ -12,9 +12,10 @@ No kernel is checked against a second copy of itself:
   mul_pairs kernels: has the class sizes and zero tally of the gcd
   primitive-direction histogram kept here as its reference, and Farey
   neighbours at the span pin its m >= D**2 precondition (a smaller m merges
-  them).  mul_pairs_count no longer shares the gcd pair reduction with the
-  ratio histogram of `sets.int_keys`, so the "E_mul hist vs product form"
-  check of the benchmark now compares two different keyings;
+  them).  mul_pairs_count keys by slope, while the ratio histogram of
+  `sets.int_keys` keys a/b by the exact int a*(lcm(b)/b), so the "E_mul
+  hist vs product form" check of the benchmark compares two different
+  keyings;
 - count_incidences (packed slots): equals a direct double loop on raw
   parallel arrays (duplicate points and lines, non-reduced lines, a = 0 or
   b = 0, magnitudes up to 2**70, largest |aX + bY - c| at the slot-width

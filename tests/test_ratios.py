@@ -1,5 +1,6 @@
 """Ratio-of-sums representation counts r(z) and the R(Z) energy."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from addcomb.ratios import (
     r_of_z,
     ratio_profile,
 )
-from addcomb.sets import GeneratorConfig, RatSet, generate
+from addcomb.sets import GeneratorConfig, RatSet, generate, random_set
 
 small_sets = st.builds(
     RatSet,
@@ -25,13 +26,10 @@ zs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def _r_brute(z, a1, a2) -> int:
-    # definition: solutions of a1' + a2' = z (a1 + a2) over (A1 x A2)^2
-    return sum(
-        1
-        for x in a1 for y in a2
-        for xp in a1 for yp in a2
-        if xp + yp == z * (x + y)
-    )
+    # definition: solutions of a1' + a2' = z (a1 + a2) over (A1 x A2)^2,
+    # as pairs of entries of the list of sums a1 + a2 (repeats kept)
+    sums = [x + y for x in a1 for y in a2]
+    return sum(sums.count(z * s) for s in sums)
 
 
 def test_r_hand_value():
@@ -126,10 +124,11 @@ def test_r_scale_invariance():
 
 
 def _brute_ranking(a1, a2, count):
-    # the definition: every candidate ranked by its brute r(z), r descending
-    # then z ascending
-    zs = full_ratio_set(a1, a2)
-    return RatSet(sorted(zs, key=lambda z: (-r_of_z(z, a1, a2), z))[:count])
+    # the definition: every quotient s'/s of nonzero sums, as a Fraction,
+    # ranked by its brute r(z), r descending then z ascending
+    sums = {x + y for x in a1 for y in a2} - {0}
+    zs = {sp / s for s in sums for sp in sums}
+    return RatSet(sorted(zs, key=lambda z: (-_r_brute(z, a1, a2), z))[:count])
 
 
 @pytest.mark.parametrize("a1, a2, count", [
@@ -156,6 +155,20 @@ def test_popular_ratios_matches_brute_ranking_random(a1, a2, count):
     # signed, fractional and zero-sum inputs; ties in r are common here, so
     # the z-ascending tie order is exercised too
     assert popular_ratios(a1, a2, count) == _brute_ranking(a1, a2, count)
+
+
+def test_popular_ratios_memory_stays_near_the_sums():
+    # Random(32, 256) has 292 nonzero sums and up to 292^2 quotients; the
+    # merge holds one run per sum, where a table of every quotient's weight
+    # peaked at about 8 MB
+    a = generate(random_set(32, 256, 1))
+    tracemalloc.start()
+    try:
+        popular_ratios(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_popular_ratios_rejects_count_below_one():

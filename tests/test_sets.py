@@ -289,7 +289,9 @@ def test_ratset_set_ops_and_algebra_agree(xs, ys):
 @given(_fracs.filter(bool), _fracs.filter(bool), st.integers(1, 3))
 def test_ratset_histogram_bands_agree(xs, ys, k):
     a, b = RatSet(xs), RatSet(ys)
-    for op, f in (("sum", lambda x, y: x + y), ("diff", lambda x, y: x - y)):
+    for op, f in _BRUTE.items():
+        if op == "ratio" and 0 in b:
+            continue
         brute = Counter(f(x, y) for x in a for y in b)
         band = dyadic_band(rep_histogram(a, b, op), k)
         _same(band.P, {x for x, r in brute.items() if band.t <= r < 2 * band.t})
