@@ -15,7 +15,7 @@ import platform
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import metadata, resources
+from importlib import resources
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -152,17 +152,15 @@ def fit_exponent(points: Sequence, family: str = "",
 
 
 def environment_info(seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
-    try:
-        pkg = metadata.version("addcomb")
-    except metadata.PackageNotFoundError:
-        pkg = "0.1.0"
+    from . import __version__
+
     return {
         "seed": seed,
         "budget": budget,
         "backend": backend_name(),
         "python": platform.python_version(),
         "mpmath": mpmath.__version__,
-        "package": pkg,
+        "package": __version__,
     }
 
 
@@ -199,20 +197,22 @@ ARRANGEMENT_SCALE = 12
 
 
 def _arrangement_draws(seed: int):
-    # the SplitMix64 draws of one seeded arrangement, in draw order: points
-    # as (x num, x den, y num, y den), then lines as canonical LineKeys
-    below = SplitMix64(seed).below
-    n_pts = 1 + below(200)
-    n_lines = 1 + below(200)
-    pts = [(below(2001) - 1000, 1 + below(4), below(2001) - 1000, 1 + below(4))
-           for _ in range(n_pts)]
+    # the SplitMix64 draws of one seeded arrangement, in draw order: the two
+    # sizes, points as (x num, x den, y num, y den), then lines (a, b, c),
+    # returned as canonical LineKeys
+    draw = SplitMix64(seed).below_each
+    n_pts, n_lines = draw((200, 200))
+    d = draw((2001, 4, 2001, 4) * (n_pts + 1))
+    pts = [(xn - 1000, xd + 1, yn - 1000, yd + 1)
+           for xn, xd, yn, yd in zip(d[0::4], d[1::4], d[2::4], d[3::4])]
+    d = draw((41, 41, 2001) * (n_lines + 1))
     lines = []
-    for _ in range(n_lines):
-        a = below(41) - 20
-        b = below(41) - 20
+    for a, b, c in zip(d[0::3], d[1::3], d[2::3]):
+        a -= 20
+        b -= 20
         if a == 0 and b == 0:
             a = 1
-        lines.append(canonical_line(a, b, below(2001) - 1000))
+        lines.append(canonical_line(a, b, c - 1000))
     return pts, lines
 
 

@@ -38,30 +38,51 @@ its output is fully pinned by the seed across platforms and Python versions.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import mod
 from typing import Iterable, Iterator
 
 from .errors import DivisionByZero, InvalidConfig, ZeroScale
 
 MASK64 = (1 << 64) - 1
+# SplitMix64's state increment (the odd 64-bit golden-ratio constant)
+GAMMA = 0x9E3779B97F4A7C15
+# the packed lanes of `below_each` are little-endian 64-bit words
+_SWAP = sys.byteorder == "big"
+
+
+def _mix(z: int, lanes: int) -> int:
+    """The SplitMix64 output function of every 64-bit lane of z.
+
+    `lanes` holds 2**64 - 1 in each lane, so masking a shift by it drops the
+    bits that the shift pulls in from the next lane, and masking a product
+    keeps each lane's product mod 2**64.  With lanes = MASK64 this is the
+    scalar output function of one state."""
+    z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
+    return z ^ ((z >> 31) & lanes)
 
 
 class SplitMix64:
-    """Deterministic 64-bit PRNG; the full algorithm is these ~10 lines."""
+    """Deterministic 64-bit PRNG (Steele, Lea & Flood, OOPSLA 2014).
+
+    Draw i after state s is the output function `_mix` of s + i*GAMMA mod
+    2**64, a pure function of i, so `below_each` computes a batch of draws
+    at once and yields exactly the values and final state of one `below`
+    call per bound."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        self.state = (self.state + GAMMA) & MASK64
+        return _mix(self.state, MASK64)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on the top multiple of n.
@@ -74,6 +95,51 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def below_each(self, bounds) -> list[int]:
+        """`[self.below(n) for n in bounds]`, with the same final state,
+        drawn as one packed-int computation.
+
+        Lane packing: draw i of k (i = 1..k) goes into the low 64 bits of
+        the 128-bit slot i - 1 of one int.  The slots first hold i, then
+        i*GAMMA + s (s the state), which is below 2**128, so a 64-bit lane
+        times a 64-bit constant, plus a 64-bit lane, fits its slot and no
+        lane carries into the next; masking every slot to 64 bits leaves
+        s + i*GAMMA mod 2**64.  `_mix` keeps each lane in its slot the same
+        way, so slot i - 1 of the result is draw i.
+
+        Rejection stays exact: `below(n)` accepts a draw u iff u is below
+        2**64 - 2**64 % n.  If the largest of the k draws is below the
+        smallest such limit over the bounds, `below` accepts each draw at
+        its first try and the batch is the answer.  Otherwise (rare for
+        small bounds), or if some bound lies outside [1, 2**64], the batch
+        is discarded and `below` draws each value from the saved state, so
+        an invalid bound raises after the same draws as `below` makes."""
+        k = len(bounds)
+        if not k:
+            return []
+        limit = 1 << 64
+        for n in set(bounds):
+            if not 1 <= n <= 1 << 64:
+                return [self.below(n) for n in bounds]
+            limit = min(limit, (1 << 64) - ((1 << 64) % n))
+        s = self.state
+        nbytes = 16 * k
+        ramp = array("Q", bytes(nbytes))
+        ramp[::2] = array("Q", range(1, k + 1))
+        if _SWAP:
+            ramp.byteswap()
+        ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+        lanes = ones * MASK64
+        z = (int.from_bytes(ramp, "little") * GAMMA + s * ones) & lanes
+        words = array("Q", _mix(z, lanes).to_bytes(nbytes, "little"))
+        if _SWAP:
+            words.byteswap()
+        us = words[::2]
+        if max(us) >= limit:
+            return [self.below(n) for n in bounds]
+        self.state = (s + k * GAMMA) & MASK64
+        return list(map(mod, us, bounds))
 
 
 def _num_den(v) -> tuple[int, int]:

@@ -2,15 +2,19 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addcomb
 from addcomb import harness
 from addcomb.errors import InsufficientPoints, InvalidConfig, ZeroShift
+from addcomb.incidence import scaled_incidences
 from addcomb.sets import RatSet, ap, gp, grid_example
 
+ROOT = Path(__file__).resolve().parent.parent
 SMALL_CORPUS = [ap(1, 1, 8), gp(1, 2, 8), grid_example(3, 3)]
 
 
@@ -33,6 +37,22 @@ def test_scaled_arrangement_is_the_fraction_arrangement_times_12():
     arrs = [harness._seeded_arrangement(seed) for seed in range(1, 51)]
     assert sum(len(a.points) for a in arrs) == 5345
     assert sum(len(a.lines) for a in arrs) == 4703
+
+
+def test_incidence_suite_stream_is_pinned():
+    # totals over the 1000 seeds that the st_bound check draws, as the
+    # one-draw-at-a-time generator drew them; the verify payload reports
+    # only failing seeds, so a changed stream shows here and not there
+    n_pts = n_lines = total = 0
+    surplus = []
+    for seed in range(1, 1001):
+        pts, lines = harness._seeded_scaled_arrangement(seed)
+        count = scaled_incidences(pts, lines)
+        n_pts += len(pts)
+        n_lines += len(lines)
+        total += count
+        surplus.append(count - 4 * len(pts) - len(lines))
+    assert (n_pts, n_lines, total, max(surplus)) == (99459, 101992, 493, -31)
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,4 +198,11 @@ def test_environment_info_fields():
     env = harness.environment_info(seed=5, budget=123)
     assert env["seed"] == 5 and env["budget"] == 123
     assert env["backend"] == "pure"
-    assert env["package"]
+    assert env["package"] == addcomb.__version__ == "0.1.0"
+
+
+def test_version_is_the_pyproject_version():
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert addcomb.__version__ == tomllib.load(f)["project"]["version"]

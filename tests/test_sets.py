@@ -199,6 +199,32 @@ def test_splitmix64_below_bounds_one_draw():
             SplitMix64(0).below(n)
 
 
+# the incidence suite's bounds and the ends; 2**63 + 1 rejects about half
+# its draws, so the batches that hold it take the scalar redraw
+_BOUNDS = [1, 2, 3, 4, 41, 200, 2001, 1 << 64]
+_REJECTING = (1 << 63) + 1
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.sampled_from(_BOUNDS), max_size=300)
+       | st.lists(st.sampled_from([*_BOUNDS, _REJECTING]), max_size=300))
+def test_below_each_is_below_per_bound(seed, bounds):
+    one, batch = SplitMix64(seed), SplitMix64(seed)
+    assert batch.below_each(bounds) == [one.below(n) for n in bounds]
+    assert batch.state == one.state
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.sampled_from([*_BOUNDS, _REJECTING])),
+       st.sampled_from([0, (1 << 64) + 1]), st.lists(st.sampled_from(_BOUNDS)))
+def test_below_each_refuses_a_bad_bound_after_the_same_draws(seed, head, bad, tail):
+    one, batch = SplitMix64(seed), SplitMix64(seed)
+    with pytest.raises(InvalidConfig, match="2\\*\\*64"):
+        batch.below_each([*head, bad, *tail])
+    for n in head:
+        one.below(n)
+    assert batch.state == one.state
+
+
 def test_generate_random_range_at_most_two_to_64():
     top = generate(random_set(3, 1 << 64, 1))
     assert len(top) == 3 and all(1 <= x <= 1 << 64 for x in top)
