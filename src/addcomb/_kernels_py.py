@@ -2,11 +2,13 @@
 
 These are the hot inner loops, expressed over plain Python ints, so they
 are exact at any magnitude; _kernels re-exports the ones callers use.
-t_o_linehash counts by pivot slope keys, while _spanned_lines hashes every
-spanned line, so the line census is its independent check.  t_o_linehash
-and both mul_pairs kernels match parallel vectors through
-`_direction_hist`, which keys a vector (u, v) by the exact int slope key
-v*m // u, with one m >= D**2 per call for D a bound on |u|; no gcd is taken.
+t_o_linehash counts by one histogram of ratios of differences plus a
+closed form over membership classes, while _spanned_lines hashes every
+spanned line, so the line census is its independent check.  Both
+mul_pairs kernels match parallel vectors through `_direction_hist`, which
+keys a vector (u, v) by the exact int slope key v*m // u, with one
+m >= D**2 per call for D a bound on |u|; t_o_linehash keys its ratios the
+same way, and no gcd is taken.
 count_incidences packs all points into fixed-width slots of two bigints and
 tests every point against a line with one linear form on those ints; its
 checks are the Fraction recount `LineKey.contains` and a direct double loop
@@ -17,7 +19,9 @@ every routine here assumes integer inputs.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product, starmap
 from math import gcd
+from operator import floordiv
 from typing import Sequence
 
 
@@ -134,45 +138,53 @@ def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
 def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
     """Ordered pairwise-distinct collinear triples (u1,u2,u3), ui in gi x gi.
 
-    Pivot slope-key counting: for each pivot u1 in g1 x g1, histogram the
-    slope keys of the vectors from u1 to the points of g2 x g2 and of
-    g3 x g3 (u1 itself, the zero vector, is dropped).  Every such vector's
-    x component is at most the span D of g1 | g2 | g3 in size, so with
-    m = D**2, computed once per call, points u2 != u1 and u3 != u1 are
-    collinear with u1 iff their keys match (`_direction_hist`).  The pivot
-    contributes sum_d c2(d) c3(d) minus the pairs with u2 == u3, which are
-    the points of (g2 & g3)^2 other than u1.  Equal g2 and g3 need one
-    histogram and sum_d c(d) (c(d) - 1).  Swapping coordinates maps every
-    grid to itself, so pivots (x, y) and (y, x) count the same and each
-    such pair is visited once.  Time O(|g1|^2 (|g2|^2 + |g3|^2)), memory
-    O(|g2|^2 + |g3|^2); no line is materialised.  Callers should pass the
-    smallest set first; the count itself is symmetric in the arguments.
+    One histogram of ratios of differences.  Write u1 = (x, y),
+    u2 = (a2, b2) and u3 = (a3, b3); they are collinear iff
+    (a2 - x)(b3 - y) == (b2 - y)(a3 - x).
+
+    Both sides nonzero: all four differences are nonzero and the equation
+    says (a2 - x)/(a3 - x) == (b2 - y)/(b3 - y).  So with S(t) the number
+    of (x, a2, a3) in g1 x g2 x g3, a2 != x != a3, whose ratio is t, these
+    solutions number sum_t S(t)**2 over all pivots at once.  S is tallied on
+    the int key ((a2 - x) m) // (a3 - x) with m = D**2 for D the span of
+    g1 | g2 | g3: every |a3 - x| is at most D, so by the lemma of
+    `_direction_hist` keys are equal iff ratios are, and no gcd is taken.
+
+    Both sides zero: a2 == x or b3 == y, and a3 == x or b2 == y.  For a
+    pivot with p = [x in g2], q = [x in g3], r = [y in g2], s = [y in g3],
+    n2 = |g2|, n3 = |g3| and k = |g2 & g3|, the pairs (a2, b3) of the first
+    kind number n2 n3 - (n2 - p)(n3 - s), those (a3, b2) of the second
+    n2 n3 - (n3 - q)(n2 - r), and the solutions are their products.
+
+    Every collinear (u2, u3) is one of the two, degenerate ones included.
+    Those are u2 == u1 (p r n3**2 of them), u3 == u1 (q s n2**2) and
+    u2 == u3 (k**2); any two equalities force the third, which p q r s
+    marks, so inclusion-exclusion removes p r n3**2 + q s n2**2 + k**2
+    - 2 p q r s.  The closed-form terms depend on the pivot only through
+    (p, q, r, s), so they are summed over the membership classes of g1.
+    For g1 = g2 = g3 of size n every term is (n - 1)(n - 3), and
+    T_o = sum_t S(t)**2 + n**2 (n - 1)(n - 3).
+
+    Time and keys O(|g1| |g2| |g3|); no pivot pair and no line is visited.
     The name matches the "linehash" mode of collinear.t_o_count.
     """
     l1, l2, l3 = list(g1), list(g2), list(g3)
+    s2, s3 = set(l2), set(l3)
     union = l1 + l2 + l3
     m = (max(union, default=0) - min(union, default=0)) ** 2
-    same = set(l2) == set(l3)
-    shared = set(l2) & set(l3)
-    n_shared = len(shared) ** 2
-    total = 0
-    for i, x in enumerate(l1):
-        d2x = [a - x for a in l2]
-        d3x = [a - x for a in l3]
-        x_shared = x in shared
-        for j in range(i, len(l1)):
-            y = l1[j]
-            h2 = _direction_hist(d2x, [b - y for b in l2], m)[0]
-            if same:
-                count = sum(c * (c - 1) for c in h2.values())
-            else:
-                h3 = _direction_hist(d3x, [b - y for b in l3], m)[0]
-                if len(h2) > len(h3):
-                    h2, h3 = h3, h2
-                get = h3.get
-                count = sum(c * get(d, 0) for d, c in h2.items())
-                count -= n_shared - (x_shared and y in shared)
-            total += count if i == j else 2 * count
+    ratios = Counter()
+    classes = Counter()
+    for x in l1:
+        vms = [(a - x) * m for a in l2 if a != x]
+        ratios.update(starmap(floordiv, product(vms, [a - x for a in l3 if a != x])))
+        classes[x in s2, x in s3] += 1
+    n2, n3, k = len(s2), len(s3), len(s2 & s3)
+    total = sum(c * c for c in ratios.values())
+    for (p, q), cx in classes.items():
+        for (r, s), cy in classes.items():
+            both_zero = (n2 * n3 - (n2 - p) * (n3 - s)) * (n2 * n3 - (n3 - q) * (n2 - r))
+            degenerate = p * r * n3 * n3 + q * s * n2 * n2 + k * k - 2 * p * q * r * s
+            total += cx * cy * (both_zero - degenerate)
     return total
 
 
@@ -234,7 +246,8 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
 
 
 def _direction_hist(us, vs, m):
-    """Histogram of the slope keys of the vectors (u, v) over us x vs.
+    """Histogram of the slope keys of the vectors (u, v) over us x vs, the
+    matching step of both mul_pairs kernels.
 
     The key of (u, v) is v*m // u for u != 0 and None for a vertical vector
     (u == 0, v != 0); the zero vector (0, 0) is tallied apart.  Returns

@@ -7,11 +7,10 @@ the grids A_i x A_i with the three points pairwise distinct; order matters,
 so a line meeting each grid in the same 3 points contributes 3! = 6.
 Both a brute-force oracle and a fast path are provided and must agree
 exactly; the fast path is never trusted on its own.  The fast path (mode
-"linehash", a name kept from the line-materialising route it replaced) is
-pivot slope-key counting: it histograms, for each point of the smallest
-grid, the exact int slope keys of the vectors to the points of the other
-two, in
-O(|A1|^2 (|A2|^2 + |A3|^2)) time and O(|A2|^2 + |A3|^2) memory.
+"linehash", a name kept from the line-materialising route it replaced)
+tallies one histogram of the ratios (a2 - x)/(a3 - x) over A1 x A2 x A3 on
+exact int keys, sums its squared counts and adds a closed form for the
+solutions with a zero difference, in O(|A1| |A2| |A3|) time and memory.
 `triple_count_report` takes T_o from it and T as T_o plus the closed-form
 `coincident_tuples`; the oracle suite checks that sum against the brute
 6-tuple count.
@@ -70,19 +69,18 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
               budget: int = DEFAULT_BUDGET) -> int:
     """Ordered pairwise-distinct collinear triple count over the three grids.
 
-    The count is symmetric in its arguments, so the fast path reorders the
-    sets by size and pivots on the points of the smallest grid, charging
-    |s1|^2 (|s2|^2 + |s3|^2) direction tallies against the budget for the
-    size-sorted sets s1, s2, s3.
+    The fast path keys one ratio per (x, a2, a3) in A1 x A2 x A3, so it
+    charges |A1| |A2| |A3| ratio keys against the budget; that bounds both
+    its work and the entries of its histogram, and it does not depend on
+    the argument order.
     """
     if mode == "brute":
         _check_tuple_budget(A1, A2, A3, budget)
         return _six_counts(A1, A2, A3)[1]
     if mode != "linehash":
         raise InvalidConfig(f"unknown mode {mode!r}")
-    s1, s2, s3 = sorted((A1, A2, A3), key=len)
-    charge(len(s1) ** 2 * (len(s2) ** 2 + len(s3) ** 2), budget, "direction tallies")
-    _, ints = integerize(s1, s2, s3)
+    charge(len(A1) * len(A2) * len(A3), budget, "ratio keys")
+    _, ints = integerize(A1, A2, A3)
     return _kernels.t_o_linehash(*ints)
 
 
@@ -103,7 +101,7 @@ class TripleCountReport(Record):
 
 def triple_count_report(A1: RatSet, A2: RatSet, A3: RatSet,
                         budget: int = DEFAULT_BUDGET) -> TripleCountReport:
-    """T, T_o and their difference in O(n^4): T_o by the line-hash route
+    """T, T_o and their difference in O(n^3): T_o by the line-hash route
     of `t_o_count`, which charges its cost against the budget, and T as
     T_o plus the closed-form `coincident_tuples`.  The 6-tuple counters
     are left to the oracle checks of this sum."""

@@ -75,8 +75,8 @@ ENTRY_POINTS = {
                       "tuple checks"),
     "t_o_count-brute": (lambda bud: t_o_count(C, A, B, "brute", bud), (2 * 3 * 4) ** 2,
                         "tuple checks"),
-    "t_o_count-linehash": (lambda bud: t_o_count(C, A, B, "linehash", bud),
-                           2 ** 2 * (3 ** 2 + 4 ** 2), "direction tallies"),
+    "t_o_count-linehash": (lambda bud: t_o_count(C, A, B, "linehash", bud), 2 * 3 * 4,
+                           "ratio keys"),
     "t_identity_check": (lambda bud: t_identity_check(A, B, C, bud), (2 * 3 * 4) ** 2,
                          "tuple checks"),
     "popular_ratios": (lambda bud: popular_ratios(SIGNED, SIGNED, budget=bud), 5 ** 2,

@@ -1,5 +1,6 @@
 """Collinear 6-tuple counts, ordered triple counts, the identity check."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from addcomb.collinear import (
 )
 from addcomb.energy import energy
 from addcomb.errors import BudgetExceeded, InvalidConfig
-from addcomb.sets import RatSet
+from addcomb.sets import RatSet, generate, random_set
 
 tiny_sets = st.builds(
     RatSet,
@@ -65,25 +66,40 @@ def test_budget_enforced():
 
 
 def test_t_o_budget_charges_pivot_work():
-    # the pivot route tallies |s1|^2 (|s2|^2 + |s3|^2) directions on the
-    # size-sorted sets; the charge must not depend on the argument order
+    # the ratio route keys |A1| |A2| |A3| ratios, whatever the argument
+    # order, and runs at exactly that budget
     a, b, c = RatSet([0, 1]), RatSet([0, 2, 5]), RatSet([1, 2, 3, 7])
-    cost = 2 ** 2 * (3 ** 2 + 4 ** 2)
+    cost = 2 * 3 * 4
     expected = t_o_count(a, b, c, "brute")
     for args in ((a, b, c), (c, a, b), (b, c, a)):
         assert t_o_count(*args, "linehash", cost) == expected
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             t_o_count(*args, "linehash", cost - 1)
+        assert str(exc.value) == f"{cost} ratio keys exceed budget {cost - 1}"
 
 
 def test_t_o_pivot_singleton_is_quadratic():
-    # T_o({0}, A, A) pivots once on the origin: 2 |A|^2 tallies, well
+    # T_o({0}, A, A) pivots once on the origin: |A|^2 ratio keys, well
     # inside the default budget at |A| = 150 (a sum of fourth powers would
     # charge 2 * 150^4 > 10^9).  With 0 not in A, two grid points are
     # collinear with the origin iff a*d == b*c, so the count is the
     # multiplicative energy minus the |A|^2 coincident pairs.
     a = RatSet(range(1, 151))
     assert t_o_count(RatSet([0]), a, a) == energy(a, a, 2, "multiplicative") - 150 ** 2
+
+
+def test_t_o_memory_stays_near_the_ratio_keys():
+    # Random(64, 512) keys 64 * 63 * 63 = 254,016 ratios, 97,096 of them
+    # distinct; their histogram peaked at 10.2 MB, and the pin is about
+    # twice that
+    a = generate(random_set(64, 512, 1))
+    tracemalloc.start()
+    try:
+        t_o_count(a, a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @given(tiny_sets, tiny_sets, tiny_sets)

@@ -4,12 +4,15 @@ No kernel is checked against a second copy of itself:
 
 - collinear_six_counts: its total equals the shift identity, a sum over
   pivots (a1, a2) of mul_pairs_cross on shifted lists, and its distinct
-  count equals the pivot slope-key t_o_linehash;
+  count equals the ratio-histogram t_o_linehash;
 - t_o_linehash: equals the line census `_spanned_lines`, on random small
-  lists and at sizes where the n^6 brute force is too slow;
+  lists, on first grids with points of all four membership classes
+  (x in A2?, x in A3?) that its closed form sums over, and at sizes where
+  the n^6 brute force is too slow; Farey neighbours among the ratio
+  denominators pin its m >= D**2;
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop;
-- `_direction_hist`, the slope-key histogram behind t_o_linehash and both
-  mul_pairs kernels: has the class sizes and zero tally of the gcd
+- `_direction_hist`, the slope-key histogram behind both mul_pairs
+  kernels: has the class sizes and zero tally of the gcd
   primitive-direction histogram kept here as its reference, and Farey
   neighbours at the span pin its m >= D**2 precondition (a smaller m merges
   them).  mul_pairs_count keys by slope, while the ratio histogram of
@@ -78,6 +81,33 @@ def test_t_o_linehash_equivalent(a, b, c, m):
     assert _kernels.t_o_linehash(a, b, c) == _census_t_o(a, b, c)
 
 
+@st.composite
+def membership_classes(draw):
+    # A1 holds a point of each class (in neither of A2 and A3, in A2 only,
+    # in A3 only, in both), and A2 and A3 may hold points outside A1
+    pool = draw(st.lists(ints, min_size=4, max_size=9, unique=True))
+    a1, a2, a3 = [], [], []
+    for i, v in enumerate(pool):
+        cls = i if i < 4 else draw(st.integers(0, 3))
+        if i < 4 or draw(st.booleans()):
+            a1.append(v)
+        if cls in (1, 3):
+            a2.append(v)
+        if cls in (2, 3):
+            a3.append(v)
+    return a1, a2, a3
+
+
+@given(membership_classes(), affine_maps)
+@settings(max_examples=80, deadline=None)
+def test_t_o_linehash_over_all_membership_classes(grids, m):
+    a, b, c = (_affine(g, m) for g in grids)
+    t_o = _kernels.t_o_linehash(a, b, c)
+    assert t_o == _census_t_o(a, b, c)
+    if max(map(len, (a, b, c))) <= 5:
+        assert t_o == _kernels.collinear_six_counts(a, b, c)[1]
+
+
 def _sample(seed, n, lo, hi):
     return random.Random(seed).sample(range(lo, hi), n)
 
@@ -97,15 +127,13 @@ def test_t_o_pivot_matches_line_census_above_brute_sizes():
         (ap10[2:], b11, c9),                      # partial overlaps
         (r12, _sample(4, 11, -20, 20), _sample(5, 9, -20, 20)),
     ]
-    inside = outside = 0
+    classes = set()
     for g1, g2, g3 in cases:
         assert 8 <= min(map(len, (g1, g2, g3))) <= max(map(len, (g1, g2, g3))) <= 12
-        shared = set(g2) & set(g3)
-        pivots_in = sum(x in shared and y in shared for x in g1 for y in g1)
-        inside += pivots_in
-        outside += len(g1) ** 2 - pivots_in
+        classes |= {(x in g2, x in g3) for x in g1}
         assert _kernels_py.t_o_linehash(g1, g2, g3) == _census_t_o(g1, g2, g3)
-    assert inside and outside
+    # the closed form of t_o_linehash meets every membership class
+    assert len(classes) == 4
 
 
 @given(st.lists(st.tuples(fracs, fracs), min_size=1, max_size=12, unique=True),
@@ -151,8 +179,9 @@ def _class_sizes(hist_and_zero):
 @given(int_lists, int_lists, ints, ints, st.booleans(), st.booleans(), affine_maps)
 @settings(max_examples=200, deadline=None)
 def test_direction_hist_matches_primitive_directions(xs, ys, p, q, p_in, q_in, m):
-    # vectors from a pivot (p, q) as t_o_linehash forms them; a pivot
-    # coordinate in its list gives vertical vectors and the zero vector
+    # vectors from a pivot (p, q), as the shifted lists of the identity
+    # check form them for mul_pairs_cross; a pivot coordinate in its list
+    # gives vertical vectors and the zero vector
     p = xs[0] if p_in else p
     q = ys[-1] if q_in else q
     xs, ys = _affine(xs + [p], m), _affine(ys + [q], m)
@@ -179,20 +208,36 @@ def test_slope_keys_need_m_at_least_d_squared():
     assert sorted(_kernels_py._direction_hist([10, 9], [1], 25)[0].values()) == [2]
     assert sorted(_kernels_py._direction_hist([10, 9], [1], 100)[0].values()) == [1, 1]
     for d in range(3, 41):
-        # the grid {0, 1, d-2, d-1, d} spans d and, from the pivot (0, 0),
-        # holds the vectors (d, 1), (d-1, 1), (d, d-1) and (d-1, d-2); the
-        # unequal triple keeps the span at d
-        g = sorted({0, 1, d - 2, d - 1, d})
-        assert _kernels.t_o_linehash(g, g, g) == _census_t_o(g, g, g)
-        h = sorted({0, 2, d - 1})
-        assert _kernels.t_o_linehash(h, g, g) == _census_t_o(h, g, g)
-        assert _kernels.t_o_linehash(g, h, g) == _census_t_o(g, h, g)
         for (u, v), (u2, v2) in _farey_pairs(d):
             assert v * d * d // u != v2 * d * d // u2
             x1, x2, y1, y2 = [u, u2], [v, v2, 0], [u2, -u], [v2, -v, 1]
             direct = sum(a * dd == b * c for a in x1 for b in x2
                          for c in y1 for dd in y2)
             assert _kernels_py.mul_pairs_cross(x1, x2, y1, y2) == direct
+
+
+def test_ratio_keys_need_m_at_least_d_squared():
+    # t_o_linehash keys a ratio (a2 - x)/(a3 - x) by ((a2 - x) m) // (a3 - x),
+    # and its denominators reach the span D.  A Farey pair of slopes v/u,
+    # v2/u2 makes the ratios a2/a3 and b2/b3 from the pivot (0, 0), whose
+    # points (v, v2) and (u, u2) are not collinear with it: m = D**2 keeps
+    # their keys apart, while m = D**2 / 4 merges some of them
+    merged = 0
+    for d in range(3, 41):
+        for (u, v), (u2, v2) in _farey_pairs(d):
+            merged += v * (d * d // 4) // u == v2 * (d * d // 4) // u2
+            g2, g3 = sorted({0, v, v2}), [0, u2, u]
+            t_o = _kernels.t_o_linehash([0], g2, g3)
+            assert t_o == _census_t_o([0], g2, g3)
+            assert t_o == _kernels.collinear_six_counts([0], g2, g3)[1]
+        # the grid {0, 1, d-2, d-1, d} spans d and holds both Farey pairs
+        # from the pivot (0, 0); the unequal triples keep the span at d
+        g = sorted({0, 1, d - 2, d - 1, d})
+        assert _kernels.t_o_linehash(g, g, g) == _census_t_o(g, g, g)
+        h = sorted({0, 2, d - 1})
+        assert _kernels.t_o_linehash(h, g, g) == _census_t_o(h, g, g)
+        assert _kernels.t_o_linehash(g, h, g) == _census_t_o(g, h, g)
+    assert merged
 
 
 @given(signed_lists, signed_lists, signed_lists, signed_lists, scales)
