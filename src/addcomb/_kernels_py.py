@@ -274,10 +274,11 @@ def _parallel_pairs(x1, x2, y1, y2) -> int:
     # #{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c}: the vectors (a,b)
     # and (c,d) are parallel iff their slope keys match, with m = D**2 for
     # D = max |.| over x1 and y1, and the zero vector is parallel to
-    # everything
+    # everything; on the diagonal (y1, y2) == (x1, x2), as for every
+    # multiplicative energy E(A, A), one histogram serves both sides
     m = max(map(abs, [*x1, *y1]), default=0) ** 2
     hx, zx = _direction_hist(x1, x2, m)
-    hy, zy = _direction_hist(y1, y2, m)
+    hy, zy = (hx, zx) if (y1, y2) == (x1, x2) else _direction_hist(y1, y2, m)
     total = zx * len(y1) * len(y2) + zy * len(x1) * len(x2) - zx * zy
     if len(hx) > len(hy):
         hx, hy = hy, hx

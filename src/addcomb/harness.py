@@ -11,15 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-import platform
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations
 from typing import Optional, Sequence
-
-import mpmath
 
 from . import decompose, ratios
 from ._kernels import backend_name
@@ -47,7 +42,7 @@ from .incidence import (
     scaled_incidences,
     st_bound_holds,
 )
-from .intervals import power_sum_ratio_decimal
+from .intervals import _mpmath, power_sum_ratio_decimal
 from .sets import (
     GeneratorConfig,
     RatSet,
@@ -137,6 +132,8 @@ def fit_exponent(points: Sequence, family: str = "",
     Needs at least three points with distinct sizes and positive values;
     double precision is fine here, the fit never gates a pass/fail check.
     """
+    import statistics
+
     pts = sorted(points)
     sizes = [s for s, _ in pts]
     values = [v for _, v in pts]
@@ -152,6 +149,8 @@ def fit_exponent(points: Sequence, family: str = "",
 
 
 def environment_info(seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
+    import platform
+
     from . import __version__
 
     return {
@@ -159,13 +158,15 @@ def environment_info(seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
         "budget": budget,
         "backend": backend_name(),
         "python": platform.python_version(),
-        "mpmath": mpmath.__version__,
+        "mpmath": _mpmath().__version__,
         "package": __version__,
     }
 
 
 def load_baselines() -> dict:
     """Stored max ratios for the ASYMPTOTIC families (empty if absent)."""
+    from importlib import resources
+
     try:
         text = resources.files("addcomb").joinpath("data/baselines.json").read_text()
     except (FileNotFoundError, ModuleNotFoundError):

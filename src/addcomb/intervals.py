@@ -4,6 +4,10 @@ Exact integer/rational comparisons are always preferred; this module exists
 for the few quantities that are genuinely irrational (fractional powers such
 as x^(2/3) and fourth roots, and logarithm-based constants).  All enclosures
 are built with mpmath's interval type, which rounds outward by construction.
+mpmath loads on the first enclosure, through `_mpmath`, not at import: the
+exact counts are integer work, and an integer-only run (`spctl gen`,
+`energy`, `incidence --set`, a T_o sweep through `collinear.t_o_count`)
+never loads it.
 Policy: start at 128 bits, widen by doubling to 2048 bits, then either report
 the comparison as decided or concede "inconclusive"; an undecided comparison
 is never silently converted into a verdict.
@@ -15,29 +19,36 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Optional
 
-from mpmath import iv
-from mpmath.libmp import to_rational
-
 BASE_PREC = 128
 MAX_PREC = 2048
 # digits after the point in every decimal rendering of a report
 DECIMAL_DIGITS = 20
 
 
+def _mpmath():
+    # the one way in to mpmath: imported on the first call, a sys.modules
+    # lookup after that
+    import mpmath
+
+    return mpmath
+
+
 @contextmanager
 def _precision(prec: int):
-    # run the block at iv.prec = prec, then restore the caller's precision
+    # run the block at iv.prec = prec, then restore the caller's precision;
+    # the block gets mpmath's iv context
+    iv = _mpmath().iv
     saved = iv.prec
     iv.prec = prec
     try:
-        yield
+        yield iv
     finally:
         iv.prec = saved
 
 
 def _endpoint_fraction(endpoint) -> Fraction:
     # endpoint is an ivmpf; its _mpi_ holds two identical mpf tuples.
-    p, q = to_rational(endpoint._mpi_[0])
+    p, q = _mpmath().libmp.to_rational(endpoint._mpi_[0])
     return Fraction(int(p), int(q))
 
 
@@ -48,19 +59,22 @@ def bounds(x) -> tuple[Fraction, Fraction]:
 
 def from_fraction(f: Fraction):
     """Enclosure of an exact rational at the current iv precision."""
+    iv = _mpmath().iv
     return iv.mpf(f.numerator) / iv.mpf(f.denominator)
 
 
 def from_int(n: int):
-    return iv.mpf(n)
+    return _mpmath().iv.mpf(n)
 
 
 def pow_frac(x, num: int, den: int):
     """Enclosure of x^(num/den) for an interval x with positive lower end."""
+    iv = _mpmath().iv
     return iv.exp(iv.log(x) * iv.mpf(num) / iv.mpf(den))
 
 
 def root4(x):
+    iv = _mpmath().iv
     return iv.sqrt(iv.sqrt(x))
 
 
@@ -108,6 +122,7 @@ def fraction_decimal(f: Fraction, digits: int = DECIMAL_DIGITS) -> str:
 def _power_product(term):
     # term: iterable of (base, Fraction exponent); integer exponents avoid
     # the exp/log detour so they stay tight
+    iv = _mpmath().iv
     acc = iv.mpf(1)
     for base, exp in term:
         e = Fraction(exp)
@@ -119,7 +134,7 @@ def _power_product(term):
 
 
 def _power_sum(terms):
-    acc = iv.mpf(0)
+    acc = _mpmath().iv.mpf(0)
     for term in terms:
         acc = acc + _power_product(term)
     return acc
@@ -132,7 +147,7 @@ def power_sum_ratio_decimal(numer: int, terms) -> tuple[str, str]:
     denominator is the sum of the term products.  Used for the asymptotic
     report ratios whose denominators mix fractional powers.
     """
-    with _precision(BASE_PREC):
+    with _precision(BASE_PREC) as iv:
         return decimal_bounds(iv.mpf(numer) / _power_sum(terms))
 
 
@@ -144,10 +159,10 @@ def power_sum_decimal(terms) -> tuple[str, str]:
 
 def log_squared_fraction_bounds(n: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of (ln n)^2 at base precision."""
-    with _precision(BASE_PREC):
+    with _precision(BASE_PREC) as iv:
         return bounds(iv.log(iv.mpf(n)) ** 2)
 
 
 def ln2_bounds() -> tuple[Fraction, Fraction]:
-    with _precision(BASE_PREC):
+    with _precision(BASE_PREC) as iv:
         return bounds(iv.log(iv.mpf(2)))

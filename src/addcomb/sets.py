@@ -109,12 +109,19 @@ class SplitMix64:
         way, so slot i - 1 of the result is draw i.
 
         Rejection stays exact: `below(n)` accepts a draw u iff u is below
-        2**64 - 2**64 % n.  If the largest of the k draws is below the
+        2**64 - 2**64 % n.  If every one of the k draws is below the
         smallest such limit over the bounds, `below` accepts each draw at
         its first try and the batch is the answer.  Otherwise (rare for
         small bounds), or if some bound lies outside [1, 2**64], the batch
         is discarded and `below` draws each value from the saved state, so
-        an invalid bound raises after the same draws as `below` makes."""
+        an invalid bound raises after the same draws as `below` makes.
+
+        The test runs on the packed int, with no lane taken out of it.
+        Lemma: for a lane u < 2**64 and c = 2**64 - limit in [0, 2**64),
+        u + c < 2**65 fits the lane's 128-bit slot, and its bit 64 is set
+        iff u + c >= 2**64, that is iff u >= limit.  So adding c*ones to
+        the draws carries into no other slot, and
+        (draws + c*ones) >> 64 & ones is zero iff every lane is accepted."""
         k = len(bounds)
         if not k:
             return []
@@ -132,14 +139,14 @@ class SplitMix64:
         ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
         lanes = ones * MASK64
         z = (int.from_bytes(ramp, "little") * GAMMA + s * ones) & lanes
-        words = array("Q", _mix(z, lanes).to_bytes(nbytes, "little"))
+        draws = _mix(z, lanes)
+        if (draws + ((1 << 64) - limit) * ones) >> 64 & ones:
+            return [self.below(n) for n in bounds]
+        words = array("Q", draws.to_bytes(nbytes, "little"))
         if _SWAP:
             words.byteswap()
-        us = words[::2]
-        if max(us) >= limit:
-            return [self.below(n) for n in bounds]
         self.state = (s + k * GAMMA) & MASK64
-        return list(map(mod, us, bounds))
+        return list(map(mod, words[::2], bounds))
 
 
 def _num_den(v) -> tuple[int, int]:

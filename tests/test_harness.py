@@ -195,10 +195,19 @@ def test_baselines_file_present_and_covering():
 
 
 def test_environment_info_fields():
+    import platform
+
+    import mpmath
+
     env = harness.environment_info(seed=5, budget=123)
     assert env["seed"] == 5 and env["budget"] == 123
     assert env["backend"] == "pure"
     assert env["package"] == addcomb.__version__ == "0.1.0"
+    # platform and mpmath load inside environment_info, not at import, and
+    # still fill the same keys
+    assert env["python"] == platform.python_version()
+    assert env["mpmath"] == mpmath.__version__
+    assert sorted(env) == ["backend", "budget", "mpmath", "package", "python", "seed"]
 
 
 def test_version_is_the_pyproject_version():

@@ -10,7 +10,8 @@ No kernel is checked against a second copy of itself:
   (x in A2?, x in A3?) that its closed form sums over, and at sizes where
   the n^6 brute force is too slow; Farey neighbours among the ratio
   denominators pin its m >= D**2;
-- mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop;
+- mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop, and
+  on the diagonal (y1, y2) == (x1, x2) build one slope histogram, not two;
 - `_direction_hist`, the slope-key histogram behind both mul_pairs
   kernels: has the class sizes and zero tally of the gcd
   primitive-direction histogram kept here as its reference, and Farey
@@ -40,7 +41,9 @@ from hypothesis import strategies as st
 
 from addcomb import _kernels, _kernels_py
 from addcomb.core import canonical_line, line_through, point
+from addcomb.energy import energy, energy_mul_product_form
 from addcomb.incidence import Arrangement, incidences
+from addcomb.sets import RatSet
 
 ints = st.integers(-300, 300)
 int_lists = st.lists(ints, min_size=1, max_size=6, unique=True)
@@ -336,3 +339,37 @@ def test_mul_pairs_count_equivalent(x, y, s):
         if a * d == b * c
     )
     assert _kernels.mul_pairs_count(x, y) == direct
+
+
+def test_parallel_pairs_builds_one_histogram_on_the_diagonal(monkeypatch):
+    calls = []
+    real = _kernels_py._direction_hist
+
+    def spy(us, vs, m):
+        calls.append((list(us), list(vs)))
+        return real(us, vs, m)
+
+    monkeypatch.setattr(_kernels_py, "_direction_hist", spy)
+
+    def direct(x1, x2, y1, y2):
+        return sum(1 for a in x1 for b in x2 for c in y1 for d in y2 if a * d == b * c)
+
+    a = [-3, 0, 1, 2, 4, 6]
+    assert _kernels_py.mul_pairs_count(a, list(a)) == direct(a, a, a, a)
+    assert calls == [(a, a)]
+    calls.clear()
+    b = [0, 2, 3, 5]
+    assert _kernels_py.mul_pairs_count(a, b) == direct(a, a, b, b)
+    assert calls == [(a, a), (b, b)]
+    calls.clear()
+    # a cross rectangle is on the diagonal only when both sides match
+    assert _kernels_py.mul_pairs_cross(a, b, a, b) == direct(a, b, a, b)
+    assert calls == [(a, b)]
+    calls.clear()
+    assert _kernels_py.mul_pairs_cross(a, b, b, a) == direct(a, b, b, a)
+    assert calls == [(a, b), (b, a)]
+    calls.clear()
+    # the multiplicative energy E(A, A) of the energy-sweep benchmark
+    A = RatSet([Fraction(-5, 3), Fraction(1, 2), 2, 3, 6])
+    assert energy_mul_product_form(A, A) == energy(A, A, 2, "multiplicative")
+    assert len(calls) == 1
