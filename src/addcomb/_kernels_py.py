@@ -4,7 +4,8 @@ These are the hot inner loops, expressed over plain Python ints, so they
 are exact at any magnitude; _kernels re-exports the ones callers use.
 t_o_linehash counts by one histogram of ratios of differences plus a
 closed form over membership classes, while _spanned_lines hashes every
-spanned line, so the line census is its independent check.  Both
+spanned line and so is its independent check; incidence's _line_census
+counts the same _canonical_span keys over point pairs.  Both
 mul_pairs kernels match parallel vectors through `_direction_hist`, which
 keys a vector (u, v) by the exact int slope key v*m // u, with one
 m >= D**2 per call for D a bound on |u|; t_o_linehash keys its ratios the
@@ -90,9 +91,10 @@ def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
     two grids (every contributing line contains such a pair) and deduped by
     canonical key, so the line set alone holds O(|g1|^2 |g2|^2) keys.  The
     per-line count is assembled by inclusion-exclusion over coincident
-    points shared between grids; equal grids skip it.  Only the line census
-    of incidence needs the lines themselves; t_o_linehash counts without
-    them, and the sum of distinct over this generator is its test oracle.
+    points shared between grids; equal grids skip it.  Only the triple
+    family of incidence reads the lines' grid counts; t_o_linehash counts
+    without them, and the sum of distinct over this generator is its test
+    oracle.
     """
     l1, l2, l3 = list(g1), list(g2), list(g3)
     s1, s2, s3 = set(l1), set(l2), set(l3)

@@ -29,7 +29,6 @@ from .core import DEFAULT_BUDGET, canonical_line, line_through, point
 from .energy import energy, l4_union_check, rep_histogram
 from .errors import (
     BudgetExceeded,
-    DegeneratePair,
     InsufficientPoints,
     InvalidConfig,
     PostconditionFailed,
@@ -429,12 +428,7 @@ def _suite_incidence(corpus, budget: int):
     pts = list(dict.fromkeys(pts))
     rich = rich_lines(pts, 3)
     ok = all(sum(1 for p in pts if li.contains(p)) >= 3 for li in rich)
-    spanned = set()
-    for p, q in combinations(pts, 2):
-        try:
-            spanned.add(line_through(p, q))
-        except DegeneratePair:
-            pass
+    spanned = {line_through(p, q) for p, q in combinations(pts, 2)}
     missed = [li for li in spanned
               if sum(1 for p in pts if li.contains(p)) >= 3 and li not in rich]
     checks.append(_exact(

@@ -12,6 +12,12 @@ Fraction arrangement, which cross-multiplies each point's own denominators
 instead of clearing one common scale; the tests also check the kernel
 against a direct double loop over point-line pairs.
 
+Spanned lines are counted on the scaled ints too: `_line_census` counts
+the `_canonical_span` key of every point pair, and a line of m points has
+m(m-1)/2 of them.  It serves `spanned_line_multiplicities`, `rich_lines`
+and the pairs family; its check is `line_through` on each pair, with
+`LineKey.contains` recounting the points, in the harness and the tests.
+
 The incidence bound I <= 4 |P|^(2/3) |L|^(2/3) + 4 |P| + |L| is checked in
 an exact integer form by `st_bound_holds` (cube the surplus, compare against
 64 (|P||L|)^2), so the verdict never depends on rounding.  The decimal
@@ -22,33 +28,19 @@ and purely cosmetic.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from typing import Iterable, Optional
 
 from . import _kernels
-from ._kernels_py import _spanned_lines
-from .core import (
-    DEFAULT_BUDGET,
-    LineKey,
-    PlanePoint,
-    canonical_line,
-    charge,
-    line_through,
-    point,
-)
+from ._kernels_py import _canonical_span, _spanned_lines
+from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, point
 from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import (
-    RatSet,
-    Record,
-    canonical_json,
-    format_rational,
-    integerize,
-    parse_rational,
-)
+from .sets import RatSet, Record, canonical_json, format_rational, integerize, parse_rational
 
 
 @dataclass(frozen=True)
@@ -160,14 +152,21 @@ def _multiplicity_from_pairs(pair_count: int) -> int:
     return m
 
 
+def _line_census(int_points: Iterable[tuple]) -> dict:
+    # (a, b, c) -> m for each line aX + bY = c spanned by the distinct int
+    # points: one Counter of _canonical_span keys over all pairs
+    pairs = Counter(_canonical_span(*p, *q) for p, q in combinations(int_points, 2))
+    return {key: _multiplicity_from_pairs(c) for key, c in pairs.items()}
+
+
 def spanned_line_multiplicities(points: Iterable[PlanePoint]) -> dict:
     """Map of LineKey -> number of the given points on it, for all lines
     spanned by at least one pair."""
-    pair_counts: dict = {}
-    for p, q in combinations(set(points), 2):
-        key = line_through(p, q)
-        pair_counts[key] = pair_counts.get(key, 0) + 1
-    return {key: _multiplicity_from_pairs(c) for key, c in pair_counts.items()}
+    pts = set(points)
+    m, (xs, ys) = integerize([p.x for p in pts], [p.y for p in pts])
+    # a*X + b*Y = c on the points scaled by m is a*m*x + b*m*y = c
+    return {canonical_line(a * m, b * m, c): k
+            for (a, b, c), k in _line_census(zip(xs, ys)).items()}
 
 
 def rich_lines(points: Iterable[PlanePoint], k: int) -> set:
@@ -237,6 +236,8 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
     """
     if not (len(A1) <= len(A2) <= len(A3)):
         raise InvalidConfig("pass the sets sorted by size: |A1| <= |A2| <= |A3|")
+    if not A1:
+        raise InvalidConfig("line_moment_sums needs nonempty sets")
     if p not in (1, 2, 3):
         raise InvalidConfig("p must be 1, 2 or 3")
     sets = (A1, A2, A3)
@@ -246,13 +247,11 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
             sum(al[i] ** p for al in alphas if al[i] >= 2) for i in range(3)
         )
     elif family == "pairs":
-        charge(sum(len(A) ** 4 for A in sets), budget, "grid point pairs")
-        sums_l = []
-        for A in sets:
-            grid = [point(x, y) for x in A for y in A]
-            mult = spanned_line_multiplicities(grid)
-            sums_l.append(sum(m ** p for m in mult.values() if m >= 2))
-        sums = tuple(sums_l)
+        charge(sum(n * n * (n * n - 1) // 2 for n in map(len, sets)), budget,
+               "grid point pairs")
+        # multiplicities do not depend on the scale: one integerize serves all three
+        sums = tuple(sum(m ** p for m in _line_census(product(v, v)).values())
+                     for v in integerize(*sets)[1])
     else:
         raise InvalidConfig(f"unknown family {family!r}")
     ratios = tuple(

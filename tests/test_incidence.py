@@ -1,6 +1,8 @@
 """Point-line incidences, the explicit 4/4/1 bound, rich objects."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from addcomb.core import canonical_line, collinear3, line_through, point
 from addcomb.errors import InvalidConfig
 from addcomb.incidence import (
     Arrangement,
+    _multiplicity_from_pairs,
     line_intersection,
     line_moment_sums,
     incidences,
@@ -125,6 +128,27 @@ def test_spanned_line_multiplicities_collinear_run():
     assert mult == {canonical_line(1, -1, 0): 4}
 
 
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(st.lists(st.tuples(coords, coords), max_size=8), st.integers(0, 5),
+       st.tuples(coords, coords), st.integers(1, 10**12), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_spanned_line_multiplicities_match_fraction_route(xys, run, step, num, den):
+    # random points, a collinear run of `run` points from the first one,
+    # and duplicates, all scaled by num/den; the Fraction route spans each
+    # distinct pair with line_through
+    pts = [point(x, y) for x, y in xys]
+    if pts:
+        pts += [point(pts[0].x + k * step[0], pts[0].y + k * step[1]) for k in range(run)]
+    pts += pts[:3]
+    scale = Fraction(num, den)
+    pts = [point(p.x * scale, p.y * scale) for p in pts]
+    pairs = Counter(line_through(p, q) for p, q in combinations(set(pts), 2))
+    expected = {key: _multiplicity_from_pairs(c) for key, c in pairs.items()}
+    assert spanned_line_multiplicities(pts) == expected
+
+
 def test_rich_lines_grid():
     pts = [point(x, y) for x in range(3) for y in range(3)]
     rich3 = rich_lines(pts, 3)
@@ -157,6 +181,14 @@ def test_line_stats_shape_validation():
     a, b = RatSet([1, 2]), RatSet([1, 2, 3])
     with pytest.raises(InvalidConfig):
         line_moment_sums(b, a, b, 1)  # not sorted by size
+
+
+@pytest.mark.parametrize("family", ["triple", "pairs"])
+def test_line_moment_sums_refuses_empty_sets(family):
+    empty, a = RatSet([]), RatSet([1, 2])
+    for sets in [(empty, empty, empty), (empty, a, a)]:
+        with pytest.raises(InvalidConfig, match="nonempty"):
+            line_moment_sums(*sets, 2, family)
 
 
 def test_line_moment_sums_small_grid():
@@ -201,3 +233,17 @@ def test_line_moment_sums_triple_brute_recount(sets, p):
     alphas = [[sum(1 for u in g if li.contains(u)) for g in grids] for li in lines]
     expected = tuple(sum(al[i] ** p for al in alphas if al[i] >= 2) for i in range(3))
     assert line_moment_sums(*sets, p, "triple").sums == expected
+
+
+@given(st.lists(signed_sets, min_size=3, max_size=3).map(lambda t: sorted(t, key=len)),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_line_moment_sums_pairs_brute_recount(sets, p):
+    # alpha recounted directly on every line through a distinct pair of
+    # A x A, for each grid on its own
+    expected = []
+    for A in sets:
+        grid = [point(x, y) for x in A for y in A]
+        lines = {line_through(u, v) for u, v in combinations(grid, 2)}
+        expected.append(sum(sum(1 for u in grid if li.contains(u)) ** p for li in lines))
+    assert line_moment_sums(*sets, p, "pairs").sums == tuple(expected)
