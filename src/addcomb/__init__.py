@@ -4,6 +4,11 @@ Energies, representation histograms, collinear point counts, point-line
 incidence bounds, constructive set decompositions, and a verification
 harness, all over exact rational arithmetic.  Hot counting kernels run on
 cleared-denominator Python ints, exact at any magnitude.
+
+`energy` is the function, not its module: `addcomb.energy`, `from addcomb
+import energy` and even `import addcomb.energy as m` bind the function.
+Reach the module by `from addcomb.energy import ...` or by
+`sys.modules["addcomb.energy"]`.
 """
 
 from ._kernels import backend_name
@@ -20,7 +25,6 @@ from .core import (
     LineKey,
     PlanePoint,
     canonical_line,
-    collinear3,
     line_through,
     point,
 )
@@ -40,7 +44,6 @@ from .decompose import (
 )
 from .energy import (
     CountHistogram,
-    d_lower,
     energy,
     energy_mul_product_form,
     l4_union_check,
@@ -61,7 +64,6 @@ from .incidence import (
     incidences,
     line_moment_sums,
     rich_lines,
-    rich_points,
     st_bound_check,
 )
 from .ratios import RatioProfile, popular_ratios, r_of_z, ratio_profile
@@ -74,7 +76,6 @@ from .sets import (
     generate,
     gp,
     grid_example,
-    literal,
     random_set,
     read_set_file,
     set_op,
@@ -110,8 +111,6 @@ __all__ = [
     "best_z",
     "bw_decompose",
     "canonical_line",
-    "collinear3",
-    "d_lower",
     "dyadic_band",
     "energy",
     "energy_mul_product_form",
@@ -124,7 +123,6 @@ __all__ = [
     "l4_union_check",
     "line_moment_sums",
     "line_through",
-    "literal",
     "point",
     "popular_ratios",
     "r_of_z",
@@ -136,7 +134,6 @@ __all__ = [
     "regularize",
     "rep_histogram",
     "rich_lines",
-    "rich_points",
     "run_suite",
     "set_op",
     "shift_product_report",

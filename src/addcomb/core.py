@@ -2,11 +2,10 @@
 
 Everything downstream (incidence counts, collinear triple counts, line
 statistics) reduces to the primitives here: points with exact rational
-coordinates, lines in canonical integer form, the cross-product
-collinearity test, and line membership, which cross-multiplies the
-point's own denominators into the integer line equation instead of
-building Fractions.  All functions are pure; no floats are ever involved
-in a decision.  `charge` is the package's one `--budget` check.
+coordinates, lines in canonical integer form, and line membership, which
+cross-multiplies the point's own denominators into the integer line equation
+instead of building Fractions.  All functions are pure; no floats are ever
+involved in a decision.  `charge` is the package's one `--budget` check.
 """
 
 from __future__ import annotations
@@ -84,15 +83,6 @@ def line_through(p: PlanePoint, q: PlanePoint) -> LineKey:
     # Clear denominators to reach an integer triple.
     m = lcm(a_f.denominator, b_f.denominator, c_f.denominator)
     return canonical_line(int(a_f * m), int(b_f * m), int(c_f * m))
-
-
-def collinear3(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
-    """Cross-product collinearity test; True for triples with coincidences.
-
-    (q - p) x (r - p) == 0, written out so the only operations are exact
-    rational multiplies and compares.
-    """
-    return (q.x - p.x) * (r.y - p.y) == (r.x - p.x) * (q.y - p.y)
 
 
 def point(x, y) -> PlanePoint:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import intervals
 from ._kernels import mul_pairs_count
-from .errors import EmptyCandidateList, InvalidConfig, PostconditionFailed
-from .sets import RatSet, common_scale, from_keys, int_keys, integerize
+from .errors import InvalidConfig
+from .sets import RatSet, from_keys, int_keys, integerize
 
 K_MAX = 8
 
@@ -30,28 +29,17 @@ K_MAX = 8
 class CountHistogram:
     """Multiplicity map x -> r(x); zero-count values are absent.
 
-    `counts` holds the map on the int pair keys of `sets.int_keys`, each
-    key k standing for k/den, for every op alike (quotients included): an
-    element x of a set keys as x*den, and `sets.from_keys` decodes.
-    `CountHistogram(entries)` builds one from a map keyed by rationals;
-    `entries` is that map again, as a view that builds the Fraction of a
-    key only when it is read.
+    `CountHistogram(counts, den)` holds the map on the int pair keys of
+    `sets.int_keys`, each key k standing for k/den, for every op alike
+    (quotients included): an element x of a set keys as x*den, and
+    `sets.from_keys` decodes.  `entries` is the map keyed by rationals, as
+    a view that builds the Fraction of a key only when it is read.
     """
 
     __slots__ = ("counts", "den")
 
-    def __init__(self, entries: Optional[dict] = None):
-        entries = {Fraction(x): r for x, r in (entries or {}).items()}
-        self.den = den = common_scale(entries)
-        self.counts = {x.numerator * (den // x.denominator): r
-                       for x, r in entries.items()}
-
-    @classmethod
-    def on_keys(cls, counts: dict, den: int) -> "CountHistogram":
-        """The histogram of `counts` on int keys over den (see above)."""
-        out = cls.__new__(cls)
-        out.counts, out.den = counts, den
-        return out
+    def __init__(self, counts: dict, den: int):
+        self.counts, self.den = counts, den
 
     def moment(self, k: int) -> int:
         return sum(m ** k for m in self.counts.values())
@@ -83,7 +71,7 @@ class CountHistogram:
     def restrict(self, S: RatSet) -> "CountHistogram":
         """The histogram with only the counts attained at elements of S."""
         counts = self.counts
-        return CountHistogram.on_keys(
+        return CountHistogram(
             {k: counts[k] for k in S.keys_at(self.den) if k in counts}, self.den)
 
     def key_set(self, keys: Iterable) -> RatSet:
@@ -113,22 +101,13 @@ class _Entries(Mapping):
         return len(self._hist.counts)
 
 
-@dataclass(frozen=True)
-class DLowerEstimate:
-    """Certified lower bound for d_k: value attained by the stored witness."""
-
-    k: int
-    value: Fraction
-    witness: RatSet
-
-
 def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
     """Histogram of a op b over A x B for op in {diff, ratio, sum, prod}.
 
     It counts the `sets.int_keys` keys: no Fraction is built here.
     """
     keys, den = int_keys(A, B, op)
-    return CountHistogram.on_keys(Counter(keys), den)
+    return CountHistogram(Counter(keys), den)
 
 
 def energy_op(k: int, flavor: str) -> str:
@@ -164,29 +143,6 @@ def energy_mul_product_form(X: RatSet, Y: RatSet) -> int:
     """
     _, ints = integerize(X, Y)
     return mul_pairs_count(*ints)
-
-
-def d_lower(A: RatSet, k: int, flavor: str,
-            candidates: Sequence[RatSet]) -> DLowerEstimate:
-    """Best E_k(A,B) / (|A| |B|^(k-1)) over the candidate list.
-
-    This is a lower bound for the supremum over all finite B; the true sup
-    is not computable by enumeration, so the witness is always reported.
-    Ties keep the earliest candidate.
-    """
-    cand = list(candidates)
-    if not cand or any(len(B) == 0 for B in cand):
-        raise EmptyCandidateList("need at least one nonempty candidate")
-    best_val: Optional[Fraction] = None
-    best_wit: Optional[RatSet] = None
-    for B in cand:
-        val = Fraction(energy(A, B, k, flavor), len(A) * len(B) ** (k - 1))
-        if best_val is None or val > best_val:
-            best_val = val
-            best_wit = B
-    if best_val is None or best_wit is None:
-        raise PostconditionFailed("no candidate was scored")
-    return DLowerEstimate(k=k, value=best_val, witness=best_wit)
 
 
 def l4_union_check(parts: Sequence[RatSet]) -> str:

@@ -514,6 +514,8 @@ def _suite_reports(corpus, budget: int):
 
     per_size = []
     for lbl, A in _materialize(corpus):
+        if 0 in A:
+            continue
         n = len(A)
         row = {"label": lbl, "n": n}
 
@@ -578,8 +580,9 @@ def run_suite(name: str, corpus: Optional[Sequence[GeneratorConfig]] = None,
 
     corpus defaults to DEFAULT_CORPUS (GRID_FAMILY for the reports suite).
     The oracle and incidence suites draw their instances from pinned seeds
-    and use the corpus argument only as context.  Result is deterministic
-    for fixed inputs; any EXACT failure flips .ok.
+    and use the corpus argument only as context; the decomposition and
+    reports suites skip the sets containing 0, which bw/xy refuse.  Result
+    is deterministic for fixed inputs; any EXACT failure flips .ok.
     """
     if name not in _SUITES:
         raise InvalidConfig(f"unknown suite {name!r}; options: {', '.join(SUITE_NAMES)}")

@@ -1,4 +1,4 @@
-"""Point-line incidences, rich lines/points, and line-family moment sums.
+"""Point-line incidences, rich lines, and line-family moment sums.
 
 Incidences are counted on integers: the point coordinates are scaled by a
 common denominator m, each line constant c becomes m*c, and the integer
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import _kernels
 from ._kernels_py import _canonical_span, _spanned_lines
@@ -174,36 +174,6 @@ def rich_lines(points: Iterable[PlanePoint], k: int) -> set:
     if k < 2:
         raise InvalidConfig("rich_lines needs k >= 2")
     return {key for key, m in spanned_line_multiplicities(points).items() if m >= k}
-
-
-def line_intersection(l1: LineKey, l2: LineKey) -> Optional[PlanePoint]:
-    """Intersection point of two lines, None if parallel or identical."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return None
-    x = Fraction(l1.c * l2.b - l2.c * l1.b, det)
-    y = Fraction(l1.a * l2.c - l2.a * l1.c, det)
-    return PlanePoint(x, y)
-
-
-def rich_points(lines: Iterable[LineKey], k: int) -> set:
-    """Points lying on at least k of the given (distinct) lines, k >= 2.
-
-    Intersects lines pairwise, hashes the meeting points, and recovers the
-    per-point line count m from its pair count m(m-1)/2.
-    """
-    if k < 2:
-        raise InvalidConfig("rich_points needs k >= 2")
-    pair_counts: dict = {}
-    for l1, l2 in combinations(set(lines), 2):
-        p = line_intersection(l1, l2)
-        if p is not None:
-            pair_counts[p] = pair_counts.get(p, 0) + 1
-    out = set()
-    for p, c in pair_counts.items():
-        if _multiplicity_from_pairs(c) >= k:
-            out.add(p)
-    return out
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,6 @@ def bounds(x) -> tuple[Fraction, Fraction]:
     return _endpoint_fraction(x.a), _endpoint_fraction(x.b)
 
 
-def from_fraction(f: Fraction):
-    """Enclosure of an exact rational at the current iv precision."""
-    iv = _mpmath().iv
-    return iv.mpf(f.numerator) / iv.mpf(f.denominator)
-
-
 def from_int(n: int):
     return _mpmath().iv.mpf(n)
 

@@ -1,4 +1,4 @@
-"""Constrained ratio-of-sums counts r(z), level sets, and R(Z; A1, A2).
+"""Constrained ratio-of-sums counts r(z) and R(Z; A1, A2).
 
 r(z) counts quadruples (a1, a1', a2, a2') in A1^2 x A2^2 with
 a1' + a2' = z * (a1 + a2), in denominator-free equation form, so zero sums
@@ -96,14 +96,6 @@ def ratio_profile(Z: RatSet, A1: RatSet, A2: RatSet) -> RatioProfile:
         Z=Z, r=r_map, R=R, sum_r=sum_r, zero_sums=zero_sums,
         lemma_ratio=lemma, theorem_ratio=theorem,
     )
-
-
-def level_set(Z: RatSet, A1: RatSet, A2: RatSet, t: int) -> RatSet:
-    """Z_t = {z in Z : r(z) >= t}, antitone in t."""
-    if t < 1:
-        raise InvalidConfig("level threshold t must be >= 1")
-    hist = rep_histogram(A1, A2, "sum").counts
-    return Z.select(_r_from_hist(hist, z) >= t for z in Z)
 
 
 def _quotients(A1: RatSet, A2: RatSet, budget: int):

@@ -349,10 +349,6 @@ def random_set(size: int, rng: int, seed: int) -> GeneratorConfig:
     return GeneratorConfig(kind="Random", size=size, range=rng, seed=seed)
 
 
-def literal(values) -> GeneratorConfig:
-    return GeneratorConfig(kind="Literal", values=tuple(Fraction(v) for v in values))
-
-
 def generate(config: GeneratorConfig) -> RatSet:
     """Materialize a GeneratorConfig.  InvalidConfig on bad parameters."""
     k = config.kind

@@ -1,4 +1,4 @@
-"""Exact plane primitives: canonical lines, spans, collinearity."""
+"""Exact plane primitives: canonical lines, spans, line membership."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from addcomb.core import (
     LineKey,
     PlanePoint,
     canonical_line,
-    collinear3,
     line_through,
     point,
 )
@@ -120,26 +119,13 @@ def test_contains_int_coordinates():
     assert not li.contains(PlanePoint(3, 5))
 
 
-def test_collinear3_basic():
-    assert collinear3(point(0, 0), point(1, 1), point(2, 2))
-    assert not collinear3(point(0, 0), point(1, 0), point(0, 1))
-    # coincidences always count as collinear
-    assert collinear3(point(1, 2), point(1, 2), point(9, -4))
-
-
-@given(points, points, points)
-def test_collinear3_permutation_invariant(p, q, r):
-    base = collinear3(p, q, r)
-    assert collinear3(q, p, r) == base
-    assert collinear3(r, q, p) == base
-    assert collinear3(p, r, q) == base
-
-
 @given(points, points, points)
 def test_collinear3_matches_line_membership(p, q, r):
     if p == q:
         return
-    assert collinear3(p, q, r) == line_through(p, q).contains(r)
+    # (q - p) x (r - p) == 0 iff r is on the line through p and q
+    collinear = (q.x - p.x) * (r.y - p.y) == (r.x - p.x) * (q.y - p.y)
+    assert collinear == line_through(p, q).contains(r)
 
 
 def test_point_accepts_mixed_inputs():

@@ -46,7 +46,7 @@ nonzero_sets = st.builds(
 
 
 def _hist(d):
-    return CountHistogram({Fraction(k): v for k, v in d.items()})
+    return CountHistogram(dict(d), 1)
 
 
 def test_dyadic_band_hand_cases():
@@ -71,7 +71,7 @@ def test_dyadic_band_single_band():
 
 def test_dyadic_band_validation():
     with pytest.raises(EmptyHistogram):
-        dyadic_band(CountHistogram({}), 2)
+        dyadic_band(CountHistogram({}, 1), 2)
     with pytest.raises(InvalidConfig):
         dyadic_band(_hist({1: 1}), 0)
 

@@ -115,6 +115,17 @@ def test_decomposition_suite_emits_ratio_tables():
                    for row in res.ratio_tables)
 
 
+def test_reports_suite_skips_sets_containing_zero():
+    # AP(0,1,8) holds 0, which the bw and xy decompositions refuse; the
+    # suite reports on the other two sets instead of aborting
+    res = harness.run_suite("reports", [ap(0, 1, 8), ap(1, 1, 9), ap(1, 1, 10)])
+    assert res.ok
+    assert {row["set"] for row in res.ratio_tables} == {
+        ap(1, 1, 9).label(), ap(1, 1, 10).label()}
+    fits = [c for c in res.checks if c.name.startswith("fit:")]
+    assert fits and all(c.details == "insufficient points" for c in fits)
+
+
 def test_fit_exponent_exact_power_laws():
     assert harness.fit_exponent([(2, 4), (4, 16), (8, 64)]).slope == pytest.approx(2.0)
     assert harness.fit_exponent([(2, 2), (4, 4), (8, 8)]).slope == pytest.approx(1.0)

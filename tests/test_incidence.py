@@ -1,4 +1,4 @@
-"""Point-line incidences, the explicit 4/4/1 bound, rich objects."""
+"""Point-line incidences, the explicit 4/4/1 bound, rich lines."""
 
 from collections import Counter
 from fractions import Fraction
@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb.core import canonical_line, collinear3, line_through, point
+from addcomb.core import canonical_line, line_through, point
 from addcomb.errors import InvalidConfig
 from addcomb.incidence import (
     Arrangement,
     _multiplicity_from_pairs,
-    line_intersection,
     line_moment_sums,
     incidences,
     read_arrangement,
     rich_lines,
-    rich_points,
     scaled_incidences,
     spanned_line_multiplicities,
     st_bound_check,
@@ -160,23 +158,6 @@ def test_rich_lines_grid():
         rich_lines(pts, 1)
 
 
-def test_line_intersection_cases():
-    l1 = canonical_line(1, 0, 0)   # x = 0
-    l2 = canonical_line(0, 1, 2)   # y = 2
-    assert line_intersection(l1, l2) == point(0, 2)
-    assert line_intersection(l1, l1) is None
-    assert line_intersection(l1, canonical_line(1, 0, 5)) is None
-
-
-def test_rich_points_pencil():
-    # lines through the origin plus one horizontal: origin lies on many
-    lines = [canonical_line(1, -m, 0) for m in range(5)] + [canonical_line(0, 1, 3)]
-    rich = rich_points(lines, 5)
-    assert point(0, 0) in rich
-    for p in rich:
-        assert sum(1 for li in lines if li.contains(p)) >= 5
-
-
 def test_line_stats_shape_validation():
     a, b = RatSet([1, 2]), RatSet([1, 2, 3])
     with pytest.raises(InvalidConfig):
@@ -228,7 +209,7 @@ def test_line_moment_sums_triple_brute_recount(sets, p):
     lines = {
         line_through(u1, u2)
         for u1 in grids[0] for u2 in grids[1] if u1 != u2
-        for u3 in grids[2] if u3 != u1 and u3 != u2 and collinear3(u1, u2, u3)
+        for u3 in grids[2] if u3 != u1 and u3 != u2 and line_through(u1, u2).contains(u3)
     }
     alphas = [[sum(1 for u in g if li.contains(u)) for g in grids] for li in lines]
     expected = tuple(sum(al[i] ** p for al in alphas if al[i] >= 2) for i in range(3))

@@ -11,7 +11,6 @@ from addcomb.intervals import (
     decide_leq,
     decimal_bounds,
     fraction_decimal,
-    from_fraction,
     from_int,
     ln2_bounds,
     log_squared_fraction_bounds,
@@ -43,7 +42,7 @@ def test_fraction_decimal_close_to_true_value(f):
 def test_bounds_of_exact_inputs_are_tight():
     lo, hi = bounds(from_int(7))
     assert lo == hi == 7
-    lo, hi = bounds(from_fraction(Fraction(3, 4)))
+    lo, hi = bounds(from_int(3) / from_int(4))
     assert lo == hi == Fraction(3, 4)
 
 
@@ -67,10 +66,11 @@ def test_decide_leq_exact_and_strict():
 
 def test_decide_leq_separates_close_irrationals():
     # sqrt(2) < 1.41421357 needs enough precision but is decidable
-    tight = Fraction(141421357, 10**8)
-    assert decide_leq(lambda: pow_frac(from_int(2), 1, 2),
-                      lambda: from_fraction(tight)) is True
-    assert decide_leq(lambda: from_fraction(tight),
+    def tight():
+        return from_int(141421357) / from_int(10**8)
+
+    assert decide_leq(lambda: pow_frac(from_int(2), 1, 2), tight) is True
+    assert decide_leq(tight,
                       lambda: pow_frac(from_int(2), 1, 2)) is False
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from addcomb.errors import BudgetExceeded, InvalidConfig
 from addcomb.ratios import (
     full_ratio_set,
-    level_set,
     popular_ratios,
     r_of_z,
     ratio_profile,
@@ -67,19 +66,6 @@ def test_zero_sums_tracked():
     a = RatSet([-1, 1])
     prof = ratio_profile(RatSet([1]), a, a)
     assert prof.zero_sums == 2  # (-1,1) and (1,-1)
-
-
-def test_level_set_antitone():
-    a = RatSet([1, 2, 3])
-    z = full_ratio_set(a, a)
-    prev = None
-    for t in (1, 2, 3, 5):
-        cur = level_set(z, a, a, t)
-        if prev is not None:
-            assert cur.is_subset(prev)
-        prev = cur
-    with pytest.raises(InvalidConfig):
-        level_set(z, a, a, 0)
 
 
 def test_full_ratio_set_excludes_zero_only_ratios():

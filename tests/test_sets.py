@@ -22,7 +22,6 @@ from addcomb.sets import (
     generate,
     gp,
     grid_example,
-    literal,
     parse_rational,
     random_set,
     read_corpus_file,
@@ -140,7 +139,8 @@ def test_random_generator_deterministic():
 
 
 def test_literal_generator():
-    assert generate(literal([3, Fraction(1, 2)])) == RatSet([3, Fraction(1, 2)])
+    cfg = GeneratorConfig(kind="Literal", values=(Fraction(3), Fraction(1, 2)))
+    assert generate(cfg) == RatSet([3, Fraction(1, 2)])
 
 
 def test_generator_labels():
@@ -153,7 +153,7 @@ def test_generator_labels():
 def test_generator_config_json_roundtrip():
     for cfg in (ap(Fraction(1, 2), Fraction(1, 3), 12), gp(1, 2, 8),
                 grid_example(3, 3), random_set(16, 100, 1),
-                literal([1, Fraction(5, 7)])):
+                GeneratorConfig(kind="Literal", values=(Fraction(1), Fraction(5, 7)))):
         back = GeneratorConfig.from_json(cfg.to_json())
         assert back == cfg
         assert generate(back) == generate(cfg)
@@ -167,7 +167,8 @@ def test_generator_config_json_roundtrip():
     (grid_example(3, 4), [("kind", "GridExample"), ("s", 3), ("p", 4)]),
     (random_set(16, 100, 1),
      [("kind", "Random"), ("size", 16), ("range", 100), ("seed", 1)]),
-    (literal([3, Fraction(-5, 7), 0]), [("kind", "Literal"), ("values", ["3", "-5/7", "0"])]),
+    (GeneratorConfig(kind="Literal", values=(Fraction(3), Fraction(-5, 7), Fraction(0))),
+     [("kind", "Literal"), ("values", ["3", "-5/7", "0"])]),
 ], ids=["AP", "GP", "GridExample", "Random", "Literal"])
 def test_generator_config_json_pinned(cfg, pinned):
     # the exact dict, key order included, that corpus files have always held
