@@ -3,13 +3,15 @@
 These are the hot inner loops, expressed over plain Python ints, so they
 are exact at any magnitude; _kernels re-exports the ones callers use.
 t_o_linehash counts by one histogram of ratios of differences plus a
-closed form over membership classes, while _spanned_lines hashes every
+closed form over membership classes; on three equal grids of n values it
+keys each 3-set once by the invariant of its anharmonic orbit of ratios,
+C(n, 3) keys at most instead of about n**3.  _spanned_lines hashes every
 spanned line and so is its independent check; incidence's _line_census
 counts the same _canonical_span keys over point pairs.  Both
 mul_pairs kernels match parallel vectors through `_direction_hist`, which
 keys a vector (u, v) by the exact int slope key v*m // u, with one
 m >= D**2 per call for D a bound on |u|; t_o_linehash keys its ratios the
-same way, and no gcd is taken.
+same way (its orbit invariants with m = D**4), and no gcd is taken.
 count_incidences packs all points into fixed-width slots of two bigints and
 tests every point against a line with one linear form on those ints; its
 checks are the Fraction recount `LineKey.contains` and a direct double loop
@@ -147,10 +149,7 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
     Both sides nonzero: all four differences are nonzero and the equation
     says (a2 - x)/(a3 - x) == (b2 - y)/(b3 - y).  So with S(t) the number
     of (x, a2, a3) in g1 x g2 x g3, a2 != x != a3, whose ratio is t, these
-    solutions number sum_t S(t)**2 over all pivots at once.  S is tallied on
-    the int key ((a2 - x) m) // (a3 - x) with m = D**2 for D the span of
-    g1 | g2 | g3: every |a3 - x| is at most D, so by the lemma of
-    `_direction_hist` keys are equal iff ratios are, and no gcd is taken.
+    solutions number sum_t S(t)**2 over all pivots at once.
 
     Both sides zero: a2 == x or b3 == y, and a3 == x or b2 == y.  For a
     pivot with p = [x in g2], q = [x in g3], r = [y in g2], s = [y in g3],
@@ -167,9 +166,34 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
     For g1 = g2 = g3 of size n every term is (n - 1)(n - 3), and
     T_o = sum_t S(t)**2 + n**2 (n - 1)(n - 3).
 
-    Time and keys O(|g1| |g2| |g3|); no pivot pair and no line is visited.
+    Unequal grids tally S itself (`_ratio_tally`), in time and keys
+    O(|g1| |g2| |g3|).  Equal grids of n values tally one key per 3-set
+    instead (`_orbit_tally`).  The triples with a2 == a3 all have t = 1,
+    so S(1) = n (n - 1).  The 6 orders (x, a2, a3) of any 3-set
+    {u < v < w} map t onto the anharmonic orbit of t0 = (v - u)/(w - u),
+    {t0, 1 - t0, 1/t0, 1/(1 - t0), t0/(t0 - 1), (t0 - 1)/t0}, whose only
+    members in (0, 1) are t0 and 1 - t0.  So
+    lambda = t0 (1 - t0) = (v - u)(w - v)/(w - u)**2 in (0, 1/4] names the
+    orbit, and with N(lambda) the number of 3-sets of invariant lambda,
+    S(t) = N(lambda) on each of its 6 members.  The one exception is
+    lambda = 1/4, the 3-term APs, whose orbit {-1, 2, 1/2} has 3 members
+    each hit twice per set, so S = 2 N(1/4) there.  Hence
+    sum_t S(t)**2 = 6 sum_{lambda < 1/4} N**2 + 12 N(1/4)**2
+    + (n (n - 1))**2, in time O(n**3 / 6) with C(n, 3) keys at most.
+
     The name matches the "linehash" mode of collinear.t_o_count.
     """
+    s1 = set(g1)
+    if s1 == set(g2) == set(g3):
+        return _orbit_tally(s1)
+    return _ratio_tally(g1, g2, g3)
+
+
+def _ratio_tally(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
+    # t_o_linehash on any grids: S is tallied on the int key
+    # ((a2 - x) m) // (a3 - x) with m = D**2 for D the span of g1 | g2 | g3;
+    # every |a3 - x| is at most D, so by the lemma of `_direction_hist`
+    # keys are equal iff ratios are, and no gcd is taken
     l1, l2, l3 = list(g1), list(g2), list(g3)
     s2, s3 = set(l2), set(l3)
     union = l1 + l2 + l3
@@ -188,6 +212,28 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
             degenerate = p * r * n3 * n3 + q * s * n2 * n2 + k * k - 2 * p * q * r * s
             total += cx * cy * (both_zero - degenerate)
     return total
+
+
+def _orbit_tally(g) -> int:
+    # t_o_linehash on g1 = g2 = g3 = g: N is tallied on the int key
+    # ((v - u)(w - v) m) // (w - u)**2 with m = D**4 for D the span of g.
+    # Distinct lambdas have denominators at most D**2, so they differ by at
+    # least 1/D**4 and their keys differ; lambda = 1/4 has the key m // 4.
+    # Each least element u tallies the 3-sets of its suffix at once, so no
+    # list of all C(n, 3) keys is held
+    vals = sorted(g)
+    n = len(vals)
+    m = (vals[-1] - vals[0]) ** 4 if vals else 0
+    lambdas = Counter()
+    for i, u in enumerate(vals):
+        suffix = vals[i + 1:]
+        dens = [(w - u) ** 2 for w in suffix]
+        lambdas.update([(v - u) * (w - v) * m // den
+                        for j, (w, den) in enumerate(zip(suffix, dens))
+                        for v in suffix[:j]])
+    aps = lambdas.pop(m // 4, 0)
+    return (6 * sum(c * c for c in lambdas.values()) + 12 * aps * aps
+            + (n * (n - 1)) ** 2 + n * n * (n - 1) * (n - 3))
 
 
 def count_incidences(pxs, pys, las, lbs, lcs) -> int:

@@ -11,6 +11,9 @@ exactly; the fast path is never trusted on its own.  The fast path (mode
 tallies one histogram of the ratios (a2 - x)/(a3 - x) over A1 x A2 x A3 on
 exact int keys, sums its squared counts and adds a closed form for the
 solutions with a zero difference, in O(|A1| |A2| |A3|) time and memory.
+When A1 = A2 = A3 = A the 6 orders of a 3-set of A share one anharmonic
+orbit of ratios, so it keys each 3-set once by the orbit's invariant,
+C(|A|, 3) keys at most.
 `triple_count_report` takes T_o from it and T as T_o plus the closed-form
 `coincident_tuples`; the oracle suite checks that sum against the brute
 6-tuple count.
@@ -72,7 +75,8 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
     The fast path keys one ratio per (x, a2, a3) in A1 x A2 x A3, so it
     charges |A1| |A2| |A3| ratio keys against the budget; that bounds both
     its work and the entries of its histogram, and it does not depend on
-    the argument order.
+    the argument order.  On A1 = A2 = A3 it keys one orbit invariant per
+    3-set instead, C(|A1|, 3) keys, and the same charge bounds those.
     """
     if mode == "brute":
         _check_tuple_budget(A1, A2, A3, budget)

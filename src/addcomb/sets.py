@@ -298,6 +298,15 @@ class GeneratorConfig:
     seed: int | None = None
     values: tuple | None = None
 
+    def __post_init__(self):
+        # one form however the config is built: start, step, ratio and
+        # values become Fractions, so equal configs serialise alike
+        for key in ("start", "step", "ratio"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, Fraction(getattr(self, key)))
+        if self.values is not None:
+            object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
+
     def label(self) -> str:
         if self.kind == "AP":
             return f"AP(start={self.start},step={self.step},n={self.n})"
@@ -334,11 +343,11 @@ class GeneratorConfig:
 
 
 def ap(start, step, n: int) -> GeneratorConfig:
-    return GeneratorConfig(kind="AP", start=Fraction(start), step=Fraction(step), n=n)
+    return GeneratorConfig(kind="AP", start=start, step=step, n=n)
 
 
 def gp(start, ratio, n: int) -> GeneratorConfig:
-    return GeneratorConfig(kind="GP", start=Fraction(start), ratio=Fraction(ratio), n=n)
+    return GeneratorConfig(kind="GP", start=start, ratio=ratio, n=n)
 
 
 def grid_example(s: int, p: int) -> GeneratorConfig:

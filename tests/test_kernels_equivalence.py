@@ -9,7 +9,10 @@ No kernel is checked against a second copy of itself:
   lists, on first grids with points of all four membership classes
   (x in A2?, x in A3?) that its closed form sums over, and at sizes where
   the n^6 brute force is too slow; Farey neighbours among the ratio
-  denominators pin its m >= D**2;
+  denominators pin its m >= D**2.  Its orbit route for three equal grids
+  also equals the ratio tally of every (x, a2, a3) on the same grids, on
+  signed sets, APs and their affine images in any order, and the nearest
+  pairs of orbit invariants show that its m = D**4 cannot drop to D**2;
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop, and
   on the diagonal (y1, y2) == (x1, x2) build one slope histogram, not two;
 - `_direction_hist`, the slope-key histogram behind both mul_pairs
@@ -139,6 +142,30 @@ def test_t_o_pivot_matches_line_census_above_brute_sizes():
     assert len(classes) == 4
 
 
+@st.composite
+def equal_grids(draw):
+    # n = 0..12 signed values, or an AP, whose 3-term sub-APs all share
+    # the invariant lambda = 1/4, in a drawn order
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        start, step = draw(ints), draw(st.integers(1, 20))
+        vals = [start + i * step for i in range(n)]
+    else:
+        vals = draw(st.lists(ints, min_size=n, max_size=n, unique=True))
+    return draw(st.permutations(vals))
+
+
+@given(equal_grids(), affine_maps)
+@settings(max_examples=100, deadline=None)
+def test_t_o_orbit_tally_on_equal_grids(g, m):
+    # three orders of one set take the orbit route; the ratio tally of
+    # every (x, a2, a3) and the line census recount it
+    g = _affine(g, m)
+    t_o = _kernels.t_o_linehash(g, g[::-1], sorted(g))
+    assert t_o == _kernels_py._ratio_tally(g, g, g)
+    assert t_o == _census_t_o(g, g, g)
+
+
 @given(st.lists(st.tuples(fracs, fracs), min_size=1, max_size=12, unique=True),
        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
                           st.integers(-20, 20))
@@ -236,10 +263,41 @@ def test_ratio_keys_need_m_at_least_d_squared():
         # the grid {0, 1, d-2, d-1, d} spans d and holds both Farey pairs
         # from the pivot (0, 0); the unequal triples keep the span at d
         g = sorted({0, 1, d - 2, d - 1, d})
-        assert _kernels.t_o_linehash(g, g, g) == _census_t_o(g, g, g)
+        assert _kernels_py._ratio_tally(g, g, g) == _census_t_o(g, g, g)
         h = sorted({0, 2, d - 1})
         assert _kernels.t_o_linehash(h, g, g) == _census_t_o(h, g, g)
         assert _kernels.t_o_linehash(g, h, g) == _census_t_o(g, h, g)
+    assert merged
+
+
+def _closest_orbit_pair(d):
+    # gap pairs (a, b) and (a2, b2), a + b <= d, of 3-sets {u, u + a,
+    # u + a + b} whose invariants lambda = a b/(a + b)**2 are the two
+    # nearest distinct ones at span d
+    lams = {Fraction(a * b, (a + b) ** 2): (a, b)
+            for b in range(1, d) for a in range(1, min(b, d - b) + 1)}
+    ls = sorted(lams)
+    l1, l2 = min(zip(ls, ls[1:]), key=lambda pair: pair[1] - pair[0])
+    return lams[l1], lams[l2]
+
+
+def test_orbit_keys_need_m_at_least_d_to_the_fourth():
+    # the orbit route keys lambda = (v - u)(w - v)/(w - u)**2 by
+    # ((v - u)(w - v) m) // (w - u)**2.  The grid below spans d and holds
+    # both 3-sets of the nearest pair of invariants: m = D**4 keeps their
+    # keys apart, while m = D**2 merges them at d = 5 and every even d >= 8
+    merged = 0
+    for d in range(5, 31):
+        (a, b), (a2, b2) = _closest_orbit_pair(d)
+
+        def keys(m):
+            return [x * y * m // (x + y) ** 2 for x, y in ((a, b), (a2, b2))]
+
+        assert len(set(keys(d**4))) == 2
+        merged += len(set(keys(d**2))) == 1
+        g = sorted({0, a, a + b, d - a2 - b2, d - b2, d})
+        t_o = _kernels.t_o_linehash(g, g, g)
+        assert t_o == _kernels_py._ratio_tally(g, g, g) == _census_t_o(g, g, g)
     assert merged
 
 

@@ -169,7 +169,16 @@ def test_generator_config_json_roundtrip():
      [("kind", "Random"), ("size", 16), ("range", 100), ("seed", 1)]),
     (GeneratorConfig(kind="Literal", values=(Fraction(3), Fraction(-5, 7), Fraction(0))),
      [("kind", "Literal"), ("values", ["3", "-5/7", "0"])]),
-], ids=["AP", "GP", "GridExample", "Random", "Literal"])
+    # ints given in Python become the Fractions that from_json and spctl
+    # gen give, so equal configs serialise alike
+    (GeneratorConfig(kind="AP", start=1, step=-2, n=4),
+     [("kind", "AP"), ("start", "1"), ("step", "-2"), ("n", 4)]),
+    (GeneratorConfig(kind="GP", start=3, ratio=2, n=5),
+     [("kind", "GP"), ("start", "3"), ("ratio", "2"), ("n", 5)]),
+    (GeneratorConfig(kind="Literal", values=[3, Fraction(-5, 7), 0]),
+     [("kind", "Literal"), ("values", ["3", "-5/7", "0"])]),
+], ids=["AP", "GP", "GridExample", "Random", "Literal", "AP-ints", "GP-ints",
+        "Literal-ints"])
 def test_generator_config_json_pinned(cfg, pinned):
     # the exact dict, key order included, that corpus files have always held
     assert list(cfg.to_json().items()) == pinned
