@@ -64,12 +64,11 @@ def canonical_line(a: int, b: int, c: int) -> LineKey:
     """Reduce an integer triple to the canonical LineKey. (a, b) must be nonzero."""
     if a == 0 and b == 0:
         raise DegeneratePair("normal vector (a, b) must be nonzero")
-    g = gcd(gcd(abs(a), abs(b)), abs(c))
-    a, b, c = a // g, b // g, c // g
+    g = gcd(a, b, c)
     # Sign rule: first nonzero of (a, b) positive.
     if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return LineKey(a, b, c)
+        g = -g
+    return LineKey(a // g, b // g, c // g)
 
 
 def line_through(p: PlanePoint, q: PlanePoint) -> LineKey:

@@ -443,7 +443,7 @@ def _suite_decomposition(corpus, budget: int):
     maxima = {}
 
     for lbl, A in _materialize(corpus):
-        if 0 in A:
+        if 0 in A or len(A) < 2:
             continue
         n = len(A)
 
@@ -514,7 +514,7 @@ def _suite_reports(corpus, budget: int):
 
     per_size = []
     for lbl, A in _materialize(corpus):
-        if 0 in A:
+        if 0 in A or len(A) < 2:
             continue
         n = len(A)
         row = {"label": lbl, "n": n}
@@ -552,7 +552,8 @@ def _suite_reports(corpus, budget: int):
         ("sum_product_growth", "growth", 1 + Fraction(105, 347)),
     ]
     for family, key, target in fit_specs:
-        pts = [(row["n"], row[key]) for row in per_size]
+        # a zero row (T_o = 0 on a 2-element set) has no logarithm
+        pts = [(row["n"], row[key]) for row in per_size if row[key] > 0]
         try:
             fits.append(fit_exponent(pts, family=family, target=target))
         except InsufficientPoints:
@@ -581,8 +582,11 @@ def run_suite(name: str, corpus: Optional[Sequence[GeneratorConfig]] = None,
     corpus defaults to DEFAULT_CORPUS (GRID_FAMILY for the reports suite).
     The oracle and incidence suites draw their instances from pinned seeds
     and use the corpus argument only as context; the decomposition and
-    reports suites skip the sets containing 0, which bw/xy refuse.  Result
-    is deterministic for fixed inputs; any EXACT failure flips .ok.
+    reports suites skip the sets that contain 0 or hold fewer than 2
+    elements, which bw/xy refuse, and the regularization suite skips the
+    sets of fewer than 4.  Each fit of the reports suite runs over the rows
+    where its value is positive.  Result is deterministic for fixed inputs;
+    any EXACT failure flips .ok.
     """
     if name not in _SUITES:
         raise InvalidConfig(f"unknown suite {name!r}; options: {', '.join(SUITE_NAMES)}")

@@ -1,78 +1,23 @@
 """Source rules on what `src/addcomb` raises, and the one budget rule.
 
-AST scans of every module: `core.charge` is the only place that raises
-BudgetExceeded; every other `raise` names an `errors.AddcombError`
-subclass, re-raises, or is one of the listed protocol errors at its site;
-and no module holds an `assert` statement, so each guarantee holds under
-`python -O`.  Every entry point that charges `--budget` runs at budget ==
+Three rules of the one scanner (`source_rules`): `core.charge` is the only
+place that raises BudgetExceeded; every other `raise` names an
+`errors.AddcombError` subclass, re-raises, or is one of the listed protocol
+errors at its site; and no module holds an `assert` statement, so each
+guarantee holds under `python -O`.  Every entry point that charges `--budget` runs at budget ==
 its cost and refuses at cost - 1 with the message
 "<units> <what> exceed budget <budget>".
 """
 
-import ast
-from pathlib import Path
-
 import pytest
 
-from addcomb import errors
 from addcomb.collinear import t_count_brute, t_identity_check, t_o_count, t_split_brute
 from addcomb.errors import BudgetExceeded
 from addcomb.incidence import line_moment_sums
 from addcomb.ratios import full_ratio_set, popular_ratios
 from addcomb.sets import RatSet
-
-ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/addcomb/*.py"))
-
-ADDCOMB_ERRORS = {name for name, obj in vars(errors).items()
-                  if isinstance(obj, type) and issubclass(obj, errors.AddcombError)}
-# (module, exception, enclosing function) of the raises that a Python
-# protocol requires to be that builtin exception
-PROTOCOL_RAISES = {
-    ("energy.py", "KeyError", "__getitem__"),  # _Entries is a Mapping
-    ("sets.py", "AttributeError", "__setattr__"),  # RatSet is immutable
-}
-
-
-def raise_sites(source: str) -> list:
-    """(exception name, enclosing function) of each `raise` in `source`, in
-    source order.  The name is None for a bare re-raise; the function is
-    None at module level."""
-    tree = ast.parse(source)
-    owner = {}
-    # ast.walk is breadth-first, so an inner function overwrites its outer one
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for node in ast.walk(fn):
-                owner[node] = fn.name
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Raise):
-            continue
-        name = None
-        if node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-        found.append((node.lineno, name, owner.get(node)))
-    return [(name, fn) for _, name, fn in sorted(found, key=lambda f: f[0])]
-
-
-def stray_raises(module: str, source: str) -> list:
-    """The raise sites of `source` that break the error rule: not an
-    AddcombError subclass, not a bare re-raise, not a listed protocol raise."""
-    return [(name, fn) for name, fn in raise_sites(source)
-            if name is not None and name not in ADDCOMB_ERRORS
-            and (module, name, fn) not in PROTOCOL_RAISES]
-
-
-def assert_lines(source: str) -> list:
-    """Line number of each `assert` statement in `source`."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Assert))
-
-
-def _read_sources() -> dict:
-    return {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+from source_rules import (PACKAGE, PROTOCOL_RAISES, assert_lines, findings, nodes, raise_sites,
+                          scan, stray_raises)
 
 
 def test_scanner_finds_every_form_of_the_raise():
@@ -91,15 +36,15 @@ def test_scanner_finds_every_form_of_the_raise():
         "    raise ValueError(n) from None\n"
         "raise BudgetExceeded\n"
     )
-    assert raise_sites(src) == [("BudgetExceeded", "inner"), ("BudgetExceeded", "outer"),
+    assert raise_sites(nodes(src)) == [("BudgetExceeded", "inner"), ("BudgetExceeded", "outer"),
                                 (None, "outer"), ("ValueError", "outer"),
                                 ("BudgetExceeded", None)]
 
 
 def test_only_charge_raises_budget_exceeded():
-    found = {path: [fn for name, fn in raise_sites(src) if name == "BudgetExceeded"]
-             for path, src in _read_sources().items()}
-    assert {path: fns for path, fns in found.items() if fns} == {"core.py": ["charge"]}
+    assert findings(lambda walk: [fn for name, fn in raise_sites(walk)
+                                  if name == "BudgetExceeded"]) == {
+        "src/addcomb/core.py": ["charge"]}
 
 
 def test_error_rule_flags_a_builtin_raise():
@@ -116,28 +61,25 @@ def test_error_rule_flags_a_builtin_raise():
         "def __getitem__(self, x):\n"
         "    raise KeyError(x)\n"
     )
-    assert stray_raises("core.py", src) == [("ValueError", "public"), ("KeyError", "__getitem__")]
-    assert stray_raises("energy.py", src) == [("ValueError", "public")]
+    walk = nodes(src)
+    assert stray_raises("core.py", walk) == [("ValueError", "public"), ("KeyError", "__getitem__")]
+    assert stray_raises("energy.py", walk) == [("ValueError", "public")]
 
 
 def test_every_raise_names_an_addcomb_error():
-    sources = _read_sources()
-    found = {path: stray_raises(path, src) for path, src in sources.items()}
-    assert {path: sites for path, sites in found.items() if sites} == {}
+    found = {p.name: stray_raises(p.name, scan(p)) for p in PACKAGE}
+    assert {name: sites for name, sites in found.items() if sites} == {}
     # each listed protocol raise is still there, so the list cannot go stale
-    sites = {(path, name, fn) for path, src in sources.items()
-             for name, fn in raise_sites(src)}
-    assert PROTOCOL_RAISES <= sites
+    assert PROTOCOL_RAISES <= {(p.name, *site) for p in PACKAGE for site in raise_sites(scan(p))}
 
 
 def test_assert_scanner_finds_nested_asserts():
     src = "assert True\nclass C:\n    def f(self, x):\n        assert x, 'no'\n"
-    assert assert_lines(src) == [1, 4]
+    assert assert_lines(nodes(src)) == [1, 4]
 
 
 def test_no_assert_in_the_package():
-    found = {path: assert_lines(src) for path, src in _read_sources().items()}
-    assert {path: lines for path, lines in found.items() if lines} == {}
+    assert findings(assert_lines) == {}
 
 
 A, B, C = RatSet([0, 1]), RatSet([0, 2, 5]), RatSet([1, 2, 3, 7])

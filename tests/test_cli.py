@@ -127,6 +127,21 @@ def test_verify_custom_corpus(tmp_path, capsys):
     assert "VERIFY PASS" in capsys.readouterr().out
 
 
+def test_verify_and_report_on_tiny_and_zero_row_sets(tmp_path):
+    # a 1-element AP, a GP of ratio 1 (one element) and AP(1,1,2), whose
+    # T_o is 0, once aborted the decomposition and reports suites
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([
+        {"kind": "AP", "start": "1", "step": "1", "n": 1},
+        {"kind": "GP", "start": "2", "ratio": "1", "n": 4},
+        *({"kind": "AP", "start": "1", "step": "1", "n": n} for n in (2, 5, 8, 12)),
+    ]))
+    for cmd in (["verify", "--suite", "all"], ["report"]):
+        out = tmp_path / "out.json"
+        assert run([*cmd, "--corpus", str(corpus), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == cmd[0]
+
+
 def test_report_shift_product(tmp_path, capsys):
     s = tmp_path / "s.txt"
     s.write_text("1\n2\n4\n8\n")

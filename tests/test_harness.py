@@ -12,7 +12,7 @@ import addcomb
 from addcomb import harness
 from addcomb.errors import InsufficientPoints, InvalidConfig, ZeroShift
 from addcomb.incidence import scaled_incidences
-from addcomb.sets import RatSet, ap, gp, grid_example
+from addcomb.sets import GeneratorConfig, RatSet, ap, gp, grid_example
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_CORPUS = [ap(1, 1, 8), gp(1, 2, 8), grid_example(3, 3)]
@@ -124,6 +124,40 @@ def test_reports_suite_skips_sets_containing_zero():
         ap(1, 1, 9).label(), ap(1, 1, 10).label()}
     fits = [c for c in res.checks if c.name.startswith("fit:")]
     assert fits and all(c.details == "insufficient points" for c in fits)
+
+
+def test_decomposition_and_reports_suites_skip_sets_of_fewer_than_two():
+    # AP(1,1,1) and GP(2,1,4) = {2} hold one element, which xy refuses
+    corpus = [ap(1, 1, 1), gp(2, 1, 4), ap(1, 1, 8)]
+    for suite in ("decomposition", "reports"):
+        res = harness.run_suite(suite, corpus)
+        assert res.ok
+        assert {row["set"] for row in res.ratio_tables} == {ap(1, 1, 8).label()}
+
+
+def test_reports_suite_fits_each_family_over_its_positive_rows():
+    # T_o = 0 on the 2-element set, so that family fits the other three sizes
+    res = harness.run_suite("reports", [ap(1, 1, n) for n in (2, 5, 8, 12)])
+    fits = {c.name: json.loads(c.details) for c in res.checks if c.name.startswith("fit:")}
+    assert fits["fit:collinear_ordered"]["sizes"] == [5, 8, 12]
+    assert fits["fit:popular_ratio_energy"]["sizes"] == [2, 5, 8, 12]
+    # two positive rows are too few to fit
+    res = harness.run_suite("reports", [ap(1, 1, n) for n in (2, 5, 8)])
+    fits = {c.name: c.details for c in res.checks if c.name.startswith("fit:")}
+    assert fits["fit:collinear_ordered"] == "insufficient points"
+    assert json.loads(fits["fit:popular_ratio_energy"])["sizes"] == [2, 5, 8]
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(st.lists(st.lists(_small, min_size=1, max_size=6), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_suites_never_raise_on_small_literal_corpora(sets):
+    # 0, repeated values and sets of 1 to 3 elements included
+    corpus = [GeneratorConfig(kind="Literal", values=tuple(vals)) for vals in sets]
+    for suite in ("decomposition", "regularization", "reports"):
+        assert harness.run_suite(suite, corpus).suite == suite
 
 
 def test_fit_exponent_exact_power_laws():

@@ -2,37 +2,17 @@
 
 A pair key over den is an int k for k/den, for every op, quotients
 included, so den is always an int.  No module of `src/addcomb` compares a
-`den` with None (an AST scan), and `set_op` and `rep_histogram` refuse a
-bad op or a zero divisor with the same error, raised in `sets.int_keys`.
+`den` with None (a rule of the one scanner, `source_rules`), and `set_op`
+and `rep_histogram` refuse a bad op or a zero divisor with the same error,
+raised in `sets.int_keys`.
 """
-
-import ast
-from pathlib import Path
 
 import pytest
 
 from addcomb.energy import rep_histogram
 from addcomb.errors import DivisionByZero, InvalidConfig
 from addcomb.sets import RatSet, set_op
-
-ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/addcomb/*.py"))
-
-
-def den_none_checks(source: str) -> list:
-    """Line numbers of the comparisons in `source` between a name or
-    attribute called `den` and None, in source order."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left, *node.comparators]
-        named = any((x.id if isinstance(x, ast.Name) else getattr(x, "attr", None)) == "den"
-                    for x in operands)
-        none = any(isinstance(x, ast.Constant) and x.value is None for x in operands)
-        if named and none:
-            found.append(node.lineno)
-    return sorted(found)
+from source_rules import den_none_checks, findings, nodes
 
 
 def test_scanner_finds_every_form_of_the_check():
@@ -48,14 +28,11 @@ def test_scanner_finds_every_form_of_the_check():
         "        return 4\n"
         "    return den != None\n"
     )
-    assert den_none_checks(src) == [2, 4, 6, 10]
+    assert den_none_checks(nodes(src)) == [2, 4, 6, 10]
 
 
 def test_no_module_branches_on_the_key_format():
-    assert SOURCES
-    found = {p.relative_to(ROOT).as_posix(): den_none_checks(p.read_text(encoding="utf-8"))
-             for p in SOURCES}
-    assert {path: lines for path, lines in found.items() if lines} == {}
+    assert findings(den_none_checks) == {}
 
 
 A = RatSet([1, 2])

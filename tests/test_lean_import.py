@@ -5,25 +5,21 @@ The exact counts are integer work; mpmath serves the enclosures of
 `fit_exponent` and `importlib.resources` only `load_baselines`, so each is
 imported inside the function that uses it.  A fresh interpreter checks
 that `import addcomb` leaves them out of `sys.modules` and that the first
-enclosure brings mpmath in with the same endpoints; an AST scan keeps
-every module of `src/addcomb` from importing them at module level.
+enclosure brings mpmath in with the same endpoints; a rule of the one
+scanner (`source_rules.eager_imports`) keeps every module of `src/addcomb`
+from importing them at module level.
 """
 
-import ast
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from addcomb import intervals
-
-ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/addcomb/*.py"))
-DEFERRED = ("mpmath", "platform", "statistics", "importlib.resources")
+from source_rules import PACKAGE, ROOT, eager_imports, nodes, scan
 
 _CHILD = """
 import json, sys
@@ -44,28 +40,6 @@ def test_import_leaves_mpmath_platform_statistics_unloaded():
     assert got["before"] == []
     assert got["after"] is True
     assert [Fraction(x) for x in got["ln2"]] == list(intervals.ln2_bounds())
-
-
-def eager_imports(source: str) -> list:
-    """(line, module) of each import in `source` that runs at import time,
-    outside any function body, of a module in DEFERRED or below one."""
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            names = []
-            if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.module and not child.level:
-                names = [child.module, *(f"{child.module}.{a.name}" for a in child.names)]
-            hits = {d for n in names for d in DEFERRED if n == d or n.startswith(d + ".")}
-            found.extend((child.lineno, d) for d in sorted(hits))
-            visit(child)
-
-    visit(ast.parse(source))
-    return found
 
 
 def test_scanner_finds_every_form_of_an_eager_import():
@@ -90,16 +64,17 @@ def test_scanner_finds_every_form_of_an_eager_import():
     )
     # a relative `.platform` is the package's own module; function bodies
     # run on the first call; a longer name is a different module
-    assert eager_imports(src) == [(2, "mpmath"), (3, "mpmath"), (4, "importlib.resources"),
-                                  (5, "importlib.resources"), (8, "statistics"),
-                                  (12, "platform")]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
-def test_no_module_imports_a_deferred_module_eagerly(path):
-    assert eager_imports(path.read_text(encoding="utf-8")) == []
+    assert eager_imports(nodes(src)) == [(2, "mpmath"), (3, "mpmath"),
+                                         (4, "importlib.resources"),
+                                         (5, "importlib.resources"), (8, "statistics"),
+                                         (12, "platform")]
 
 
 def test_scan_covers_the_package():
-    names = {p.name for p in SOURCES}
+    names = {p.name for p in PACKAGE}
     assert {"__init__.py", "harness.py", "intervals.py"} <= names
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_module_imports_a_deferred_module_eagerly(path):
+    assert eager_imports(scan(path)) == []
