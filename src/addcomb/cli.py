@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto the library surface; every command can
 emit a canonical JSON report (sorted keys, no timestamps) so batch runs
-diff cleanly.  Exit status is 0 on success; `verify` returns nonzero iff
-any exact check failed.
+diff cleanly.  With `--json -` stdout carries that one document and the
+command's text lines go to stderr.  Exit status is 0 on success; `verify`
+returns nonzero iff any exact check failed.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def _emit(payload: dict, command: str, path) -> None:
             fh.write(text)
 
 
+def _say(args, line) -> None:
+    # one text line of a command: with --json -, stdout carries the JSON
+    # document alone, so the text goes to stderr
+    print(line, file=sys.stderr if args.json == "-" else sys.stdout)
+
+
 def _load_sets(paths, want: int, what: str):
     if not paths or len(paths) > want:
         raise AddcombError(f"{what} takes between 1 and {want} --set arguments")
@@ -64,7 +71,7 @@ def _cmd_gen(args) -> int:
         write_set_file(args.out, a, header=cfg.label())
     else:
         for v in a:
-            print(format_rational(v))
+            _say(args, format_rational(v))
     if args.json:
         _emit({"config": cfg.to_json(), "size": len(a),
                "elements": [format_rational(v) for v in a]}, "gen", args.json)
@@ -76,7 +83,7 @@ def _cmd_energy(args) -> int:
     A, B = _load_sets(args.set, 2, "energy")
     hist = rep_histogram(A, B, energy_op(args.k, args.flavor))
     val = hist.moment(args.k)
-    print(val)
+    _say(args, val)
     if args.json:
         _emit({"k": args.k, "flavor": args.flavor, "value": val,
                "support": hist.support_size, "max_count": hist.max_count},
@@ -87,7 +94,7 @@ def _cmd_energy(args) -> int:
 def _cmd_triples(args) -> int:
     A1, A2, A3 = _load_sets(args.set, 3, "triples")
     rep = triple_count_report(A1, A2, A3, args.budget)
-    print(f"T={rep.T} T_o={rep.T_o} degenerate={rep.degenerate_terms}")
+    _say(args, f"T={rep.T} T_o={rep.T_o} degenerate={rep.degenerate_terms}")
     if args.json:
         _emit(rep.to_json(), "triples", args.json)
     return 0
@@ -97,7 +104,7 @@ def _cmd_ratios(args) -> int:
     A1, A2 = _load_sets(args.set, 2, "ratios")
     Z = ratios.popular_ratios(A1, A2, args.count, args.budget)
     prof = ratios.ratio_profile(Z, A1, A2)
-    print(f"|Z|={len(Z)} R={prof.R} sum_r={prof.sum_r}")
+    _say(args, f"|Z|={len(Z)} R={prof.R} sum_r={prof.sum_r}")
     if args.json:
         _emit(prof.to_json(), "ratios", args.json)
     return 0
@@ -106,14 +113,14 @@ def _cmd_ratios(args) -> int:
 def _cmd_incidence(args) -> int:
     if args.arrangement:
         rep = st_bound_check(read_arrangement(args.arrangement))
-        print(f"incidences={rep.count} bound=[{rep.bound_lo},{rep.bound_hi}] "
-              f"ok={rep.ok}")
+        _say(args, f"incidences={rep.count} bound=[{rep.bound_lo},{rep.bound_hi}] "
+                   f"ok={rep.ok}")
         if args.json:
             _emit(rep.to_json(), "incidence", args.json)
         return 0
     A1, A2, A3 = sorted(_load_sets(args.set, 3, "incidence"), key=len)
     rep = line_moment_sums(A1, A2, A3, args.p, args.family, args.budget)
-    print(f"p={rep.p} family={rep.family} sums={list(rep.sums)}")
+    _say(args, f"p={rep.p} family={rep.family} sums={list(rep.sums)}")
     if args.json:
         _emit(rep.to_json(), "incidence", args.json)
     return 0
@@ -127,8 +134,8 @@ def _cmd_decompose(args) -> int:
     else:
         res = dec.xy_decompose(A)
     sizes = {k: len(v) for k, v in res.parts.items()}
-    print(f"{res.kind}: parts={sizes} energies={res.energies} "
-          f"ratio=[{res.target_ratio[0]},{res.target_ratio[1]}]")
+    _say(args, f"{res.kind}: parts={sizes} energies={res.energies} "
+               f"ratio=[{res.target_ratio[0]},{res.target_ratio[1]}]")
     if args.json:
         _emit(res.to_json(), "decompose", args.json)
     return 0
@@ -137,8 +144,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_regularize(args) -> int:
     (A,) = _load_sets(args.set, 1, "regularize")
     tr = dec.regularize(A, args.k)
-    print(f"k={tr.k} eps={tr.epsilon} steps={len(tr.steps)} "
-          f"|B|={len(tr.B)} |B'|={len(tr.B_prime)} |B''|={len(tr.B_dprime)}")
+    _say(args, f"k={tr.k} eps={tr.epsilon} steps={len(tr.steps)} "
+               f"|B|={len(tr.B)} |B'|={len(tr.B_prime)} |B''|={len(tr.B_dprime)}")
     if args.json:
         _emit(tr.to_json(), "regularize", args.json)
     return 0
@@ -155,16 +162,16 @@ def _cmd_verify(args) -> int:
         n_exact = sum(1 for c in res.checks if c.kind == "EXACT")
         n_fail = sum(1 for c in res.checks
                      if c.kind == "EXACT" and c.status == "fail")
-        print(f"suite {name}: {n_exact - n_fail}/{n_exact} exact checks passed, "
-              f"{len(res.checks) - n_exact} report-only")
+        _say(args, f"suite {name}: {n_exact - n_fail}/{n_exact} exact checks passed, "
+                   f"{len(res.checks) - n_exact} report-only")
         for c in res.checks:
             if c.status == "fail":
-                print(f"  FAIL {c.name}: {c.details}")
+                _say(args, f"  FAIL {c.name}: {c.details}")
         all_ok = all_ok and res.ok
     if args.json:
         _emit({"suites": [r.to_json() for r in results], "ok": all_ok},
               "verify", args.json)
-    print("VERIFY " + ("PASS" if all_ok else "FAIL"))
+    _say(args, "VERIFY " + ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 2
 
 
@@ -173,15 +180,15 @@ def _cmd_report(args) -> int:
         (A,) = _load_sets(args.set, 1, "report")
         rep = harness.shift_product_report(
             A, parse_rational(args.alpha), parse_rational(args.beta), args.budget)
-        print(f"K_mul={rep['K_mul']} |(A+a)(A+b)|={rep['shifted_product_size']} "
-              f"identity={rep['identity']}")
+        _say(args, f"K_mul={rep['K_mul']} |(A+a)(A+b)|={rep['shifted_product_size']} "
+                   f"identity={rep['identity']}")
         if args.json:
             _emit(rep, "report", args.json)
         return 0
     corpus = read_corpus_file(args.corpus) if args.corpus else None
     res = harness.run_suite("reports", corpus, budget=args.budget, seed=args.seed)
-    print(f"reports: {len(res.ratio_tables)} ratio rows, "
-          f"{sum(1 for c in res.checks if c.name.startswith('fit:'))} fits")
+    _say(args, f"reports: {len(res.ratio_tables)} ratio rows, "
+               f"{sum(1 for c in res.checks if c.name.startswith('fit:'))} fits")
     if args.json:
         _emit(res.to_json(), "report", args.json)
     return 0
@@ -199,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="FILE",
                            help="set file (one rational per line); repeatable")
         p.add_argument("--json", metavar="OUT",
-                       help="write canonical JSON report to OUT ('-' = stdout)")
+                       help="write canonical JSON report to OUT ('-' = stdout, "
+                            "with the text lines on stderr)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     seed_help = "recorded in the report's environment block; the suites pin their own"

@@ -10,12 +10,13 @@ all band memberships from scratch.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Optional, Union
 
-from .energy import CountHistogram, energy, l4_union_check, rep_histogram
+from .energy import CountHistogram, energy, l4_verdict, rep_histogram
 from .errors import (
     DegenerateInput,
     EmptyCandidateList,
@@ -53,28 +54,32 @@ def dyadic_band(h: CountHistogram, k: int) -> DyadicBand:
     Selecting by true band mass (not the |P| * t^k proxy) is what makes the
     pigeonhole guarantee above unconditional; the proxy can lose to a thin
     band of large counts.  Ties cannot change the guarantee, so the smaller
-    t wins for determinism.
+    t wins for determinism.  The masses are summed over the distinct
+    counts, each r^k times the number of keys that attain r, and one pass
+    over the keys then collects the chosen band's P.
     """
     if k < 1:
         raise InvalidConfig("dyadic_band needs k >= 1")
     if not h.counts:
         raise EmptyHistogram("cannot band an empty histogram")
-    support: dict = {}
+    multiplicity = Counter(h.counts.values())
     masses: dict = {}
-    r_max = 0
-    for key, r in h.counts.items():
+    for r, m in multiplicity.items():
         j = r.bit_length() - 1  # t = 2^j <= r < 2^(j+1)
-        support.setdefault(j, []).append(key)
-        masses[j] = masses.get(j, 0) + r**k
-        if r > r_max:
-            r_max = r
+        masses[j] = masses.get(j, 0) + m * r**k
     best_j = max(masses, key=lambda j: (masses[j], -j))
     best = masses[best_j]
     # pigeonhole guarantee, enforced on every histogram that gets banded:
     # argmax mass >= total/(nonempty bands), and bands <= ceil(log2 r_max) + 1
-    if best * ((r_max - 1).bit_length() + 1) < sum(masses.values()):
+    if best * ((max(multiplicity) - 1).bit_length() + 1) < sum(masses.values()):
         raise PostconditionFailed("dyadic pigeonhole bound violated")
-    return DyadicBand(t=1 << best_j, P=h.key_set(support[best_j]), mass=best)
+    t = 1 << best_j
+    return DyadicBand(t=t, P=_level(h, t), mass=best)
+
+
+def _level(h: CountHistogram, q: int) -> RatSet:
+    # the values x with q <= r(x) < 2q
+    return h.key_set(key for key, r in h.counts.items() if q <= r < 2 * q)
 
 
 def band_count(h: CountHistogram) -> int:
@@ -174,11 +179,6 @@ def extraction_ratio_decimal(source_size: int, cert: ExtractionCertificate):
     return power_sum_ratio_decimal(
         numer, [[(len(cert.chosen), 12), (source_size, 10)]]
     )
-
-
-def _level(h: CountHistogram, q: int) -> RatSet:
-    # the values x with q <= r(x) < 2q
-    return h.key_set(key for key, r in h.counts.items() if q <= r < 2 * q)
 
 
 def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
@@ -362,11 +362,12 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
     B, certs = _extractions(A, lambda rest: _guard_energy_large(rest, n, M), "energy split")
     pieces = [cert.chosen for cert in certs]
     C = RatSet().union(*pieces)
-    # quarter-power recombination across the extracted pieces
-    if pieces and l4_union_check(pieces) == "violated":
-        raise PostconditionFailed("quarter-power union bound violated")
     e_plus_b = energy(B, B, 2, "additive") if len(B) else 0
     e_mul_c = energy(C, C, 2, "multiplicative") if len(C) else 0
+    # quarter-power recombination across the extracted pieces, which are
+    # disjoint and nonempty and whose E_mul each certificate holds
+    if pieces and l4_verdict(e_mul_c, [cert.Emul_output for cert in certs]) == "violated":
+        raise PostconditionFailed("quarter-power union bound violated")
     ratio = power_sum_ratio_decimal(
         max(e_plus_b, e_mul_c), [[(max(n, 1), Fraction(30, 11))]]
     )
@@ -414,7 +415,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
     X = rest.union(certs[-1].chosen)  # the remainder before the last extraction
     Y = A.difference(rest)
     _raise_first(_cover_failures(A, X, Y))
-    e3_x = energy(X, X, 3, "additive")
+    e3_x = certs[-1].E3_input  # X is the set the last extraction saw
     e_mul_y = energy(Y, Y, 2, "multiplicative")
     ratio = power_sum_ratio_decimal(e3_x**4 * e_mul_y**3, [[(n, Fraction(22))]])
     return DecompositionResult(

@@ -9,8 +9,10 @@ generators, and in the lazily built `elements` view that iteration reads.
 The pairwise operations clear denominators once, and each a op b becomes a
 pair key: one int k over one denominator den for all four ops, quotients
 included, standing for k/den.  This module is the one home of that key
-format, which every energy histogram shares: `int_keys` encodes, a set's
-elements key as `RatSet.keys_at(den)`, and `from_keys` decodes.
+format, which every energy histogram shares: `int_keys` encodes,
+`unordered_keys` encodes the unordered pairs of one set on the same den (the
+self-energies' tally), a set's elements key as `RatSet.keys_at(den)`, and
+`from_keys` decodes.
 `integerize` is the one denominator-clearing step that every int route
 uses; on RatSets it is one multiply per element.
 
@@ -435,6 +437,15 @@ def format_rational(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _format_ints(ints, scale: int) -> list:
+    """`format_rational(Fraction(k, scale))` for each k, one gcd per k."""
+    out = []
+    for k in ints:
+        g = gcd(k, scale)
+        out.append(str(k // g) if g == scale else f"{k // g}/{scale // g}")
+    return out
+
+
 def parse_rational(text: str) -> Fraction:
     """The rational in text ("p/q", an integer or a decimal); InvalidConfig
     if it is not one."""
@@ -487,13 +498,14 @@ def read_corpus_file(path) -> list[GeneratorConfig]:
 def jsonable(obj):
     """obj in its JSON form: the one encoding rule of every report.
 
-    A RatSet becomes a list of "p/q" strings and a Fraction one such
-    string, as a dict key too; a dataclass becomes an object of its fields;
+    A RatSet becomes a list of "p/q" strings, written from its (scale,
+    ints) with one gcd per element, and a Fraction one such string, as a
+    dict key too; a dataclass becomes an object of its fields;
     a list or tuple (a NamedTuple included) becomes a list.  Anything else
     is left as it is.
     """
     if isinstance(obj, RatSet):
-        return [format_rational(v) for v in obj.elements]
+        return _format_ints(obj.ints, obj.scale)
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if is_dataclass(obj):
@@ -573,6 +585,31 @@ def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int]:
     den = lcm(*ys)
     ms = [den // b for b in ys]
     return (a * m for a in xs for m in ms), den
+
+
+def unordered_keys(A: RatSet, op: str) -> tuple[Iterator, int]:
+    """Keys of a op b over the unordered pairs of distinct elements of A,
+    one key per pair, and their den, for op in {diff, ratio}.
+
+    The keys and den are those of `int_keys(A, A, op)`: b - a for a < b,
+    and a*(den//b) for |a| > |b|.  So each pair keys the one of its two
+    values that is above 0 (diff) or of modulus above 1 (ratio); the other
+    is its mirror -x or 1/z.  The pairs {a, -a}, whose ratio is -1 either
+    way, give no key.
+    InvalidConfig for any other op, DivisionByZero for a ratio with 0 in A.
+    """
+    if op not in ("diff", "ratio"):
+        raise InvalidConfig(f"unordered keys need diff or ratio, got {op!r}")
+    xs = A.ints
+    if op == "diff":
+        return (b - a for i, a in enumerate(xs) for b in xs[i + 1:]), A.scale
+    A.require_nonzero("ratio set")
+    xs = sorted(xs, key=abs)
+    mags = list(map(abs, xs))
+    den = lcm(*xs)
+    ms = [den // b for b in xs]
+    # the slice of ms up to bisect_left(mags, |a|) holds the b with |b| < |a|
+    return (a * m for a, mag in zip(xs, mags) for m in ms[:bisect_left(mags, mag)]), den
 
 
 def from_keys(keys: Iterable, den: int) -> RatSet:

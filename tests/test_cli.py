@@ -171,13 +171,18 @@ def test_gen_random_range_above_two_to_64_is_an_error(tmp_path, capsys):
     assert len(read_set_file(out)) == 3
 
 
-def test_json_to_stdout(tmp_path, capsys):
-    s = tmp_path / "s.txt"
-    s.write_text("1\n2\n")
-    assert run(["energy", "--set", str(s), "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    doc = json.loads(out.splitlines()[-1])
-    assert doc["command"] == "energy"
+def test_json_to_stdout(tmp_path, capsys, monkeypatch):
+    # with --json - stdout is exactly one JSON document; the text is on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.txt").write_text("1\n2\n")
+    for argv, text in ((["energy", "--set", "s.txt"], "6"),
+                       (["triples", "--set", "s.txt"], "T="),
+                       (["verify", "--suite", "oracle"], "VERIFY PASS")):
+        assert run([*argv, "--json", "-"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["command"] == argv[0]
+        assert text in captured.err
 
 
 MALFORMED = {

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import decompose, harness
@@ -96,6 +96,42 @@ def test_dyadic_band_pigeonhole(entries, k):
         assert band.t <= h.count(x) < 2 * band.t
 
 
+def _dyadic_band_per_key(h, k):
+    # the per-key loop that dyadic_band replaced, kept as its oracle:
+    # (t, P, mass) of the band of largest k-th-moment mass, ties to smaller t
+    support, masses = {}, {}
+    for key, r in h.counts.items():
+        j = r.bit_length() - 1
+        support.setdefault(j, []).append(key)
+        masses[j] = masses.get(j, 0) + r**k
+    best_j = max(masses, key=lambda j: (masses[j], -j))
+    return 1 << best_j, h.key_set(support[best_j]), masses[best_j]
+
+
+@st.composite
+def tied_counts(draw, k):
+    # two bands of equal mass, r1^k r2^k each: r2^k keys of count r1 and
+    # r1^k keys of count r2, plus a few counts of any band
+    j1, j2 = sorted(draw(st.lists(st.integers(0, 2), min_size=2, max_size=2,
+                                  unique=True)))
+    r1 = draw(st.integers(1 << j1, (2 << j1) - 1))
+    r2 = draw(st.integers(1 << j2, (2 << j2) - 1))
+    counts = [r1] * r2**k + [r2] * r1**k + draw(st.lists(st.integers(1, 9), max_size=6))
+    order = draw(st.permutations(range(len(counts))))
+    return {key: counts[i] for key, i in enumerate(order)}
+
+
+@given(st.sampled_from([1, 3]).flatmap(
+    lambda k: st.tuples(st.just(k), tied_counts(k) | st.dictionaries(
+        st.integers(-20, 20), st.integers(1, 40), min_size=1, max_size=30))))
+@settings(max_examples=120, deadline=None)
+def test_dyadic_band_matches_the_per_key_loop(case):
+    k, counts = case
+    h = _hist(counts)
+    band = dyadic_band(h, k)
+    assert (band.t, band.P, band.mass) == _dyadic_band_per_key(h, k)
+
+
 def test_extract_small_pair():
     chosen, cert = extract_mult_structured(RatSet([1, 2]))
     assert chosen.is_subset(RatSet([1, 2])) and len(chosen) >= 1
@@ -167,6 +203,22 @@ def test_xy_postconditions_ap32():
 @settings(max_examples=30, deadline=None)
 def test_xy_postconditions_random(a):
     assert recheck_decomposition(a, xy_decompose(a)) == []
+
+
+@given(nonzero_sets, st.sampled_from(["auto", Fraction(1, 4), 8]))
+@example(RatSet([3, 5, 7, 8, 10, 12, 14, 15, 17, 21]), "auto")  # two xy pieces
+@settings(max_examples=40, deadline=None)
+def test_reported_energies_recomputed_from_the_parts(a, M):
+    # the producers reuse energies their certificates hold; recomputed
+    # from the parts they must agree
+    xy = xy_decompose(a)
+    X, Y = xy.parts["X"], xy.parts["Y"]
+    assert xy.energies == {"E3_X": energy(X, X, 3, "additive"),
+                           "E_mul_Y": energy(Y, Y, 2, "multiplicative")}
+    bw = bw_decompose(a, M)
+    B, C = bw.parts["B"], bw.parts["C"]
+    assert bw.energies == {"E_plus_B": energy(B, B, 2, "additive") if len(B) else 0,
+                           "E_mul_C": energy(C, C, 2, "multiplicative") if len(C) else 0}
 
 
 @pytest.mark.parametrize("run, message", [

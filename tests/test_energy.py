@@ -16,7 +16,7 @@ from addcomb.energy import (
     rep_histogram,
 )
 from addcomb.errors import DivisionByZero, InvalidConfig
-from addcomb.sets import RatSet, set_op
+from addcomb.sets import RatSet, set_op, unordered_keys
 
 small_sets = st.builds(
     RatSet,
@@ -123,6 +123,65 @@ def test_int_route_matches_fraction_oracle(a_vals, b_vals, neg):
         brute = Counter(_BRUTE_OPS[op](a, b) for a in A for b in B)
         for k in (2, 3, 4):
             assert energy(A, B, k, flavor) == sum(m**k for m in brute.values())
+
+
+nonzero_rationals = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(lambda v: v != 0),
+    max_size=6)
+FLAVOR_OPS = {"additive": "diff", "multiplicative": "ratio"}
+
+
+def _self_energy_input(flavor, s_vals, t_vals, shared):
+    # ratios: A = S u -T, with T holding S[:shared], so pairs {a, -a} occur;
+    # differences: A holds 0 next to S and T
+    if flavor == "multiplicative":
+        return RatSet([*s_vals, *(-v for v in (*s_vals[:shared], *t_vals))])
+    return RatSet([0, *s_vals, *t_vals])
+
+
+def _brute_moment(A, B, flavor, k):
+    r = Counter(_BRUTE_OPS[FLAVOR_OPS[flavor]](a, b) for a in A for b in B)
+    return sum(m**k for m in r.values())
+
+
+@given(st.sampled_from(sorted(FLAVOR_OPS)), nonzero_rationals.filter(bool),
+       nonzero_rationals, st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_self_energy_over_unordered_pairs(flavor, s_vals, t_vals, shared):
+    # the unordered tally plus its fixed points against a brute Fraction
+    # tally and against the ordered histogram of the same keys
+    A = _self_energy_input(flavor, s_vals, t_vals, shared)
+    hist = rep_histogram(A, A, FLAVOR_OPS[flavor])
+    for k in range(2, 9):
+        e = energy(A, A, k, flavor)
+        assert e == _brute_moment(A, A, flavor, k) == hist.moment(k), k
+
+
+@given(st.sampled_from(sorted(FLAVOR_OPS)), nonzero_rationals.filter(bool),
+       nonzero_rationals, st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_self_energy_of_an_equal_copy(flavor, s_vals, t_vals, shared):
+    # B equal to A by value, not by identity, takes the same route
+    A = _self_energy_input(flavor, s_vals, t_vals, shared)
+    B = RatSet(reversed(A.elements))
+    assert B == A and B is not A
+    for k in range(2, 9):
+        assert energy(A, B, k, flavor) == _brute_moment(A, A, flavor, k), k
+
+
+def test_self_energy_fixed_points_by_hand():
+    # A = {-2, -1, 1, 2}: r(1) = 4, r(-1) = 4, r(2) = r(1/2) = r(-2) =
+    # r(-1/2) = 2, so E_2 = 16 + 16 + 4 * 4 = 48
+    assert energy(RatSet([-2, -1, 1, 2]), k=2, flavor="multiplicative") == 48
+    assert energy(RatSet([]), k=3) == 0
+
+
+def test_unordered_keys_refuse_like_int_keys():
+    with pytest.raises(InvalidConfig):
+        unordered_keys(RatSet([1, 2]), "sum")
+    with pytest.raises(DivisionByZero) as exc:
+        energy(RatSet([0, 1]), k=2, flavor="multiplicative")
+    assert str(exc.value) == "ratio set: set contains 0"
 
 
 def test_energy_mul_product_form_matches_prod_histogram():

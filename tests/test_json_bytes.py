@@ -5,6 +5,11 @@ Each case builds one `Record` from a fixed small input and hashes
 types shared one encoder, when each wrote its own `to_json`, so a change to
 the encoding rule or to a field shows up here and not only in the
 full-size benchmark payloads.
+
+The n = 32 decomposition cases run `bw_decompose`, `xy_decompose` and
+`regularize(., 3)` on the six set kinds of the energy sweep; their hashes
+were recorded before the self-energies tallied unordered pairs and the
+decompositions reused the energies their certificates hold.
 """
 
 import hashlib
@@ -18,7 +23,8 @@ from addcomb import harness, ratios
 from addcomb.collinear import t_identity_check, triple_count_report
 from addcomb.core import canonical_line, point
 from addcomb.incidence import Arrangement, line_moment_sums, st_bound_check
-from addcomb.sets import RatSet, Record, canonical_json, gp
+from addcomb.sets import (RatSet, Record, ap, canonical_json, generate, gp, grid_example,
+                          random_set)
 
 A = RatSet([1, 2, 3, 4, 6, 8, 12, Fraction(3, 2)])
 B = RatSet([Fraction(1, 2), 1, 2, 5])
@@ -76,6 +82,50 @@ CASES = {
         lambda: line_moment_sums(C, B, A, 2),
         "f8ed3ba874f294f976e7d163c206db2a23a42ead5de937f10381dc8a25401f0d"),
 }
+
+# n = 32 sets of the energy sweep: (config, sha256 of bw, xy and
+# regularize(., 3))
+SWEEP_SETS = {
+    "AP(1, 1)": (ap(1, 1, 32), {
+        "bw": "ab73b0a09eaf9e5945a53a4bca8912fcf64a32650e03e2ddb090dda992e8991b",
+        "xy": "22f0436e0c8615acf685d6882beda984522a3a2f324d000cdad684586a83bf72",
+        "reg3": "e87d3ae070f8de4bbd2a178fba54b30752e51425597c6bd39d805a6a2d44023b",
+    }),
+    "AP(1/2, 1/3)": (ap(Fraction(1, 2), Fraction(1, 3), 32), {
+        "bw": "d0e964c84fdd1b944aa60c1fa566dec1c90f34bbc2737a3a4c2209a9c4785985",
+        "xy": "af4f638b1a4095c40601e4d8bc8626c16028258153f4836677fa202d799926bd",
+        "reg3": "a0660b7e777d4dc2d875a15f1c6a2097b67adfa9d2db8c1d0757f7c1f3aaab8d",
+    }),
+    "GP(1, 2)": (gp(1, 2, 32), {
+        "bw": "5bf15ffea00127b12236adb8a51f3be2ffed2eb47b51a89213a249829dc0a293",
+        "xy": "ca748eb3f822a086f7a40f12d222e3b91751eb80b91a08f74ef282616c3a6af4",
+        "reg3": "ef37180d83a68331c9c8759a33d7957f5308be7da477aa191af1ba4d03054feb",
+    }),
+    "GP(2/3, 3/2)": (gp(Fraction(2, 3), Fraction(3, 2), 32), {
+        "bw": "8c79a8421d69d6433dea19bf462f2635aead433c991f43b25feb500cf3a4bf7c",
+        "xy": "92e68541fe6e7b5f3cb36bf764a73944cb73278fdb26dbf99c7c62745a0e1204",
+        "reg3": "b4e338a8604a33e91a0171d1443d2829a49a8512cbead693d4771bfc7f58f699",
+    }),
+    "Random(32, 256, 1)": (random_set(32, 256, 1), {
+        "bw": "35bf8bcf6144d8616b681889a56115a40040350725bdab02aaabd1375fe41df7",
+        "xy": "0a050fc97fc2b2b1a280500fde39ec62d51505a9ae9e375a7357132ab48b1161",
+        "reg3": "d7e4e88fbfc2a5c5a0e4951a977c5ef1be15d4662ef98eda8358c35dab9dbc0c",
+    }),
+    "GridExample(4, 8)": (grid_example(4, 8), {
+        "bw": "c0c1d021aea643d7ecac5f21b6d68ea7fad5b6c99c5cfa9034ae27dd50529005",
+        "xy": "a27b89ff15e54a6c7bdc225c528cc22339e67e816f36294fe3f8b286c9b620a3",
+        "reg3": "18b17b70a11bf5b01c063f97971f5653a2d20e1cbf7037c2974645651d11af26",
+    }),
+}
+SWEEP_OPS = {
+    "bw": dec.bw_decompose,
+    "xy": dec.xy_decompose,
+    "reg3": lambda A: dec.regularize(A, 3),
+}
+CASES.update({
+    f"{kind} {name}": (lambda cfg=cfg, run=run: run(generate(cfg)), digests[kind])
+    for name, (cfg, digests) in SWEEP_SETS.items() for kind, run in SWEEP_OPS.items()
+})
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

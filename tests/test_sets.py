@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from addcomb.decompose import dyadic_band
@@ -22,6 +22,7 @@ from addcomb.sets import (
     generate,
     gp,
     grid_example,
+    jsonable,
     parse_rational,
     random_set,
     read_corpus_file,
@@ -246,6 +247,16 @@ def test_rational_text_roundtrip():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-5, 7)) == "-5/7"
     assert parse_rational(" -5/7 ") == Fraction(-5, 7)
+
+
+@given(st.sets(st.integers(-10**6, 10**6), max_size=12), st.integers(1, 720))
+@example({-6, -4, 0, 3, 8}, 1)
+@example({-12, 0, 6}, 12)
+def test_jsonable_ratset_matches_format_rational(ints, scale):
+    # the (scale, ints) encoding against one Fraction per element
+    a = RatSet.from_ints(sorted(ints), scale)
+    assert jsonable(a) == [format_rational(Fraction(k, a.scale)) for k in a.ints]
+    assert jsonable(a) == [format_rational(v) for v in a.elements]
 
 
 def test_set_file_roundtrip(tmp_path):
