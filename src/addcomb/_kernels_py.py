@@ -8,10 +8,11 @@ keys each 3-set once by the invariant of its anharmonic orbit of ratios,
 C(n, 3) keys at most instead of about n**3.  _spanned_lines hashes every
 spanned line and so is its independent check; incidence's _line_census
 counts the same _canonical_span keys over point pairs.  Both
-mul_pairs kernels match parallel vectors through `_direction_hist`, which
-keys a vector (u, v) by the exact int slope key v*m // u, with one
-m >= D**2 per call for D a bound on |u|; t_o_linehash keys its ratios the
-same way (its orbit invariants with m = D**4), and no gcd is taken.
+mul_pairs kernels count a*d == b*c as the sum over products p of
+r(p) r'(p), from one histogram of the products a*d and one of b*c (one in
+all on the diagonal).  t_o_linehash keys a ratio v/u by the exact int floor
+key v*m // u, with one m >= D**2 per call for D a bound on |u| (its orbit
+invariants with m = D**4), and no gcd is taken.
 count_incidences packs all points into fixed-width slots of two bigints and
 tests every point against a line with one linear form on those ints; its
 checks are the Fraction recount `LineKey.contains` and a direct double loop
@@ -191,9 +192,12 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
 
 def _ratio_tally(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int:
     # t_o_linehash on any grids: S is tallied on the int key
-    # ((a2 - x) m) // (a3 - x) with m = D**2 for D the span of g1 | g2 | g3;
-    # every |a3 - x| is at most D, so by the lemma of `_direction_hist`
-    # keys are equal iff ratios are, and no gcd is taken
+    # ((a2 - x) m) // (a3 - x) with m = D**2 for D the span of g1 | g2 | g3.
+    # Lemma: every |a3 - x| is at most D, and two distinct ratios with
+    # denominators at most D differ by |v u' - v' u| / |u u'| >= 1/D**2, so
+    # m times them differ by at least 1 and their floors differ; equal
+    # ratios have equal floors whatever the signs.  So keys are equal iff
+    # ratios are, and no gcd is taken
     l1, l2, l3 = list(g1), list(g2), list(g3)
     s2, s3 = set(l2), set(l3)
     union = l1 + l2 + l3
@@ -293,59 +297,30 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
     return n * len(las) - off
 
 
-def _direction_hist(us, vs, m):
-    """Histogram of the slope keys of the vectors (u, v) over us x vs, the
-    matching step of both mul_pairs kernels.
-
-    The key of (u, v) is v*m // u for u != 0 and None for a vertical vector
-    (u == 0, v != 0); the zero vector (0, 0) is tallied apart.  Returns
-    (hist, zero_pairs).
-
-    Lemma: if every |u| over the histograms compared is at most D and
-    m >= D**2, two nonzero vectors have equal keys iff they are parallel.
-    Parallel vectors have equal slopes v/u, so equal keys, and the key
-    floor(m*v/u) does not depend on the sign of (u, v).  Two distinct
-    slopes differ by |v u' - v' u| / |u u'| >= 1/D**2, so m times them
-    differ by at least 1 and their floors differ.  A vertical vector's key
-    None matches only the other vertical ones.  No gcd is needed.
-    """
-    vms = [v * m for v in vs]
-    hist = Counter([vm // u for u in us if u for vm in vms])
-    on_axis = us.count(0) * len(vs)
-    zero_pairs = us.count(0) * vs.count(0)
-    if on_axis > zero_pairs:
-        hist[None] = on_axis - zero_pairs
-    return hist, zero_pairs
-
-
-def _parallel_pairs(x1, x2, y1, y2) -> int:
-    # #{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c}: the vectors (a,b)
-    # and (c,d) are parallel iff their slope keys match, with m = D**2 for
-    # D = max |.| over x1 and y1, and the zero vector is parallel to
-    # everything; on the diagonal (y1, y2) == (x1, x2), as for every
-    # multiplicative energy E(A, A), one histogram serves both sides
-    m = max(map(abs, [*x1, *y1]), default=0) ** 2
-    hx, zx = _direction_hist(x1, x2, m)
-    hy, zy = (hx, zx) if (y1, y2) == (x1, x2) else _direction_hist(y1, y2, m)
-    total = zx * len(y1) * len(y2) + zy * len(x1) * len(x2) - zx * zy
-    if len(hx) > len(hy):
-        hx, hy = hy, hx
-    get = hy.get
-    for key, cnt in hx.items():
-        other = get(key)
-        if other:
-            total += cnt * other
-    return total
+def _product_pairs(x1, x2, y1, y2) -> int:
+    # #{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c} = the sum over
+    # products p of r(p) r'(p), with r counting the pairs (a, d) in
+    # x1 * y2 of product p and r' the pairs (b, c) in x2 * y1; zeros need no
+    # case of their own, since every pair holding one has product 0.  When
+    # both rectangles are the same, as for every multiplicative energy
+    # E(A, A), one histogram serves both sides
+    left = Counter([a * d for a in x1 for d in y2])
+    if (x2, y1) in ((x1, y2), (y2, x1)):
+        return sum(c * c for c in left.values())
+    right = Counter([b * c for b in x2 for c in y1])
+    if len(left) > len(right):
+        left, right = right, left
+    get = right.get
+    return sum(c * get(p, 0) for p, c in left.items())
 
 
 def mul_pairs_count(x: Sequence[int], y: Sequence[int]) -> int:
     """#{(x1,x2,y1,y2) in x^2 * y^2 : x1*y2 == x2*y1}, zeros allowed.
 
-    Two pairs satisfy the equation iff they are parallel as vectors, so
-    histogram their slope keys (`_direction_hist`, m = max |.|**2 over x
-    and y) and match; the zero vector matches everything.
+    Both sides range over the same products x * y, so this is the sum of
+    r(p)**2 over one histogram of them (`_product_pairs`).
     """
-    return _parallel_pairs(x, x, y, y)
+    return _product_pairs(x, x, y, y)
 
 
 def mul_pairs_cross(x1, x2, y1, y2) -> int:
@@ -355,4 +330,4 @@ def mul_pairs_cross(x1, x2, y1, y2) -> int:
     components of each vector come from differently shifted sets;
     mul_pairs_count(X, Y) is the diagonal case x1 = x2 = X, y1 = y2 = Y.
     """
-    return _parallel_pairs(x1, x2, y1, y2)
+    return _product_pairs(x1, x2, y1, y2)

@@ -344,6 +344,14 @@ def _guard_energy_large(B: RatSet, n: int, M) -> bool:
     return e3 * m.numerator > n**4 * m.denominator
 
 
+def _pieces_emul(union: RatSet, certs: list) -> int:
+    # E_mul of the union of the chosen pieces; a lone piece is the union,
+    # and its certificate holds the energy already
+    if len(certs) == 1:
+        return certs[0].Emul_output
+    return energy(union, union, 2, "multiplicative") if len(union) else 0
+
+
 def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> DecompositionResult:
     """Split A = B disjoint-union C with E_3^+(B) small and C a union of
     multiplicatively structured extractor outputs.
@@ -363,7 +371,7 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
     pieces = [cert.chosen for cert in certs]
     C = RatSet().union(*pieces)
     e_plus_b = energy(B, B, 2, "additive") if len(B) else 0
-    e_mul_c = energy(C, C, 2, "multiplicative") if len(C) else 0
+    e_mul_c = _pieces_emul(C, certs)
     # quarter-power recombination across the extracted pieces, which are
     # disjoint and nonempty and whose E_mul each certificate holds
     if pieces and l4_verdict(e_mul_c, [cert.Emul_output for cert in certs]) == "violated":
@@ -416,7 +424,7 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
     Y = A.difference(rest)
     _raise_first(_cover_failures(A, X, Y))
     e3_x = certs[-1].E3_input  # X is the set the last extraction saw
-    e_mul_y = energy(Y, Y, 2, "multiplicative")
+    e_mul_y = _pieces_emul(Y, certs)
     ratio = power_sum_ratio_decimal(e3_x**4 * e_mul_y**3, [[(n, Fraction(22))]])
     return DecompositionResult(
         kind="xy",

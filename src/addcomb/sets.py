@@ -326,21 +326,40 @@ class GeneratorConfig:
 
     @staticmethod
     def from_json(d: dict) -> "GeneratorConfig":
-        """Inverse of to_json; InvalidConfig on anything else."""
+        """Inverse of to_json; InvalidConfig on anything else.
+
+        The size fields (n, s, p, size, range, seed) must be ints, and
+        start, step, ratio and each of values must be a string or an int:
+        a float or a bool is refused rather than rounded or read as 0 or 1,
+        and the error names the field.
+        """
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidConfig(f"generator config must be an object with a kind: {d!r}")
+
+        def rational(key, v):
+            if type(v) is not int and not isinstance(v, str):
+                raise InvalidConfig(f"generator config field {key!r} must be a "
+                                    f"string or an int, got {v!r}")
+            try:
+                return Fraction(v)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidConfig(f"bad generator config {d!r}: {exc}") from exc
+
         kw = {}
-        try:
-            for key in ("start", "step", "ratio"):
-                if key in d:
-                    kw[key] = Fraction(d[key])
-            for key in ("n", "s", "p", "size", "range", "seed"):
-                if key in d:
-                    kw[key] = int(d[key])
-            if "values" in d:
-                kw["values"] = tuple(Fraction(v) for v in d["values"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidConfig(f"bad generator config {d!r}: {exc}") from exc
+        for key in ("start", "step", "ratio"):
+            if key in d:
+                kw[key] = rational(key, d[key])
+        for key in ("n", "s", "p", "size", "range", "seed"):
+            if key in d:
+                if type(d[key]) is not int:
+                    raise InvalidConfig(
+                        f"generator config field {key!r} must be an int, got {d[key]!r}")
+                kw[key] = d[key]
+        if "values" in d:
+            if not isinstance(d["values"], list):
+                raise InvalidConfig(
+                    f"generator config field 'values' must be a list, got {d['values']!r}")
+            kw["values"] = tuple(rational("values", v) for v in d["values"])
         return GeneratorConfig(kind=d["kind"], **kw)
 
 

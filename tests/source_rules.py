@@ -1,7 +1,7 @@
 """The one source-rule scanner of the test suite.
 
 `PACKAGE` lists the modules of `src/addcomb`; `TOOLING` lists the test
-modules and the root `conftest.py`.  `scan(path)` parses and walks a file
+modules, the root `conftest.py` and the scripts of `bench/`.  `scan(path)` parses and walks a file
 once per session, giving each node with its enclosing function, and
 `nodes(source)` walks a snippet the same way.  The eight rules below read
 such a walk.  Each rule's test over the files and its self-test on a
@@ -18,7 +18,7 @@ from addcomb import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/addcomb/*.py"))
-TOOLING = sorted([*ROOT.glob("tests/*.py"), ROOT / "conftest.py"])
+TOOLING = sorted([*ROOT.glob("tests/*.py"), ROOT / "conftest.py", *ROOT.glob("bench/*.py")])
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

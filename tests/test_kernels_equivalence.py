@@ -14,15 +14,13 @@ No kernel is checked against a second copy of itself:
   signed sets, APs and their affine images in any order, and the nearest
   pairs of orbit invariants show that its m = D**4 cannot drop to D**2;
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop, and
-  on the diagonal (y1, y2) == (x1, x2) build one slope histogram, not two;
-- `_direction_hist`, the slope-key histogram behind both mul_pairs
-  kernels: has the class sizes and zero tally of the gcd
-  primitive-direction histogram kept here as its reference, and Farey
-  neighbours at the span pin its m >= D**2 precondition (a smaller m merges
-  them).  mul_pairs_count keys by slope, while the ratio histogram of
+  when the rectangles x1 * y2 and x2 * y1 hold the same products, as for
+  every mul_pairs_count and on the diagonal (y1, y2) == (x1, x2), build
+  one product histogram, not two.
+  mul_pairs_count tallies products, while the ratio histogram of
   `sets.int_keys` keys a/b by the exact int a*(lcm(b)/b), so the "E_mul
   hist vs product form" check of the benchmark compares two different
-  keyings;
+  routes;
 - count_incidences (packed slots): equals a direct double loop on raw
   parallel arrays (duplicate points and lines, non-reduced lines, a = 0 or
   b = 0, magnitudes up to 2**70, largest |aX + bY - c| at the slot-width
@@ -30,14 +28,13 @@ No kernel is checked against a second copy of itself:
   points with non-integer coordinates.
 
 Inputs are small signed ints, mapped by x -> s*x + t with s and t far past
-int64 as well, where every kernel must stay exact (the slope keys of the
+int64 as well, where every kernel must stay exact (the ratio keys of the
 2**61-scaled lists reach about 2**210).
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,66 +181,10 @@ def test_count_incidences_equivalent(coords, lines, s):
         l.contains(p) for l in arr.lines for p in arr.points)
 
 
-def _primitive_direction_hist(us, vs):
-    # the reference keying: (u, v) divided by its gcd, signed so that the
-    # first nonzero entry is positive; the zero vector is tallied apart
-    hist = Counter()
-    zero_pairs = 0
-    for u in us:
-        for v in vs:
-            if u == 0 and v == 0:
-                zero_pairs += 1
-                continue
-            g = gcd(u, v)
-            if u < 0 or (u == 0 and v < 0):
-                g = -g
-            hist[u // g, v // g] += 1
-    return hist, zero_pairs
-
-
-def _class_sizes(hist_and_zero):
-    hist, zero_pairs = hist_and_zero
-    return sorted(hist.values()), zero_pairs
-
-
-@given(int_lists, int_lists, ints, ints, st.booleans(), st.booleans(), affine_maps)
-@settings(max_examples=200, deadline=None)
-def test_direction_hist_matches_primitive_directions(xs, ys, p, q, p_in, q_in, m):
-    # vectors from a pivot (p, q), as the shifted lists of the identity
-    # check form them for mul_pairs_cross; a pivot coordinate in its list
-    # gives vertical vectors and the zero vector
-    p = xs[0] if p_in else p
-    q = ys[-1] if q_in else q
-    xs, ys = _affine(xs + [p], m), _affine(ys + [q], m)
-    us = [x - xs[-1] for x in xs[:-1]]
-    vs = [y - ys[-1] for y in ys[:-1]]
-    d = max(map(abs, us))
-    assert _class_sizes(_kernels_py._direction_hist(us, vs, d * d)) == _class_sizes(
-        _primitive_direction_hist(us, vs))
-
-
 def _farey_pairs(d):
     # slopes 1/d, 1/(d-1) and (d-1)/d, (d-2)/(d-1): neighbours in the Farey
     # sequence of order d, so they differ by 1/(d (d-1)), about 1/D**2
     return [((d, 1), (d - 1, 1)), ((d, d - 1), (d - 1, d - 2))]
-
-
-def test_slope_keys_need_m_at_least_d_squared():
-    # the bare key v*m // u: m = D**2 keeps the neighbours apart, while
-    # m = D**2 / 4 merges both pairs at D = 10
-    for (u, v), (u2, v2) in _farey_pairs(10):
-        assert v * 100 // u != v2 * 100 // u2
-        assert v * 25 // u == v2 * 25 // u2   # 25 // 10 == 25 // 9 == 2
-    # so _direction_hist with the smaller m tallies two directions as one
-    assert sorted(_kernels_py._direction_hist([10, 9], [1], 25)[0].values()) == [2]
-    assert sorted(_kernels_py._direction_hist([10, 9], [1], 100)[0].values()) == [1, 1]
-    for d in range(3, 41):
-        for (u, v), (u2, v2) in _farey_pairs(d):
-            assert v * d * d // u != v2 * d * d // u2
-            x1, x2, y1, y2 = [u, u2], [v, v2, 0], [u2, -u], [v2, -v, 1]
-            direct = sum(a * dd == b * c for a in x1 for b in x2
-                         for c in y1 for dd in y2)
-            assert _kernels_py.mul_pairs_cross(x1, x2, y1, y2) == direct
 
 
 def test_ratio_keys_need_m_at_least_d_squared():
@@ -399,33 +340,38 @@ def test_mul_pairs_count_equivalent(x, y, s):
     assert _kernels.mul_pairs_count(x, y) == direct
 
 
-def test_parallel_pairs_builds_one_histogram_on_the_diagonal(monkeypatch):
+def test_product_pairs_builds_one_counter_on_the_diagonal(monkeypatch):
+    # both sides of a*d == b*c tally one product Counter each, x1 * y2 and
+    # x2 * y1; when those rectangles match, one Counter serves both
     calls = []
-    real = _kernels_py._direction_hist
 
-    def spy(us, vs, m):
-        calls.append((list(us), list(vs)))
-        return real(us, vs, m)
+    class Spy(Counter):
+        def __init__(self, products):
+            calls.append(sorted(products))
+            super().__init__(products)
 
-    monkeypatch.setattr(_kernels_py, "_direction_hist", spy)
+    monkeypatch.setattr(_kernels_py, "Counter", Spy)
 
     def direct(x1, x2, y1, y2):
         return sum(1 for a in x1 for b in x2 for c in y1 for d in y2 if a * d == b * c)
 
+    def products(xs, ys):
+        return sorted(x * y for x in xs for y in ys)
+
     a = [-3, 0, 1, 2, 4, 6]
-    assert _kernels_py.mul_pairs_count(a, list(a)) == direct(a, a, a, a)
-    assert calls == [(a, a)]
-    calls.clear()
     b = [0, 2, 3, 5]
-    assert _kernels_py.mul_pairs_count(a, b) == direct(a, a, b, b)
-    assert calls == [(a, a), (b, b)]
+    assert _kernels_py.mul_pairs_count(a, list(a)) == direct(a, a, a, a)
+    assert calls == [products(a, a)]
     calls.clear()
-    # a cross rectangle is on the diagonal only when both sides match
+    # x1 * y2 and x2 * y1 are both a * b
+    assert _kernels_py.mul_pairs_count(a, b) == direct(a, a, b, b)
+    assert calls == [products(a, b)]
+    calls.clear()
     assert _kernels_py.mul_pairs_cross(a, b, a, b) == direct(a, b, a, b)
-    assert calls == [(a, b)]
+    assert calls == [products(a, b)]
     calls.clear()
     assert _kernels_py.mul_pairs_cross(a, b, b, a) == direct(a, b, b, a)
-    assert calls == [(a, b), (b, a)]
+    assert calls == [products(a, a), products(b, b)]
     calls.clear()
     # the multiplicative energy E(A, A) of the energy-sweep benchmark
     A = RatSet([Fraction(-5, 3), Fraction(1, 2), 2, 3, 6])

@@ -1,12 +1,14 @@
 """Ratio-of-sums representation counts r(z) and the R(Z) energy."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomb import ratios
 from addcomb.errors import BudgetExceeded, InvalidConfig
 from addcomb.ratios import (
     full_ratio_set,
@@ -144,9 +146,9 @@ def test_popular_ratios_matches_brute_ranking_random(a1, a2, count):
 
 
 def test_popular_ratios_memory_stays_near_the_sums():
-    # Random(32, 256) has 292 nonzero sums and up to 292^2 quotients; the
-    # merge holds one run per sum, where a table of every quotient's weight
-    # peaked at about 8 MB
+    # Random(32, 256) has 292 nonzero sums and up to 292^2 quotients; one
+    # band of keys lives at a time, where a table of every quotient's
+    # weight peaked at about 8 MB
     a = generate(random_set(32, 256, 1))
     tracemalloc.start()
     try:
@@ -182,3 +184,102 @@ def test_full_ratio_set_budget_boundary():
     assert z == RatSet(Fraction(p, q) for p in sums for q in sums)
     with pytest.raises(BudgetExceeded, match="25 sum pairs exceed budget 24"):
         full_ratio_set(a, a, budget=cost - 1)
+
+
+def _brute_weights(a1, a2):
+    # w(z) = r(z) - h(0)^2 for every quotient z of nonzero sums, as a
+    # Counter of Fractions over the distinct sums with their multiplicities
+    h = Counter(x + y for x in a1 for y in a2)
+    h.pop(0, None)
+    w = Counter()
+    for s, hs in h.items():
+        for sp, hsp in h.items():
+            w[sp / s] += hs * hsp
+    return w
+
+
+def _band_count(a1, a2):
+    bands, _, _ = ratios._quotients(a1, a2, 10**9)
+    return sum(1 for _ in bands)
+
+
+signed_sets = st.builds(
+    RatSet,
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
+             min_size=1, max_size=7),
+)
+
+
+@pytest.mark.parametrize("bands", ["one", "two", "more than keys"])
+@given(a1=signed_sets, a2=st.one_of(st.none(), signed_sets),
+       counts=st.lists(st.integers(1, 60), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_quotient_bands_match_a_fraction_ranking(bands, a1, a2, counts):
+    # the band constant forces one band, two, or one per (sum, sum) pair,
+    # which is more bands than keys whenever two pairs share a quotient;
+    # signed inputs give zero sums and quotients of both signs
+    a2 = a1 if a2 is None else a2
+    h = {x + y for x in a1 for y in a2} - {0}
+    pairs = len(h) ** 2
+    band_pairs = {"one": max(pairs, 1), "two": max(-(-pairs // 2), 1),
+                  "more than keys": 1}[bands]
+    w = _brute_weights(a1, a2)
+    ranked = sorted(w, key=lambda z: (-w[z], z))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratios, "_BAND_PAIRS", band_pairs)
+        assert _band_count(a1, a2) == (1 if bands == "one" or pairs < 2 else
+                                       2 if bands == "two" else pairs)
+        assert full_ratio_set(a1, a2) == RatSet(w)
+        for count in counts:
+            assert popular_ratios(a1, a2, count) == RatSet(ranked[:count])
+
+
+@pytest.mark.parametrize("band_pairs", [1, 7, 100, 10**9])
+@pytest.mark.parametrize("n, count", [(12, 30), (16, 50), (32, 200)])
+def test_popular_ratios_ties_inside_a_band(monkeypatch, band_pairs, n, count):
+    # an AP has many quotients of equal weight, and the cut at count falls
+    # inside a run of ties; a band dict is not K-ordered, so only the
+    # (w, -K) comparison keeps the z-ascending tie rule
+    a = generate(GeneratorConfig(kind="AP", start=Fraction(1), step=Fraction(1), n=n))
+    # raising=False: the ranking checked here does not depend on the bands
+    monkeypatch.setattr(ratios, "_BAND_PAIRS", band_pairs, raising=False)
+    w = _brute_weights(a, a)
+    ranked = sorted(w, key=lambda z: (-w[z], z))
+    assert w[ranked[count - 1]] == w[ranked[count]]  # a tie straddles the cut
+    assert popular_ratios(a, a, count) == RatSet(ranked[:count])
+    assert popular_ratios(a, a) == RatSet(ranked[:n * n])
+
+
+def test_ratio_profile_takes_both_routes():
+    # r(p/q) sums over the multiples kq in the span of the sums when there
+    # are fewer of them than sums, and over the sums otherwise
+    a1, a2 = RatSet([1, 2, 100]), RatSet([1, 3, 250])
+    sums = {x + y for x in a1 for y in a2}
+    lo, hi = min(sums), max(sums)
+    Z = RatSet([Fraction(1, 2), 2, Fraction(103, 101), Fraction(350, 101),
+                Fraction(-7, 300), 0, 1])
+    multiples = [hi // z.denominator + lo // -z.denominator + 1 for z in Z]
+    assert {m < len(sums) for m in multiples} == {True, False}
+    prof = ratio_profile(Z, a1, a2)
+    assert prof.r == {z: _r_brute(z, a1, a2) for z in Z}
+    assert prof.r[Fraction(103, 101)] > 0 and prof.r[Fraction(350, 101)] > 0
+    # a span of the sums far past sys.maxsize takes the scan, with no range
+    # length ever taken
+    wide = RatSet([1, 2, 10**30])
+    Z = RatSet([Fraction(1, 2), 1, 2, Fraction(10**30 + 2, 3)])
+    assert ratio_profile(Z, wide, wide).r == {z: _r_brute(z, wide, wide) for z in Z}
+
+
+def test_ratio_layer_on_zero_alone():
+    # A = {0} has the one sum 0: no quotient of nonzero sums, while every z
+    # has r(z) = h(0)^2 = 1
+    a = RatSet([0])
+    assert popular_ratios(a, a) == RatSet()
+    assert popular_ratios(a, a, 5) == RatSet()
+    assert full_ratio_set(a, a) == RatSet()
+    Z = RatSet([0, 1, Fraction(-2, 3), 7])
+    prof = ratio_profile(Z, a, a)
+    assert prof.r == {z: 1 for z in Z}
+    assert (prof.R, prof.sum_r, prof.zero_sums) == (4, 4, 1)
+    assert r_of_z(Fraction(5, 3), a, a) == 1
+    assert ratio_profile(RatSet(), a, a).r == {}

@@ -1,5 +1,6 @@
 """Rational set container, generators, file formats, RNG pinning."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -186,6 +187,26 @@ def test_generator_config_json_pinned(cfg, pinned):
     assert GeneratorConfig.from_json(dict(pinned)) == cfg
 
 
+@pytest.mark.parametrize("field, text", [
+    ("n", '{"kind": "AP", "start": "1", "step": "1", "n": 3.9}'),
+    ("n", '{"kind": "AP", "start": "1", "step": "1", "n": true}'),
+    ("n", '{"kind": "AP", "start": "1", "step": "1", "n": "3"}'),
+    ("s", '{"kind": "GridExample", "s": 2.0, "p": 3}'),
+    ("seed", '{"kind": "Random", "size": 4, "range": 9, "seed": false}'),
+    ("start", '{"kind": "AP", "start": 0.1, "step": "1", "n": 3}'),
+    ("start", '{"kind": "AP", "start": 1e400, "step": "1", "n": 3}'),
+    ("step", '{"kind": "AP", "start": "1", "step": true, "n": 3}'),
+    ("values", '{"kind": "Literal", "values": ["1", 0.5]}'),
+    ("values", '{"kind": "Literal", "values": "123"}'),
+], ids=["n-float", "n-bool", "n-string", "s-float", "seed-bool", "start-float",
+        "start-overflow", "step-bool", "values-float", "values-string"])
+def test_generator_config_fields_parse_strictly(field, text):
+    # sizes are ints that are not bools, rationals are strings or ints: a
+    # JSON float or bool is refused, naming the field, not rounded
+    with pytest.raises(InvalidConfig, match=repr(field)):
+        GeneratorConfig.from_json(json.loads(text))
+
+
 def test_splitmix64_reference_values():
     # published reference sequence for seed 0 (Vigna's splitmix64.c)
     rng = SplitMix64(0)
@@ -271,8 +292,6 @@ def test_set_file_roundtrip(tmp_path):
 
 
 def test_corpus_file_roundtrip(tmp_path):
-    import json
-
     cfgs = [ap(1, 1, 8), grid_example(2, 2)]
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps([c.to_json() for c in cfgs]))

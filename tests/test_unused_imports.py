@@ -33,7 +33,8 @@ def test_scan_covers_the_package_and_the_tests():
     assert {"__init__.py", "_kernels.py", "cli.py", "harness.py", "intervals.py"} <= {
         p.name for p in PACKAGE}
     assert {ROOT / "conftest.py", ROOT / "tests" / "source_rules.py",
-            ROOT / "tests" / "test_unused_imports.py"} <= set(TOOLING)
+            ROOT / "tests" / "test_unused_imports.py",
+            ROOT / "bench" / "sweep.py"} <= set(TOOLING)
 
 
 @pytest.mark.parametrize("path", PACKAGE + TOOLING, ids=lambda p: p.relative_to(ROOT).as_posix())
