@@ -1,7 +1,9 @@
-"""The counting kernels callers use: one integer route per kernel.
+"""Four of the counting kernels: one integer route per kernel.
 
 Each name is the pure-Python kernel from _kernels_py, over arbitrary-precision
-ints, so no input magnitude changes the route or the result.  The kernels
+ints, so no input magnitude changes the route or the result.  Other callers
+import from _kernels_py directly: `collinear` takes `mul_pairs_cross`, and
+`incidence` takes `_canonical_span` and `_spanned_lines`.  The kernels
 are checked against independent algorithms in the tests (the line census
 `_kernels_py._spanned_lines`, the shift identity, brute recounts; for the
 packed-slot `count_incidences`, a direct double loop and the Fraction

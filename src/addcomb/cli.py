@@ -1,10 +1,12 @@
 """Command line front end: `spctl`.
 
-Subcommands map one-to-one onto the library surface; every command can
-emit a canonical JSON report (sorted keys, no timestamps) so batch runs
-diff cleanly.  With `--json -` stdout carries that one document and the
-command's text lines go to stderr.  Exit status is 0 on success; `verify`
-returns nonzero iff any exact check failed.
+Subcommands map one-to-one onto the library surface.  Each `_cmd_*`
+prints its text lines and returns its payload and exit status; `main`
+writes the payload as the one canonical JSON report (sorted keys, no
+timestamps) when `--json` asks for it, so batch runs diff cleanly.  With
+`--json -` stdout carries that one document and the command's text lines
+go to stderr.  Exit status is 0 on success; `verify` returns nonzero iff
+any exact check failed.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .incidence import line_moment_sums, read_arrangement, st_bound_check
 from .sets import (
     GeneratorConfig,
     canonical_json,
-    format_rational,
     generate,
+    jsonable,
     parse_rational,
     read_corpus_file,
     read_set_file,
@@ -59,7 +61,7 @@ def _load_sets(paths, want: int, what: str):
     return sets
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, int]:
     # the flags are named after the config fields; from_json parses them
     given = {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)
              if getattr(args, f.name) is not None}
@@ -67,66 +69,53 @@ def _cmd_gen(args) -> int:
         given["values"] = given["values"].split(",")
     cfg = GeneratorConfig.from_json(given)
     a = generate(cfg)
+    elements = jsonable(a)
     if args.out:
         write_set_file(args.out, a, header=cfg.label())
     else:
-        for v in a:
-            _say(args, format_rational(v))
-    if args.json:
-        _emit({"config": cfg.to_json(), "size": len(a),
-               "elements": [format_rational(v) for v in a]}, "gen", args.json)
+        for line in elements:
+            _say(args, line)
     print(f"{cfg.label()}: {len(a)} elements", file=sys.stderr)
-    return 0
+    return {"config": cfg.to_json(), "size": len(a), "elements": elements}, 0
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args) -> tuple[dict, int]:
     A, B = _load_sets(args.set, 2, "energy")
     hist = rep_histogram(A, B, energy_op(args.k, args.flavor))
     val = hist.moment(args.k)
     _say(args, val)
-    if args.json:
-        _emit({"k": args.k, "flavor": args.flavor, "value": val,
-               "support": hist.support_size, "max_count": hist.max_count},
-              "energy", args.json)
-    return 0
+    return {"k": args.k, "flavor": args.flavor, "value": val,
+            "support": hist.support_size, "max_count": hist.max_count}, 0
 
 
-def _cmd_triples(args) -> int:
+def _cmd_triples(args) -> tuple[dict, int]:
     A1, A2, A3 = _load_sets(args.set, 3, "triples")
     rep = triple_count_report(A1, A2, A3, args.budget)
     _say(args, f"T={rep.T} T_o={rep.T_o} degenerate={rep.degenerate_terms}")
-    if args.json:
-        _emit(rep.to_json(), "triples", args.json)
-    return 0
+    return rep.to_json(), 0
 
 
-def _cmd_ratios(args) -> int:
+def _cmd_ratios(args) -> tuple[dict, int]:
     A1, A2 = _load_sets(args.set, 2, "ratios")
     Z = ratios.popular_ratios(A1, A2, args.count, args.budget)
     prof = ratios.ratio_profile(Z, A1, A2)
     _say(args, f"|Z|={len(Z)} R={prof.R} sum_r={prof.sum_r}")
-    if args.json:
-        _emit(prof.to_json(), "ratios", args.json)
-    return 0
+    return prof.to_json(), 0
 
 
-def _cmd_incidence(args) -> int:
+def _cmd_incidence(args) -> tuple[dict, int]:
     if args.arrangement:
         rep = st_bound_check(read_arrangement(args.arrangement))
         _say(args, f"incidences={rep.count} bound=[{rep.bound_lo},{rep.bound_hi}] "
                    f"ok={rep.ok}")
-        if args.json:
-            _emit(rep.to_json(), "incidence", args.json)
-        return 0
+        return rep.to_json(), 0
     A1, A2, A3 = sorted(_load_sets(args.set, 3, "incidence"), key=len)
     rep = line_moment_sums(A1, A2, A3, args.p, args.family, args.budget)
     _say(args, f"p={rep.p} family={rep.family} sums={list(rep.sums)}")
-    if args.json:
-        _emit(rep.to_json(), "incidence", args.json)
-    return 0
+    return rep.to_json(), 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, int]:
     (A,) = _load_sets(args.set, 1, "decompose")
     if args.mode == "bw":
         M = "auto" if args.M == "auto" else parse_rational(args.M)
@@ -136,26 +125,21 @@ def _cmd_decompose(args) -> int:
     sizes = {k: len(v) for k, v in res.parts.items()}
     _say(args, f"{res.kind}: parts={sizes} energies={res.energies} "
                f"ratio=[{res.target_ratio[0]},{res.target_ratio[1]}]")
-    if args.json:
-        _emit(res.to_json(), "decompose", args.json)
-    return 0
+    return res.to_json(), 0
 
 
-def _cmd_regularize(args) -> int:
+def _cmd_regularize(args) -> tuple[dict, int]:
     (A,) = _load_sets(args.set, 1, "regularize")
     tr = dec.regularize(A, args.k)
     _say(args, f"k={tr.k} eps={tr.epsilon} steps={len(tr.steps)} "
                f"|B|={len(tr.B)} |B'|={len(tr.B_prime)} |B''|={len(tr.B_dprime)}")
-    if args.json:
-        _emit(tr.to_json(), "regularize", args.json)
-    return 0
+    return tr.to_json(), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     corpus = read_corpus_file(args.corpus) if args.corpus else None
     names = list(harness.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = []
-    all_ok = True
     for name in names:
         res = harness.run_suite(name, corpus, budget=args.budget, seed=args.seed)
         results.append(res)
@@ -167,31 +151,18 @@ def _cmd_verify(args) -> int:
         for c in res.checks:
             if c.status == "fail":
                 _say(args, f"  FAIL {c.name}: {c.details}")
-        all_ok = all_ok and res.ok
-    if args.json:
-        _emit({"suites": [r.to_json() for r in results], "ok": all_ok},
-              "verify", args.json)
+    all_ok = all(r.ok for r in results)
     _say(args, "VERIFY " + ("PASS" if all_ok else "FAIL"))
-    return 0 if all_ok else 2
+    return {"suites": [r.to_json() for r in results], "ok": all_ok}, 0 if all_ok else 2
 
 
-def _cmd_report(args) -> int:
-    if args.set:
-        (A,) = _load_sets(args.set, 1, "report")
-        rep = harness.shift_product_report(
-            A, parse_rational(args.alpha), parse_rational(args.beta), args.budget)
-        _say(args, f"K_mul={rep['K_mul']} |(A+a)(A+b)|={rep['shifted_product_size']} "
-                   f"identity={rep['identity']}")
-        if args.json:
-            _emit(rep, "report", args.json)
-        return 0
-    corpus = read_corpus_file(args.corpus) if args.corpus else None
-    res = harness.run_suite("reports", corpus, budget=args.budget, seed=args.seed)
-    _say(args, f"reports: {len(res.ratio_tables)} ratio rows, "
-               f"{sum(1 for c in res.checks if c.name.startswith('fit:'))} fits")
-    if args.json:
-        _emit(res.to_json(), "report", args.json)
-    return 0
+def _cmd_report(args) -> tuple[dict, int]:
+    (A,) = _load_sets(args.set, 1, "report")
+    rep = harness.shift_product_report(
+        A, parse_rational(args.alpha), parse_rational(args.beta), args.budget)
+    _say(args, f"K_mul={rep['K_mul']} |(A+a)(A+b)|={rep['shifted_product_size']} "
+               f"identity={rep['identity']}")
+    return rep, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,16 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "counts, incidence bounds, decompositions, verification.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, sets=0):
+    def common(p, sets=True, budget=False):
         if sets:
             p.add_argument("--set", action="append", metavar="FILE",
                            help="set file (one rational per line); repeatable")
         p.add_argument("--json", metavar="OUT",
                        help="write canonical JSON report to OUT ('-' = stdout, "
                             "with the text lines on stderr)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    seed_help = "recorded in the report's environment block; the suites pin their own"
+        # only the commands that charge their work take a budget
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("gen", help="generate a set and write a set file")
     p.add_argument("--kind", required=True,
@@ -226,29 +197,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--values", help="comma-separated rationals (Literal)")
     p.add_argument("--out", metavar="FILE", help="set file to write")
-    p.add_argument("--json", metavar="OUT")
+    common(p, sets=False)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("energy", help="E_k of one or two sets")
-    common(p, sets=True)
+    common(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--flavor", choices=["additive", "multiplicative"],
                    default="additive")
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("triples", help="collinear 6-tuple and ordered counts")
-    common(p, sets=True)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_triples)
 
     p = sub.add_parser("ratios", help="popular ratio profile r(z), R(Z)")
-    common(p, sets=True)
+    common(p, budget=True)
     p.add_argument("--count", type=int, default=None,
                    help="how many popular ratios (default |A1|^2)")
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("incidence",
                        help="incidence bound check or line moment sums")
-    common(p, sets=True)
+    common(p, budget=True)
     p.add_argument("--arrangement", metavar="FILE",
                    help="arrangement JSON (points + lines)")
     p.add_argument("--p", type=int, default=2, help="moment exponent (1..3)")
@@ -256,30 +227,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_incidence)
 
     p = sub.add_parser("decompose", help="additive/multiplicative split of a set")
-    common(p, sets=True)
+    common(p)
     p.add_argument("--mode", choices=["bw", "xy"], default="bw")
     p.add_argument("--M", default="auto",
                    help="energy guard threshold (rational or 'auto')")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("regularize", help="iterative popular-difference pruning")
-    common(p, sets=True)
+    common(p)
     p.add_argument("--k", type=int, default=3)
     p.set_defaults(func=_cmd_regularize)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    common(p, sets=False, budget=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report's environment block; the suites pin their own")
     p.add_argument("--suite", default="all",
                    choices=["all", *harness.SUITE_NAMES])
     p.add_argument("--corpus", metavar="FILE",
                    help="JSON list of generator configs (default built-in)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("report", help="ratio tables and fits, or shift-product report")
-    common(p, sets=True)
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
-    p.add_argument("--corpus", metavar="FILE")
+    p = sub.add_parser("report", help="shift-product report of one set")
+    common(p, budget=True)
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="1")
     p.set_defaults(func=_cmd_report)
@@ -290,10 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if args.json:
+            _emit(payload, args.command, args.json)
     except (AddcombError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ the grids A_i x A_i with the three points pairwise distinct; order matters,
 so a line meeting each grid in the same 3 points contributes 3! = 6.
 Both a brute-force oracle and a fast path are provided and must agree
 exactly; the fast path is never trusted on its own.  The fast path (mode
-"linehash", a name kept from the line-materialising route it replaced)
-tallies one histogram of the ratios (a2 - x)/(a3 - x) over A1 x A2 x A3 on
-exact int keys, sums its squared counts and adds a closed form for the
-solutions with a zero difference, in O(|A1| |A2| |A3|) time and memory.
+"linehash") tallies one histogram of the ratios (a2 - x)/(a3 - x) over
+A1 x A2 x A3 on exact int keys, sums its squared counts and adds a closed
+form for the solutions with a zero difference, in O(|A1| |A2| |A3|) time
+and memory.
 When A1 = A2 = A3 = A the 6 orders of a 3-set of A share one anharmonic
 orbit of ratios, so it keys each 3-set once by the orbit's invariant,
 C(|A|, 3) keys at most.

@@ -108,9 +108,6 @@ class VerifySuiteResult(Record):
     def ok(self) -> bool:
         return not any(c.kind == "EXACT" and c.status == "fail" for c in self.checks)
 
-    def to_bytes(self) -> bytes:
-        return canonical_json(self.to_json()).encode() + b"\n"
-
 
 @dataclass(frozen=True)
 class ExponentFit(Record):

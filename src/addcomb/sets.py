@@ -284,9 +284,23 @@ class RatSet:
             raise DivisionByZero(f"{context}: set contains 0")
 
 
+# the fields that each generator kind reads
+_KIND_FIELDS = {
+    "AP": ("start", "step", "n"),
+    "GP": ("start", "ratio", "n"),
+    "GridExample": ("s", "p"),
+    "Random": ("size", "range", "seed"),
+    "Literal": ("values",),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Declarative description of a set; serializes to/from plain JSON."""
+    """Declarative description of a set; serializes to/from plain JSON.
+
+    A config of a known kind sets only the fields that kind reads
+    (`_KIND_FIELDS`); any other field raises InvalidConfig, naming it.
+    """
 
     kind: str  # "AP" | "GP" | "GridExample" | "Random" | "Literal"
     start: Fraction | None = None
@@ -301,6 +315,12 @@ class GeneratorConfig:
     values: tuple | None = None
 
     def __post_init__(self):
+        if self.kind in _KIND_FIELDS:
+            reads = ("kind", *_KIND_FIELDS[self.kind])
+            stray = [f.name for f in fields(self)
+                     if f.name not in reads and getattr(self, f.name) is not None]
+            if stray:
+                raise InvalidConfig(f"{self.kind} config takes no {', '.join(stray)}")
         # one form however the config is built: start, step, ratio and
         # values become Fractions, so equal configs serialise alike
         for key in ("start", "step", "ratio"):
@@ -457,11 +477,19 @@ def format_rational(v: Fraction) -> str:
 
 
 def _format_ints(ints, scale: int) -> list:
-    """`format_rational(Fraction(k, scale))` for each k, one gcd per k."""
+    """`format_rational(Fraction(k, scale))` for each k, one gcd per k.
+
+    InvalidConfig if a numerator or denominator has more digits than
+    Python converts to text (`sys.get_int_max_str_digits()`).
+    """
     out = []
-    for k in ints:
-        g = gcd(k, scale)
-        out.append(str(k // g) if g == scale else f"{k // g}/{scale // g}")
+    try:
+        for k in ints:
+            g = gcd(k, scale)
+            out.append(str(k // g) if g == scale else f"{k // g}/{scale // g}")
+    except ValueError as exc:
+        raise InvalidConfig(f"an element has more than {sys.get_int_max_str_digits()} "
+                            "digits, too many to write as text") from exc
     return out
 
 
@@ -475,11 +503,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def write_set_file(path, a: RatSet, header: str | None = None):
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    lines.extend(format_rational(v) for v in a)
+    lines = [f"# {h}" for h in (header or "").splitlines()]
+    lines.extend(_format_ints(a.ints, a.scale))  # before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -586,8 +611,7 @@ def int_keys(A: RatSet, B: RatSet, op: str) -> tuple[Iterator, int]:
     a -/+ b for diff/sum (den s) and a*b for prod (den s^2).  For ratio,
     den = lcm(b) and the key of a/b is a*(den//b): exact, without a gcd,
     and one key per value, though a key has about as many bits as that
-    lcm.  Pairs run A-major, so each key first appears where the Fraction
-    loop would put it.  InvalidConfig if op is none of these,
+    lcm.  Pairs run A-major.  InvalidConfig if op is none of these,
     DivisionByZero for a ratio with 0 in B.
     """
     if op not in ("sum", "diff", "prod", "ratio"):

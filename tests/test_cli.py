@@ -1,11 +1,18 @@
-"""spctl command line behavior: files in, reports out, exit codes."""
+"""spctl command line behavior: files in, reports out, exit codes.
+
+Each command returns its payload and `cli.main` writes it: a rule of the
+one scanner (`source_rules.call_sites`) keeps `_emit` to that one call.
+"""
 
 import json
 
 import pytest
 
 from addcomb.cli import build_parser, main
+from addcomb.core import canonical_line, point
+from addcomb.incidence import Arrangement, write_arrangement
 from addcomb.sets import RatSet, read_set_file
+from source_rules import call_sites, findings, nodes
 
 
 def run(argv):
@@ -100,9 +107,6 @@ def test_decompose_bad_m_is_an_error_line(bad, tmp_path, capsys):
 
 
 def test_incidence_arrangement_file(tmp_path, capsys):
-    from addcomb.core import canonical_line, point
-    from addcomb.incidence import Arrangement, write_arrangement
-
     arr = Arrangement.build([point(0, 0), point(1, 1)],
                             [canonical_line(1, -1, 0)])
     path = tmp_path / "arr.json"
@@ -127,7 +131,7 @@ def test_verify_custom_corpus(tmp_path, capsys):
     assert "VERIFY PASS" in capsys.readouterr().out
 
 
-def test_verify_and_report_on_tiny_and_zero_row_sets(tmp_path):
+def test_verify_and_report_on_tiny_and_zero_row_sets(tmp_path, capsys):
     # a 1-element AP, a GP of ratio 1 (one element) and AP(1,1,2), whose
     # T_o is 0, once aborted the decomposition and reports suites
     corpus = tmp_path / "corpus.json"
@@ -136,10 +140,15 @@ def test_verify_and_report_on_tiny_and_zero_row_sets(tmp_path):
         {"kind": "GP", "start": "2", "ratio": "1", "n": 4},
         *({"kind": "AP", "start": "1", "step": "1", "n": n} for n in (2, 5, 8, 12)),
     ]))
-    for cmd in (["verify", "--suite", "all"], ["report"]):
-        out = tmp_path / "out.json"
-        assert run([*cmd, "--corpus", str(corpus), "--json", str(out)]) == 0
-        assert json.loads(out.read_text())["command"] == cmd[0]
+    out = tmp_path / "out.json"
+    assert run(["verify", "--suite", "all", "--corpus", str(corpus), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["command"] == "verify"
+    # the reports suite runs through verify alone: report takes no corpus
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["report", "--corpus", str(corpus)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --corpus {corpus}" in capsys.readouterr().err
 
 
 def test_report_shift_product(tmp_path, capsys):
@@ -171,18 +180,49 @@ def test_gen_random_range_above_two_to_64_is_an_error(tmp_path, capsys):
     assert len(read_set_file(out)) == 3
 
 
+# argv, payload keys and a piece of the text summary of each command
+JSON_RUNS = [
+    (["gen", "--kind", "AP", "--start", "1", "--step", "1", "--n", "5"],
+     ["config", "elements", "size"], "AP(start=1,step=1,n=5): 5 elements"),
+    (["energy", "--set", "a.txt", "--k", "3"],
+     ["flavor", "k", "max_count", "support", "value"], "2080"),
+    (["triples", "--set", "a.txt"], ["T", "T_o", "degenerate_terms", "ratio_vs_bound"], "T="),
+    (["ratios", "--set", "a.txt", "--count", "3"],
+     ["R", "Z", "lemma_ratio", "r", "sum_r", "theorem_ratio", "zero_sums"], "|Z|=3"),
+    (["incidence", "--set", "a.txt", "--set", "b.txt"],
+     ["family", "p", "ratios", "sums"], "family=triple"),
+    (["incidence", "--set", "a.txt", "--set", "b.txt", "--family", "pairs", "--p", "3"],
+     ["family", "p", "ratios", "sums"], "family=pairs"),
+    (["incidence", "--arrangement", "arr.json"],
+     ["bound_hi", "bound_lo", "count", "n_lines", "n_points", "ok"], "incidences=2"),
+    (["decompose", "--set", "a.txt", "--mode", "bw"],
+     ["certificates", "energies", "kind", "meta", "parts", "target_ratio"], "bw:"),
+    (["decompose", "--set", "a.txt", "--mode", "xy"],
+     ["certificates", "energies", "kind", "meta", "parts", "target_ratio"], "xy:"),
+    (["regularize", "--set", "a.txt", "--k", "2"],
+     ["B", "B_dprime", "B_prime", "epsilon", "final_P", "final_t", "k", "steps"], "k=2"),
+    (["verify", "--suite", "oracle"], ["ok", "suites"], "VERIFY PASS"),
+    (["report", "--set", "a.txt", "--alpha", "1/2", "--beta", "3"],
+     ["K_div", "K_mul", "identity", "ratio_vs_Kmul3", "ratio_vs_Kmul5",
+      "shifted_product_size", "triple_sum_size"], "K_mul="),
+]
+
+
 def test_json_to_stdout(tmp_path, capsys, monkeypatch):
     # with --json - stdout is exactly one JSON document; the text is on stderr
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "s.txt").write_text("1\n2\n")
-    for argv, text in ((["energy", "--set", "s.txt"], "6"),
-                       (["triples", "--set", "s.txt"], "T="),
-                       (["verify", "--suite", "oracle"], "VERIFY PASS")):
-        assert run([*argv, "--json", "-"]) == 0
+    (tmp_path / "a.txt").write_text("\n".join(map(str, range(1, 9))) + "\n")
+    (tmp_path / "b.txt").write_text("2\n4\n6\n12\n")
+    write_arrangement(tmp_path / "arr.json", Arrangement.build(
+        [point(0, 0), point(1, 1), point(1, 0)], [canonical_line(1, -1, 0)]))
+    for argv, keys, text in JSON_RUNS:
+        assert run([*argv, "--json", "-"]) == 0, argv
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
+        assert sorted(doc) == ["command", "payload", "schema"]
         assert doc["command"] == argv[0]
-        assert text in captured.err
+        assert sorted(doc["payload"]) == keys, argv
+        assert text in captured.err, argv
 
 
 MALFORMED = {
@@ -204,6 +244,14 @@ MALFORMED = {
     "gen --values with a non-rational entry": (["gen", "--kind", "Literal",
                                                 "--values", "1,x"], None, None),
     "missing --set file": (["energy", "--set", "missing.txt"], None, None),
+    "report without --set": (["report"], None, None),
+    "gen with a flag its kind never reads": (["gen", "--kind", "AP", "--start", "1",
+                                              "--step", "1", "--n", "3", "--seed", "9"],
+                                             None, None),
+    # 1/10^(6*799) has a 4795-digit denominator, past the int-to-str limit
+    "gen of an element too wide to write": (["gen", "--kind", "GP", "--start", "1",
+                                             "--ratio", "1/1000000", "--n", "800",
+                                             "--out", "gp.txt"], None, None),
 }
 
 
@@ -220,12 +268,45 @@ def test_malformed_input_is_an_error_line(case, tmp_path, monkeypatch, capsys):
 
 
 def test_seed_only_on_verify_and_report(tmp_path, capsys):
+    # verify records the seed in its environment block; report, the
+    # shift-product report, has no suite to record it in
     s = tmp_path / "s.txt"
     s.write_text("1\n2\n")
-    with pytest.raises(SystemExit) as exc:
-        run(["energy", "--seed", "1", "--set", str(s)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-    # verify and report record the seed in their environment block
-    for command in ("verify", "report"):
-        assert build_parser().parse_args([command, "--seed", "4"]).seed == 4
+    for command in ("energy", "report"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--seed", "1", "--set", str(s)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert build_parser().parse_args(["verify", "--seed", "4"]).seed == 4
+
+
+def test_budget_only_on_the_commands_that_charge(tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n")
+    for command in ("energy", "decompose", "regularize"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--set", str(s), "--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+    for command in ("triples", "ratios", "incidence", "verify", "report"):
+        assert build_parser().parse_args([command, "--budget", "5"]).budget == 5
+
+
+def test_call_site_scanner_finds_every_form_of_the_call():
+    src = (
+        "from . import cli\n"
+        "def _emit(payload, command, path):\n"
+        "    return path\n"
+        "def main(args):\n"
+        "    _emit({}, 'gen', args.json)\n"
+        "def _cmd_gen(args):\n"
+        "    def inner():\n"
+        "        cli._emit({}, 'gen', '-')\n"
+        "    return [_emit(p, 'gen', '-') for p in args]\n"
+        "_emit({}, 'verify', '-')\n"
+    )
+    assert call_sites(nodes(src), "_emit") == ["main", "inner", "_cmd_gen", None]
+
+
+def test_only_main_emits():
+    assert findings(lambda walk: call_sites(walk, "_emit")) == {"src/addcomb/cli.py": ["main"]}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from addcomb import decompose, harness
 from addcomb.decompose import (
     ExtractionCertificate,
+    RegStep,
     RegTrace,
     band_count,
     best_z,
@@ -151,6 +152,22 @@ def test_extraction_certificate_rechecks(a):
     assert recheck_certificate(a, cert) == []
     assert chosen == cert.chosen
     assert cert.E3_input == energy(a, a, 3, "additive")
+
+
+def test_recheck_certificate_names_tampered_branch_energy_and_chain():
+    a = RatSet([1, 2, 3, 4, 6])
+    _, cert = extract_mult_structured(a)
+    assert (cert.branch, cert.t, cert.q2, cert.P) == ("ordinates", 4, 1, RatSet([0]))
+    cases = [
+        (replace(cert, branch="abscissae"), ["branch_rule"]),
+        (replace(cert, Emul_output=cert.Emul_output + 1), ["Emul_output"]),
+        # the chain bound follows from the band claims, so it fails only
+        # beside one of them: t = 10 puts r(0) = 5 below the band, and
+        # |P| t = 10 reaches 2 q2 |A2_pop| = 10 with one band in each level
+        (replace(cert, t=10), ["P_band_membership", "dyadic_chain"]),
+    ]
+    for tampered, expected in cases:
+        assert recheck_certificate(a, tampered) == expected, expected
 
 
 def test_extraction_certificate_json_roundtrip():
@@ -358,6 +375,27 @@ def test_recheck_reg_trace_names_each_tampered_claim():
     assert recheck_reg_trace(a, tr) == []
     for tampered, expected in cases:
         assert recheck_reg_trace(a, tampered) == expected, expected
+
+
+def test_recheck_reg_trace_replays_a_shrinking_step():
+    # regularize cannot shrink below |A| = 1146, so this trace is built
+    # from _reg_step at eps = 1: GridExample(4, 4) keeps 6 of 16, then
+    # stops.  The replay walks both steps, and the one claim that fails is
+    # the cap ceil(1/eps) = 1
+    a, k, eps = generate(grid_example(4, 4)), 2, Fraction(1)
+    steps, cur = [], a
+    while True:
+        t, P, g_size, deg, kept_set, g_kept, stop = decompose._reg_step(cur, k, eps)
+        steps.append(RegStep(len(cur), t, len(P), g_size, g_kept, stop))
+        if stop:
+            break
+        cur = kept_set
+    tr = RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=kept_set,
+                  B_dprime=decompose._two_sided_core(kept_set, deg, k, len(cur), g_size),
+                  final_t=t, final_P=P)
+    assert [st.size for st in tr.steps] == [16, 6]
+    assert recheck_reg_trace(a, tr) == ["step_cap"]
+    assert recheck_reg_trace(a, _tamper_step(tr, kept=True)) == ["step0_stop_flag", "step_cap"]
 
 
 def test_reg_invariants_raise_under_python_O():

@@ -13,6 +13,7 @@ from addcomb.energy import (
     energy,
     energy_mul_product_form,
     l4_union_check,
+    l4_verdict,
     rep_histogram,
 )
 from addcomb.errors import DivisionByZero, InvalidConfig
@@ -202,6 +203,12 @@ def test_l4_union_single_and_pair():
     a = RatSet([1, 2, 3, 4])
     assert l4_union_check([a]) == "ok"
     assert l4_union_check([RatSet([1, 2]), RatSet([3, 4])]) == "ok"
+
+
+def test_l4_verdict_violated_on_two_parts():
+    # (1 + 1)^4 = 16 < 10^6: the enclosures decide the two-part sum as violated
+    assert l4_verdict(10**6, [1, 1]) == "violated"
+    assert l4_verdict(16, [1, 1]) != "violated"
 
 
 def test_l4_union_validation():

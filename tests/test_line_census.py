@@ -4,12 +4,12 @@
 points for `spanned_line_multiplicities`, `rich_lines` and the pairs family.
 The Fraction route, `core.line_through` per point pair, is only the
 independent check: no module of `src/addcomb` but `harness.py` calls it
-(a rule of the one scanner, `source_rules.line_through_calls`).  `core.py`
+(a rule of the one scanner, `source_rules.call_sites`).  `core.py`
 defines it and `__init__.py` re-exports it.
 """
 
 from addcomb import incidence
-from source_rules import findings, line_through_calls, nodes
+from source_rules import call_sites, findings, nodes
 
 
 def test_scanner_finds_every_form_of_the_call():
@@ -24,9 +24,10 @@ def test_scanner_finds_every_form_of_the_call():
         "    return [core.line_through(p, q) for p, q in pts]\n"
         "KEY = line_through(1, 2)\n"
     )
-    assert line_through_calls(nodes(src)) == ["inner", "outer", None]
+    assert call_sites(nodes(src), "line_through") == ["inner", "outer", None]
 
 
 def test_only_the_harness_check_calls_line_through():
-    assert findings(line_through_calls) == {"src/addcomb/harness.py": ["_suite_incidence"]}
+    assert findings(lambda walk: call_sites(walk, "line_through")) == {
+        "src/addcomb/harness.py": ["_suite_incidence"]}
     assert not hasattr(incidence, "line_through")

@@ -1,6 +1,7 @@
 """Rational set container, generators, file formats, RNG pinning."""
 
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -207,6 +208,44 @@ def test_generator_config_fields_parse_strictly(field, text):
         GeneratorConfig.from_json(json.loads(text))
 
 
+@pytest.mark.parametrize("kind, stray", [
+    ("AP", {"ratio": "5", "seed": 9}),
+    ("GP", {"step": "1"}),
+    ("GridExample", {"n": 3}),
+    ("Random", {"start": "1"}),
+    ("Literal", {"size": 2}),
+])
+def test_generator_config_refuses_fields_its_kind_never_reads(kind, stray):
+    reads = {"AP": {"start": "1", "step": "1", "n": 3},
+             "GP": {"start": "1", "ratio": "2", "n": 3},
+             "GridExample": {"s": 2, "p": 2},
+             "Random": {"size": 3, "range": 9, "seed": 1},
+             "Literal": {"values": ["1", "2"]}}[kind]
+    assert GeneratorConfig.from_json({"kind": kind, **reads}).to_json() == {"kind": kind, **reads}
+    message = f"{kind} config takes no {', '.join(stray)}"
+    with pytest.raises(InvalidConfig, match=message):
+        GeneratorConfig.from_json({"kind": kind, **reads, **stray})
+    with pytest.raises(InvalidConfig, match=message):
+        GeneratorConfig(kind=kind, **{key: 1 for key in stray})
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (GeneratorConfig(kind="AP", start=1, step=1, n=0), "AP needs start, step, n >= 1"),
+    (GeneratorConfig(kind="AP", start=1, n=3), "AP needs start, step, n >= 1"),
+    (ap(1, 0, 3), "AP step must be nonzero"),
+    (GeneratorConfig(kind="GP", start=1, n=3), "GP needs start, ratio, n >= 1"),
+    (gp(0, 2, 3), "GP start and ratio must be nonzero"),
+    (grid_example(0, 2), "GridExample needs S >= 1, P >= 1"),
+    (random_set(5, 4, 1), "Random needs size >= 1, size <= range <= 2\\*\\*64, seed"),
+    (GeneratorConfig(kind="Literal", values=()), "Literal needs at least one value"),
+    (GeneratorConfig(kind="Cube", n=3), "unknown generator kind 'Cube'"),
+], ids=["AP-n", "AP-step-missing", "AP-step-zero", "GP-ratio-missing", "GP-start-zero",
+        "GridExample", "Random", "Literal", "unknown-kind"])
+def test_generate_refuses_bad_parameters(cfg, message):
+    with pytest.raises(InvalidConfig, match=message):
+        generate(cfg)
+
+
 def test_splitmix64_reference_values():
     # published reference sequence for seed 0 (Vigna's splitmix64.c)
     rng = SplitMix64(0)
@@ -289,6 +328,22 @@ def test_set_file_roundtrip(tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# only comments\n")
         read_set_file(empty)
+
+
+def test_wide_element_is_refused_before_anything_is_written(tmp_path):
+    # 10**4300 has 4301 digits, one past Python's int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300
+    fits = RatSet.from_ints([1, 3], 10**(limit - 1))
+    wide = RatSet.from_ints([1, 3], 10**limit)
+    path = tmp_path / "wide.txt"
+    write_set_file(path, fits)
+    assert read_set_file(path) == fits
+    path.unlink()
+    for write in (lambda: write_set_file(path, wide), lambda: jsonable(wide)):
+        with pytest.raises(InvalidConfig, match="more than 4300 digits"):
+            write()
+    assert not path.exists()
 
 
 def test_corpus_file_roundtrip(tmp_path):
