@@ -14,8 +14,8 @@ r(-x) for differences and r(z) = r(1/z) for ratios: each pair counts once
 on its side of the fixed points, whose counts are known without a tally.
 The ordered `rep_histogram` and, for ratios, `energy_mul_product_form`
 are the independent routes that check it.  The one genuinely irrational
-comparison (the l4 union inequality) goes through outward-rounded
-interval arithmetic rather than floats.
+comparison, the quarter-power union inequality, is decided on integer
+fourth roots (`l4_verdict`), never on floats.
 """
 
 from __future__ import annotations
@@ -24,14 +24,17 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from . import intervals
 from ._kernels import mul_pairs_count
 from .errors import InvalidConfig
 from .sets import RatSet, from_keys, int_keys, integerize, unordered_keys
 
 K_MAX = 8
+# fractional bits of the fourth roots in `l4_verdict`: 128, doubled up to 2048
+L4_BASE_BITS = 128
+L4_MAX_BITS = 2048
 
 
 class CountHistogram:
@@ -171,10 +174,8 @@ def l4_union_check(parts: Sequence[RatSet]) -> str:
     """Verdict for E_mul(union)^(1/4) <= sum of E_mul(part)^(1/4).
 
     Parts must be disjoint and nonempty, 0 excluded.  Returns "ok",
-    "violated", or "inconclusive"; the comparison is done on outward
-    intervals after raising the right side to the 4th power, widening the
-    precision until decidable.  A single part is exact equality, decided
-    without intervals.
+    "violated", or "inconclusive", as decided by `l4_verdict`.  A single
+    part is exact equality.
     """
     ps = list(parts)
     if not ps or any(len(p) == 0 for p in ps):
@@ -196,23 +197,23 @@ def l4_verdict(lhs: int, part_energies: Sequence[int]) -> str:
 
     "ok", "violated" or "inconclusive", as in `l4_union_check`, which
     passes E_mul of the union and of each part; a caller that holds those
-    energies already passes them here.  One part is decided exactly.
+    energies already passes them here.  One part is decided exactly.  For
+    m >= 2 parts, L = sum of floor(e^(1/4) 2^p) = isqrt(isqrt(e << 4p))
+    brackets the sum S of the roots as L <= S 2^p < L + m, so
+    lhs 2^(4p) <= L^4 proves "ok" and lhs 2^(4p) >= (L + m)^4 proves
+    "violated".  p doubles from L4_BASE_BITS to L4_MAX_BITS; a comparison
+    still open there (32 against [2, 2], an equality of irrationals) is
+    "inconclusive".
     """
     if len(part_energies) == 1:
         return "ok" if lhs <= part_energies[0] else "violated"
-
-    def lhs_iv():
-        return intervals.from_int(lhs)
-
-    def rhs_iv():
-        s = intervals.from_int(0)
-        for e in part_energies:
-            s = s + intervals.root4(intervals.from_int(e))
-        return (s * s) * (s * s)
-
-    verdict = intervals.decide_leq(lhs_iv, rhs_iv)
-    if verdict is True:
-        return "ok"
-    if verdict is False:
-        return "violated"
+    m, p = len(part_energies), L4_BASE_BITS
+    while p <= L4_MAX_BITS:
+        low = sum(isqrt(isqrt(e << 4 * p)) for e in part_energies)
+        scaled = lhs << 4 * p
+        if scaled <= low**4:
+            return "ok"
+        if scaled >= (low + m) ** 4:
+            return "violated"
+        p *= 2
     return "inconclusive"

@@ -24,6 +24,7 @@ from .collinear import (
     t_identity_check,
     t_o_count,
     t_split_brute,
+    triple_count_report,
 )
 from .core import DEFAULT_BUDGET, canonical_line, line_through, point
 from .energy import energy, l4_union_check, rep_histogram
@@ -41,7 +42,7 @@ from .incidence import (
     scaled_incidences,
     st_bound_holds,
 )
-from .intervals import _mpmath, power_sum_ratio_decimal
+from .intervals import _mpmath
 from .sets import (
     GeneratorConfig,
     RatSet,
@@ -462,17 +463,18 @@ def _suite_decomposition(corpus, budget: int):
             f"cert failures: {fails if fails else 'none'}"))
         _note(tables, maxima, "xy_energy_product_vs_bound", lbl, *res.target_ratio)
 
-        # single-extraction report: output structure vs the input energy
-        Ap, cert = decompose.extract_mult_structured(A)
+        # single-extraction report, read off xy's first extraction (that of A)
+        cert = res.certificates[0]
         fails = decompose.recheck_certificate(A, cert)
         checks.append(_exact(
             f"extraction_certificate:{lbl}", not fails,
-            f"branch={cert.branch} |A'|={len(Ap)} failures: {fails if fails else 'none'}"))
+            f"branch={cert.branch} |A'|={len(cert.chosen)} "
+            f"failures: {fails if fails else 'none'}"))
         lo, hi = decompose.extraction_ratio_decimal(n, cert)
         _note(tables, maxima, "extraction_energy_vs_bound", lbl, lo, hi)
         # size report: |A'|^2 |A|^2 / E3+(A), the squared form of the
         # lemma's lower bound |A'| >= c sqrt(E3+)/|A| (exact rational)
-        c_sq = Fraction(len(Ap) ** 2 * n * n, cert.E3_input)
+        c_sq = Fraction(len(cert.chosen) ** 2 * n * n, cert.E3_input)
         checks.append(_report(
             f"extraction_size:{lbl}",
             f"|A'|^2|A|^2/E3+ = {c_sq} (>= c^2 for the lemma's constant c)"))
@@ -517,11 +519,9 @@ def _suite_reports(corpus, budget: int):
         row = {"label": lbl, "n": n}
 
         # bound shape follows the asymmetric statement |A1||A2|^(5/3)|A3|^(4/3)
-        to = t_o_count(A, A, A, "linehash", budget)
-        lo, hi = power_sum_ratio_decimal(
-            to, [[(n, Fraction(1)), (n, Fraction(5, 3)), (n, Fraction(4, 3))]])
-        _note(tables, maxima, "collinear_ordered_vs_bound", lbl, lo, hi)
-        row["T_o"] = to
+        rep = triple_count_report(A, A, A, budget)
+        _note(tables, maxima, "collinear_ordered_vs_bound", lbl, *rep.ratio_vs_bound)
+        row["T_o"] = rep.T_o
 
         Z = ratios.popular_ratios(A, A, budget=budget)
         prof = ratios.ratio_profile(Z, A, A)

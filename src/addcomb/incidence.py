@@ -28,6 +28,7 @@ and purely cosmetic.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,13 @@ from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, p
 from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
 from .sets import RatSet, Record, canonical_json, format_rational, integerize, parse_rational
+
+
+def _coefficient(v) -> int:
+    # a line coefficient: an int that is not a bool, or an integer string
+    if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    raise InvalidConfig(f"line coefficient must be an int or an integer string, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +70,11 @@ class Arrangement:
 
     @staticmethod
     def from_json(data: dict) -> "Arrangement":
-        """Inverse of to_json; InvalidConfig on anything else."""
+        """Inverse of to_json; InvalidConfig on anything else, such as a
+        line coefficient that is a float, a bool or a non-integer string."""
         try:
             pts = [point(parse_rational(px), parse_rational(py)) for px, py in data["points"]]
-            lns = [canonical_line(int(a), int(b), int(c)) for a, b, c in data["lines"]]
+            lns = [canonical_line(*map(_coefficient, abc)) for abc in data["lines"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"bad arrangement: {exc!r}") from exc
         return Arrangement.build(pts, lns)

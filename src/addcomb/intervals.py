@@ -1,16 +1,13 @@
-"""Outward-rounded interval arithmetic for irrational thresholds.
+"""Outward-rounded interval arithmetic for irrational report values.
 
-Exact integer/rational comparisons are always preferred; this module exists
-for the few quantities that are genuinely irrational (fractional powers such
-as x^(2/3) and fourth roots, and logarithm-based constants).  All enclosures
-are built with mpmath's interval type, which rounds outward by construction.
-mpmath loads on the first enclosure, through `_mpmath`, not at import: the
-exact counts are integer work, and an integer-only run (`spctl gen`,
-`energy`, `incidence --set`, a T_o sweep through `collinear.t_o_count`)
-never loads it.
-Policy: start at 128 bits, widen by doubling to 2048 bits, then either report
-the comparison as decided or concede "inconclusive"; an undecided comparison
-is never silently converted into a verdict.
+Exact integer/rational comparisons are always preferred; this module
+encloses the few quantities that are genuinely irrational (fractional
+powers such as x^(2/3) in the report ratios, and logarithm-based
+constants).  All enclosures are built with mpmath's interval type, which
+rounds outward by construction.  mpmath loads on the first enclosure,
+through `_mpmath`, not at import: the exact counts are integer work, and
+an integer-only run (`spctl gen`, `energy`, `incidence --set`, a T_o sweep
+through `collinear.t_o_count`) never loads it.
 """
 
 from __future__ import annotations
@@ -46,30 +43,17 @@ def _precision(prec: int):
         iv.prec = saved
 
 
-def _endpoint_fraction(endpoint) -> Fraction:
-    # endpoint is an ivmpf; its _mpi_ holds two identical mpf tuples.
-    p, q = _mpmath().libmp.to_rational(endpoint._mpi_[0])
-    return Fraction(int(p), int(q))
-
-
 def bounds(x) -> tuple[Fraction, Fraction]:
     """Exact rational endpoints of an mpmath interval."""
-    return _endpoint_fraction(x.a), _endpoint_fraction(x.b)
-
-
-def from_int(n: int):
-    return _mpmath().iv.mpf(n)
+    # each endpoint is an ivmpf; its _mpi_ holds two identical mpf tuples
+    to_rational = _mpmath().libmp.to_rational
+    return tuple(Fraction(*map(int, to_rational(e._mpi_[0]))) for e in (x.a, x.b))
 
 
 def pow_frac(x, num: int, den: int):
     """Enclosure of x^(num/den) for an interval x with positive lower end."""
     iv = _mpmath().iv
     return iv.exp(iv.log(x) * iv.mpf(num) / iv.mpf(den))
-
-
-def root4(x):
-    iv = _mpmath().iv
-    return iv.sqrt(iv.sqrt(x))
 
 
 def decide_leq(
@@ -79,7 +63,8 @@ def decide_leq(
     """Decide lhs <= rhs with widening; None means inconclusive at MAX_PREC.
 
     The builders are called under each candidate precision and must construct
-    their intervals from scratch (so they tighten as precision grows).
+    their intervals from scratch (so they tighten as precision grows).  Only
+    the tests call it, as the oracle of `energy.l4_verdict`'s integer route.
     """
     prec = BASE_PREC
     while prec <= MAX_PREC:

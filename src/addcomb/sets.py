@@ -351,10 +351,14 @@ class GeneratorConfig:
         The size fields (n, s, p, size, range, seed) must be ints, and
         start, step, ratio and each of values must be a string or an int:
         a float or a bool is refused rather than rounded or read as 0 or 1,
-        and the error names the field.
+        and the error names the field.  A key that is no config field is
+        refused by name too.
         """
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidConfig(f"generator config must be an object with a kind: {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(GeneratorConfig)}, key=str)
+        if unknown:
+            raise InvalidConfig(f"generator config has no field {', '.join(map(repr, unknown))}")
 
         def rational(key, v):
             if type(v) is not int and not isinstance(v, str):

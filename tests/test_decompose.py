@@ -1,6 +1,7 @@
 """Dyadic bands, extraction certificates, the two decompositions, the
 regularization loop, and the best-dilate search."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -37,7 +38,7 @@ from addcomb.errors import (
     InvalidConfig,
     NonTermination,
 )
-from addcomb.sets import RatSet, affine, generate, grid_example
+from addcomb.sets import GeneratorConfig, RatSet, affine, canonical_json, generate, grid_example
 
 nonzero_sets = st.builds(
     RatSet,
@@ -214,6 +215,34 @@ def test_xy_small_pair():
 def test_xy_postconditions_ap32():
     a = RatSet(range(1, 33))
     assert recheck_decomposition(a, xy_decompose(a)) == []
+
+
+# small sets on which xy_decompose leaves its degenerate path: (values,
+# branch of each certificate, sha256 of the result's canonical JSON)
+XY_WITNESSES = {
+    "abscissae": (
+        ["2", "7/2", "5", "13/2", "7", "8", "19/2", "11", "25/2", "14", "31/2", "16",
+         "17", "37/2", "20", "43/2", "25", "30", "45", "58", "64", "65", "69", "85"],
+        ["abscissae", "ordinates"],
+        "99e572a2bff853690cfc71c60f94c7c454316f2bfa53f1b01d6f7451cb15ad41"),
+    "three-pieces": (
+        ["3", "10/3", "11/3", "4", "13/3", "14/3", "5", "16/3", "17/3", "20/3", "8",
+         "28/3", "32/3", "12", "40/3", "44/3", "16"],
+        ["ordinates"] * 3,
+        "02f29133597f237460c149cb6d8ec2ca53044a7c7582134f4f4deef4c9198ca3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(XY_WITNESSES))
+def test_xy_witnesses_are_pinned(name):
+    values, branches, digest = XY_WITNESSES[name]
+    a = generate(GeneratorConfig.from_json({"kind": "Literal", "values": values}))
+    res = xy_decompose(a)
+    assert [cert.branch for cert in res.certificates] == branches
+    assert res.meta["pieces"] == len(branches)
+    assert recheck_decomposition(a, res) == []
+    text = canonical_json(res.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 @given(nonzero_sets)

@@ -5,11 +5,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv, mp, workdps
 
 import addcomb
 from addcomb.energy import (
+    L4_BASE_BITS,
+    L4_MAX_BITS,
     energy,
     energy_mul_product_form,
     l4_union_check,
@@ -17,7 +20,9 @@ from addcomb.energy import (
     rep_histogram,
 )
 from addcomb.errors import DivisionByZero, InvalidConfig
+from addcomb.intervals import BASE_PREC, MAX_PREC, decide_leq
 from addcomb.sets import RatSet, set_op, unordered_keys
+from source_rules import call_sites, findings, nodes
 
 small_sets = st.builds(
     RatSet,
@@ -206,9 +211,82 @@ def test_l4_union_single_and_pair():
 
 
 def test_l4_verdict_violated_on_two_parts():
-    # (1 + 1)^4 = 16 < 10^6: the enclosures decide the two-part sum as violated
+    # (1 + 1)^4 = 16 < 10^6: the integer roots decide the two-part sum as violated
     assert l4_verdict(10**6, [1, 1]) == "violated"
-    assert l4_verdict(16, [1, 1]) != "violated"
+    assert l4_verdict(16, [1, 1]) == "ok"
+
+
+def _oracle_verdict(lhs, part_energies):
+    # the interval route: mpmath fourth roots, widened by decide_leq
+    def rhs():
+        s = iv.mpf(0)
+        for e in part_energies:
+            s = s + iv.sqrt(iv.sqrt(iv.mpf(e)))
+        return (s * s) * (s * s)
+
+    verdict = decide_leq(lambda: iv.mpf(lhs), rhs)
+    return {True: "ok", False: "violated", None: "inconclusive"}[verdict]
+
+
+def _fourth_power_floor(part_energies):
+    # floor((sum of e^(1/4))^4), to place lhs next to the threshold
+    with workdps(300):
+        return int(mp.floor(sum(mp.root(e, 4) for e in part_energies) ** 4))
+
+
+energy_lists = st.lists(st.integers(1, 10**30), min_size=2, max_size=5)
+
+
+@st.composite
+def l4_inputs(draw):
+    shape = draw(st.sampled_from(["random", "near", "fourth-powers", "irrational-equality"]))
+    if shape == "random":
+        return draw(st.integers(0, 10**40)), draw(energy_lists)
+    if shape == "near":
+        parts = draw(energy_lists)
+        return max(0, _fourth_power_floor(parts) + draw(st.integers(-2, 2))), parts
+    if shape == "fourth-powers":
+        roots = draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=5))
+        return sum(roots) ** 4 + draw(st.integers(-1, 1)), [r**4 for r in roots]
+    # (2k^4)^(1/4) twice is (32 k^4)^(1/4): equal, and irrational
+    k = draw(st.integers(1, 10**6))
+    return 32 * k**4, [2 * k**4, 2 * k**4]
+
+
+@given(l4_inputs())
+@example((31, [2, 2]))
+@example((33, [2, 2]))
+@example((625, [16, 81]))
+@example((626, [16, 81]))
+@settings(max_examples=150, deadline=None)
+def test_l4_verdict_matches_the_interval_oracle(case):
+    lhs, parts = case
+    assert l4_verdict(lhs, parts) == _oracle_verdict(lhs, parts)
+
+
+def test_l4_verdict_climbs_the_oracle_ladder():
+    # 128 -> 2048 bits, as decide_leq; (32, [2, 2]) stays open at the top
+    assert (L4_BASE_BITS, L4_MAX_BITS) == (BASE_PREC, MAX_PREC)
+    assert l4_verdict(32, [2, 2]) == "inconclusive"
+
+
+def test_decide_leq_call_scanner_finds_every_form_of_the_call():
+    src = (
+        "from . import intervals\n"
+        "from .intervals import decide_leq\n"
+        "def verdict(lhs, rhs):\n"
+        "    def inner():\n"
+        "        return decide_leq(lhs, rhs)\n"
+        "    return intervals.decide_leq(lhs, rhs), inner\n"
+        "V = decide_leq(1, 2)\n"
+    )
+    assert call_sites(nodes(src), "decide_leq") == ["inner", "verdict", None]
+
+
+def test_no_package_module_calls_decide_leq():
+    # decide_leq is only the tests' oracle for the integer verdict
+    assert findings(lambda walk: call_sites(walk, "decide_leq")) == {}
+    assert "intervals" not in vars(sys.modules["addcomb.energy"])
 
 
 def test_l4_union_validation():

@@ -112,6 +112,20 @@ def test_arrangement_file_roundtrip(tmp_path):
     assert back == arr
 
 
+@pytest.mark.parametrize("line", [
+    [3.9, 1, 0], [True, 1, 0], ["3.0", "1", "0"], ["1/2", "1", "0"],
+    [" 3", "1", "0"], ["1_0", "1", "0"], [None, 1, 0],
+], ids=["float", "bool", "decimal-string", "rational-string", "space",
+        "underscore", "null"])
+def test_arrangement_line_coefficients_parse_strictly(line):
+    # ints (not bools) and integer strings only: nothing is truncated to
+    # an int or read as 0 or 1
+    assert Arrangement.from_json({"points": [], "lines": [["3", 1, "-0"]]}).lines == {
+        canonical_line(3, 1, 0)}
+    with pytest.raises(InvalidConfig, match="line coefficient"):
+        Arrangement.from_json({"points": [], "lines": [line]})
+
+
 def test_spanned_line_multiplicities_square():
     # unit square: 4 side/diagonal... all 6 spanned lines, each by one pair
     pts = [point(0, 0), point(0, 1), point(1, 0), point(1, 1)]

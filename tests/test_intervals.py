@@ -5,19 +5,18 @@ from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import iv
 
 from addcomb.intervals import (
     bounds,
     decide_leq,
     decimal_bounds,
     fraction_decimal,
-    from_int,
     ln2_bounds,
     log_squared_fraction_bounds,
     pow_frac,
     power_sum_decimal,
     power_sum_ratio_decimal,
-    root4,
 )
 
 
@@ -40,42 +39,42 @@ def test_fraction_decimal_close_to_true_value(f):
 
 
 def test_bounds_of_exact_inputs_are_tight():
-    lo, hi = bounds(from_int(7))
+    lo, hi = bounds(iv.mpf(7))
     assert lo == hi == 7
-    lo, hi = bounds(from_int(3) / from_int(4))
+    lo, hi = bounds(iv.mpf(3) / iv.mpf(4))
     assert lo == hi == Fraction(3, 4)
 
 
 def test_pow_frac_and_root4_enclose_truth():
-    lo, hi = bounds(pow_frac(from_int(2), 1, 2))
+    lo, hi = bounds(pow_frac(iv.mpf(2), 1, 2))
     # floor and ceil of sqrt(2) at 10 decimals bracket the true value
     floor10 = Fraction(math.isqrt(2 * 10**20), 10**10)
     assert lo <= floor10 + Fraction(1, 10**10) and floor10 <= hi
     assert lo < hi  # irrational, enclosure must be open
-    lo, hi = bounds(root4(from_int(16)))
+    lo, hi = bounds(iv.sqrt(iv.sqrt(iv.mpf(16))))
     assert lo <= 2 <= hi
 
 
 def test_decide_leq_exact_and_strict():
-    assert decide_leq(lambda: from_int(2), lambda: from_int(3)) is True
-    assert decide_leq(lambda: from_int(4), lambda: from_int(3)) is False
+    assert decide_leq(lambda: iv.mpf(2), lambda: iv.mpf(3)) is True
+    assert decide_leq(lambda: iv.mpf(4), lambda: iv.mpf(3)) is False
     # sqrt(2)^2 vs 2: not separable by outward intervals at any precision
-    assert decide_leq(lambda: pow_frac(from_int(2), 1, 2) ** 2,
-                      lambda: from_int(2)) is None
+    assert decide_leq(lambda: pow_frac(iv.mpf(2), 1, 2) ** 2,
+                      lambda: iv.mpf(2)) is None
 
 
 def test_decide_leq_separates_close_irrationals():
     # sqrt(2) < 1.41421357 needs enough precision but is decidable
     def tight():
-        return from_int(141421357) / from_int(10**8)
+        return iv.mpf(141421357) / iv.mpf(10**8)
 
-    assert decide_leq(lambda: pow_frac(from_int(2), 1, 2), tight) is True
+    assert decide_leq(lambda: pow_frac(iv.mpf(2), 1, 2), tight) is True
     assert decide_leq(tight,
-                      lambda: pow_frac(from_int(2), 1, 2)) is False
+                      lambda: pow_frac(iv.mpf(2), 1, 2)) is False
 
 
 def test_decimal_bounds_orders_endpoints():
-    lo, hi = decimal_bounds(pow_frac(from_int(5), 1, 2))
+    lo, hi = decimal_bounds(pow_frac(iv.mpf(5), 1, 2))
     assert Fraction(lo) <= Fraction(hi)
     assert lo.startswith("2.2360679")
 
@@ -114,8 +113,6 @@ def test_log_squared_bounds_enclose():
     # a tighter enclosure computed at higher precision must nest inside,
     # which pins the stored bounds as outward (doubles are 1 ulp too coarse
     # to check this directly)
-    from mpmath import iv
-
     for n in (2, 16, 1000):
         lo, hi = log_squared_fraction_bounds(n)
         assert 0 < lo <= hi

@@ -229,6 +229,15 @@ def test_generator_config_refuses_fields_its_kind_never_reads(kind, stray):
         GeneratorConfig(kind=kind, **{key: 1 for key in stray})
 
 
+def test_generator_config_refuses_unknown_keys():
+    # a misspelt key is refused by name, not dropped
+    with pytest.raises(InvalidConfig, match="no field 'sede'"):
+        GeneratorConfig.from_json(
+            {"kind": "Random", "size": 3, "range": 9, "seed": 1, "sede": 2})
+    with pytest.raises(InvalidConfig, match="no field 'N', 'label'"):
+        GeneratorConfig.from_json({"kind": "AP", "label": "x", "N": 3})
+
+
 @pytest.mark.parametrize("cfg, message", [
     (GeneratorConfig(kind="AP", start=1, step=1, n=0), "AP needs start, step, n >= 1"),
     (GeneratorConfig(kind="AP", start=1, n=3), "AP needs start, step, n >= 1"),
