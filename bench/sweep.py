@@ -1,9 +1,8 @@
 """Size sweep of the paper's workloads, written to BENCH_sweep.json.
 
 Each cell is one call on one input, timed in fresh processes: a child
-imports the library from the given source tree, builds the input, loads
-mpmath, which the library imports on its first interval (about 25 ms),
-and runs a full garbage collection, so that no collection left due by
+imports the library from the given source tree, builds the input and
+runs a full garbage collection, so that no collection left due by
 the imports lands in the timed call (one cost a 0.2 ms call 0.8 ms).
 Then it times the call and reads the growth of its peak RSS (ru_maxrss)
 across it.  A cell records the median, min and max of the runs.  Every
@@ -61,7 +60,6 @@ CALLS = {
 CHILD = """
 import gc, importlib, json, resource, time
 from fractions import Fraction
-import mpmath
 from addcomb.sets import ap, generate, gp, random_set
 energy = importlib.import_module("addcomb.energy")
 ratios = importlib.import_module("addcomb.ratios")

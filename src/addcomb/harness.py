@@ -42,7 +42,6 @@ from .incidence import (
     scaled_incidences,
     st_bound_holds,
 )
-from .intervals import _mpmath
 from .sets import (
     GeneratorConfig,
     RatSet,
@@ -147,15 +146,20 @@ def fit_exponent(points: Sequence, family: str = "",
 
 def environment_info(seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     import platform
+    from importlib import metadata
 
     from . import __version__
 
+    try:
+        mpmath_version = metadata.version("mpmath")
+    except metadata.PackageNotFoundError:
+        mpmath_version = "absent"
     return {
         "seed": seed,
         "budget": budget,
         "backend": backend_name(),
         "python": platform.python_version(),
-        "mpmath": _mpmath().__version__,
+        "mpmath": mpmath_version,
         "package": __version__,
     }
 

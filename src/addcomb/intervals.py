@@ -1,13 +1,13 @@
-"""Outward-rounded interval arithmetic for irrational report values.
+"""Exact rational enclosures of the irrational report values, on integers.
 
 Exact integer/rational comparisons are always preferred; this module
 encloses the few quantities that are genuinely irrational (fractional
 powers such as x^(2/3) in the report ratios, and logarithm-based
-constants).  All enclosures are built with mpmath's interval type, which
-rounds outward by construction.  mpmath loads on the first enclosure,
-through `_mpmath`, not at import: the exact counts are integer work, and
-an integer-only run (`spctl gen`, `energy`, `incidence --set`, a T_o sweep
-through `collinear.t_o_count`) never loads it.
+constants) between two Fractions.  A power b^(p/q) lies between integer
+q-th roots at ROOT_BITS fractional bits, and ln n between the floor and
+ceiling of an atanh series on fixed-point ints, at a BASE_PREC-bit
+mantissa.  `decide_leq`, `bounds` and `_precision` are the tests' mpmath
+oracle: no package module calls them, so no `spctl` command loads mpmath.
 """
 
 from __future__ import annotations
@@ -16,15 +16,19 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .errors import InvalidConfig
+
 BASE_PREC = 128
 MAX_PREC = 2048
 # digits after the point in every decimal rendering of a report
 DECIMAL_DIGITS = 20
+# fractional bits of each root bracket in the report decimals
+ROOT_BITS = 256
 
 
 def _mpmath():
-    # the one way in to mpmath: imported on the first call, a sys.modules
-    # lookup after that
+    # the one way in to mpmath, for the tests' oracle: imported on the first
+    # call, a sys.modules lookup after that
     import mpmath
 
     return mpmath
@@ -50,12 +54,6 @@ def bounds(x) -> tuple[Fraction, Fraction]:
     return tuple(Fraction(*map(int, to_rational(e._mpi_[0]))) for e in (x.a, x.b))
 
 
-def pow_frac(x, num: int, den: int):
-    """Enclosure of x^(num/den) for an interval x with positive lower end."""
-    iv = _mpmath().iv
-    return iv.exp(iv.log(x) * iv.mpf(num) / iv.mpf(den))
-
-
 def decide_leq(
     lhs_builder: Callable[[], object],
     rhs_builder: Callable[[], object],
@@ -79,12 +77,6 @@ def decide_leq(
     return None
 
 
-def decimal_bounds(x) -> tuple[str, str]:
-    """Deterministic decimal rendering of interval endpoints, for reports."""
-    lo, hi = bounds(x)
-    return (fraction_decimal(lo), fraction_decimal(hi))
-
-
 def fraction_decimal(f: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     """Round-half-even fixed-point rendering of an exact rational."""
     sign = "-" if f < 0 else ""
@@ -98,25 +90,33 @@ def fraction_decimal(f: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _power_product(term):
-    # term: iterable of (base, Fraction exponent); integer exponents avoid
-    # the exp/log detour so they stay tight
-    iv = _mpmath().iv
-    acc = iv.mpf(1)
-    for base, exp in term:
-        e = Fraction(exp)
-        if e.denominator == 1:
-            acc = acc * iv.mpf(base) ** int(e)
-        else:
-            acc = acc * pow_frac(iv.mpf(base), e.numerator, e.denominator)
-    return acc
+def _iroot(x: int, q: int) -> int:
+    """floor(x^(1/q)) for ints x >= 0, q >= 1: Newton's method from
+    2^ceil(bits/q) >= x^(1/q), whose floored steps stay at or above the
+    floor root (AM-GM) and fall while r^q > x."""
+    r = 1 << -(-x.bit_length() // q)
+    while (t := r ** (q - 1)) * r > x:
+        r = ((q - 1) * r + x // t) // q
+    return r
 
 
-def _power_sum(terms):
-    acc = _mpmath().iv.mpf(0)
+def _power_sum(terms) -> tuple[Fraction, Fraction]:
+    # terms: lists of (int base >= 0, exponent >= 0) factors; an integer
+    # exponent is exact, and b^(p/q) lies in [r, r + 1] / 2^ROOT_BITS for
+    # r = floor((b^p 2^(q ROOT_BITS))^(1/q))
+    lo = hi = Fraction(0)
     for term in terms:
-        acc = acc + _power_product(term)
-    return acc
+        tlo = thi = Fraction(1)
+        for base, exp in term:
+            p, q = Fraction(exp).as_integer_ratio()
+            if q == 1:
+                flo = fhi = Fraction(base) ** p
+            else:
+                r = _iroot(base**p << q * ROOT_BITS, q)
+                flo, fhi = Fraction(r, 1 << ROOT_BITS), Fraction(r + 1, 1 << ROOT_BITS)
+            tlo, thi = tlo * flo, thi * fhi
+        lo, hi = lo + tlo, hi + thi
+    return lo, hi
 
 
 def power_sum_ratio_decimal(numer: int, terms) -> tuple[str, str]:
@@ -124,24 +124,71 @@ def power_sum_ratio_decimal(numer: int, terms) -> tuple[str, str]:
 
     terms is a list of terms, each a list of (base, exponent) factors; the
     denominator is the sum of the term products.  Used for the asymptotic
-    report ratios whose denominators mix fractional powers.
+    report ratios whose denominators mix fractional powers.  A zero numer
+    reads 0, over an empty set's zero sum too.
     """
-    with _precision(BASE_PREC) as iv:
-        return decimal_bounds(iv.mpf(numer) / _power_sum(terms))
+    lo, hi = _power_sum(terms)
+    ends = sorted((numer / hi, numer / lo)) if numer else (0, 0)
+    return tuple(map(fraction_decimal, ends))
 
 
 def power_sum_decimal(terms) -> tuple[str, str]:
     """Decimal endpoints of a sum of power products, outward rounded."""
-    with _precision(BASE_PREC):
-        return decimal_bounds(_power_sum(terms))
+    return tuple(map(fraction_decimal, _power_sum(terms)))
+
+
+def _round(x: Fraction, up: bool) -> Fraction:
+    # 0 < x < 2^(BASE_PREC-1) rounded down (or up) to a BASE_PREC-bit
+    # mantissa m: x ~ m / 2^s
+    a, b = x.as_integer_ratio()
+    s = BASE_PREC - a.bit_length() + b.bit_length()
+    m = -(-(a << s) // b) if up else (a << s) // b
+    if m >> BASE_PREC:  # 2^s x >= 2^BASE_PREC: one bit fewer
+        m, s = (m + up) >> 1, s - 1
+    return Fraction(m, 1 << s)
+
+
+def _atanh(a: int, b: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= atanh(t) 2^bits <= hi, for 0 <= t = a/b <= 1/3.
+
+    lo sums floor(p_i / (2i + 1)) over the floored powers p_0 = floor(t 2^bits),
+    p_(i+1) = floor(p_i a^2 / b^2) until p_K = 0.  Each p_i is within 2 of
+    t^(2i+1) 2^bits, so each term is less than 3 short, and the tail past K
+    is below 2 / (1 - t^2) < 3."""
+    lo, i, p = 0, 0, (a << bits) // b
+    while p:
+        lo += p // (2 * i + 1)
+        p = p * a * a // (b * b)
+        i += 1
+    return lo, lo + 3 * (i + 1)
+
+
+def _ln_bounds(n: int) -> tuple[Fraction, Fraction]:
+    """ln n for n >= 2, rounded down and up to a BASE_PREC-bit mantissa:
+    ln n = 2k atanh(1/3) + 2 atanh((n - 2^k) / (n + 2^k)) for 2^k <= n < 2^(k+1),
+    on fixed-point brackets that double their bits until both ends round
+    alike (ln n is irrational, so they do)."""
+    if n < 2:
+        raise InvalidConfig(f"ln n is enclosed for n >= 2, got {n}")
+    k = n.bit_length() - 1
+    bits = 2 * BASE_PREC
+    while True:
+        l2, h2 = _atanh(1, 3, bits)
+        lt, ht = _atanh(n - (1 << k), n + (1 << k), bits)
+        lo = Fraction(2 * (k * l2 + lt), 1 << bits)
+        hi = Fraction(2 * (k * h2 + ht), 1 << bits)
+        ends = (_round(lo, False), _round(hi, True))
+        if ends == (_round(hi, False), _round(lo, True)):
+            return ends
+        bits *= 2
 
 
 def log_squared_fraction_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of (ln n)^2 at base precision."""
-    with _precision(BASE_PREC) as iv:
-        return bounds(iv.log(iv.mpf(n)) ** 2)
+    """Exact rational enclosure of (ln n)^2 at base precision: the squares
+    of the ends of ln n, rounded outward to a BASE_PREC-bit mantissa."""
+    lo, hi = _ln_bounds(n)
+    return _round(lo * lo, False), _round(hi * hi, True)
 
 
 def ln2_bounds() -> tuple[Fraction, Fraction]:
-    with _precision(BASE_PREC) as iv:
-        return bounds(iv.log(iv.mpf(2)))
+    return _ln_bounds(2)

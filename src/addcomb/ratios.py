@@ -209,7 +209,8 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
     """The `count` most popular ratios from the full ratio set.
 
     Ordered by r(z) descending, then z ascending, so the selection is
-    deterministic; default count is |A1|^2, an explicit count must be >= 1.
+    deterministic; default count is |A1|^2 (an empty A1 gives the empty
+    set), an explicit count must be >= 1.
     The candidates and weights come from the bands of `_quotients`; a
     weight is r(z) - h(0)^2, and the zero-sum diagonal adds h(0)^2 to every
     z alike, so it cannot change the order; z = 0 or z reached only through
@@ -221,6 +222,8 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
     """
     if count is None:
         count = len(A1) ** 2
+        if not count:
+            return RatSet()
     elif count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
     bands, shift, decode = _quotients(A1, A2, budget)

@@ -294,6 +294,17 @@ _KIND_FIELDS = {
 }
 
 
+def _rational_field(key: str, v) -> Fraction:
+    # a config rational: a string, an int that is not a bool, or a Fraction
+    if type(v) is not int and not isinstance(v, (str, Fraction)):
+        raise InvalidConfig(f"generator config field {key!r} must be a string or an int, "
+                            f"got {v!r}")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidConfig(f"bad generator config field {key!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Declarative description of a set; serializes to/from plain JSON.
@@ -321,13 +332,25 @@ class GeneratorConfig:
                      if f.name not in reads and getattr(self, f.name) is not None]
             if stray:
                 raise InvalidConfig(f"{self.kind} config takes no {', '.join(stray)}")
-        # one form however the config is built: start, step, ratio and
-        # values become Fractions, so equal configs serialise alike
+        # the JSON field rule however the config is built: the sizes are
+        # ints that are not bools, values is a list (or a tuple), and start,
+        # step, ratio and each of values a string, an int or a Fraction, so
+        # a float or a bool is refused, naming the field, rather than
+        # rounded or read as 0 or 1; the rationals become Fractions, so
+        # equal configs serialise alike
         for key in ("start", "step", "ratio"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, Fraction(getattr(self, key)))
+                object.__setattr__(self, key, _rational_field(key, getattr(self, key)))
+        for key in ("n", "s", "p", "size", "range", "seed"):
+            v = getattr(self, key)
+            if v is not None and type(v) is not int:
+                raise InvalidConfig(f"generator config field {key!r} must be an int, got {v!r}")
         if self.values is not None:
-            object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
+            if not isinstance(self.values, (list, tuple)):
+                raise InvalidConfig(
+                    f"generator config field 'values' must be a list, got {self.values!r}")
+            object.__setattr__(self, "values",
+                               tuple(_rational_field("values", v) for v in self.values))
 
     def label(self) -> str:
         if self.kind == "AP":
@@ -348,43 +371,15 @@ class GeneratorConfig:
     def from_json(d: dict) -> "GeneratorConfig":
         """Inverse of to_json; InvalidConfig on anything else.
 
-        The size fields (n, s, p, size, range, seed) must be ints, and
-        start, step, ratio and each of values must be a string or an int:
-        a float or a bool is refused rather than rounded or read as 0 or 1,
-        and the error names the field.  A key that is no config field is
-        refused by name too.
+        The fields obey the rule of `__post_init__`, and a key that is no
+        config field is refused by name too.
         """
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidConfig(f"generator config must be an object with a kind: {d!r}")
         unknown = sorted(set(d) - {f.name for f in fields(GeneratorConfig)}, key=str)
         if unknown:
             raise InvalidConfig(f"generator config has no field {', '.join(map(repr, unknown))}")
-
-        def rational(key, v):
-            if type(v) is not int and not isinstance(v, str):
-                raise InvalidConfig(f"generator config field {key!r} must be a "
-                                    f"string or an int, got {v!r}")
-            try:
-                return Fraction(v)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidConfig(f"bad generator config {d!r}: {exc}") from exc
-
-        kw = {}
-        for key in ("start", "step", "ratio"):
-            if key in d:
-                kw[key] = rational(key, d[key])
-        for key in ("n", "s", "p", "size", "range", "seed"):
-            if key in d:
-                if type(d[key]) is not int:
-                    raise InvalidConfig(
-                        f"generator config field {key!r} must be an int, got {d[key]!r}")
-                kw[key] = d[key]
-        if "values" in d:
-            if not isinstance(d["values"], list):
-                raise InvalidConfig(
-                    f"generator config field 'values' must be a list, got {d['values']!r}")
-            kw["values"] = tuple(rational("values", v) for v in d["values"])
-        return GeneratorConfig(kind=d["kind"], **kw)
+        return GeneratorConfig(**d)
 
 
 def ap(start, step, n: int) -> GeneratorConfig:
@@ -477,7 +472,9 @@ def affine(a: RatSet, scale, shift) -> RatSet:
 # Set files: UTF-8 text, one element per line ("p/q" or integer), '#' comments.
 
 def format_rational(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    """v as "p/q", or "p" for an integer; InvalidConfig past the digit
+    limit, as `_format_ints`, which writes it."""
+    return _format_ints((v.numerator,), v.denominator)[0]
 
 
 def _format_ints(ints, scale: int) -> list:

@@ -107,7 +107,7 @@ def den_none_checks(walk) -> list:
     return sorted(found)
 
 
-DEFERRED = ("mpmath", "platform", "statistics", "importlib.resources")
+DEFERRED = ("mpmath", "platform", "statistics", "importlib.resources", "importlib.metadata")
 
 
 def eager_imports(walk) -> list:

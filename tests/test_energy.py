@@ -296,6 +296,14 @@ def test_l4_union_validation():
         l4_union_check([RatSet([1, 2]), RatSet([2, 3])])  # overlap
 
 
+def test_l4_union_disjointness_is_checked_on_the_union():
+    # only the last two parts meet, at 1/2 on different scales
+    parts = [RatSet([5, 7]), RatSet([Fraction(1, 2), 3]), RatSet([Fraction(1, 2), Fraction(1, 3)])]
+    with pytest.raises(InvalidConfig, match="parts must be pairwise disjoint"):
+        l4_union_check(parts)
+    assert l4_union_check(parts[:2] + [RatSet([Fraction(1, 3)])]) == "ok"
+
+
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=2)
                 .filter(lambda v: v != 0),
                 min_size=2, max_size=10, unique=True),

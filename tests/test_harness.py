@@ -248,11 +248,21 @@ def test_environment_info_fields():
     assert env["seed"] == 5 and env["budget"] == 123
     assert env["backend"] == "pure"
     assert env["package"] == addcomb.__version__ == "0.1.0"
-    # platform and mpmath load inside environment_info, not at import, and
-    # still fill the same keys
+    # platform and the installed mpmath's version are read inside
+    # environment_info, not at import, and still fill the same keys
     assert env["python"] == platform.python_version()
     assert env["mpmath"] == mpmath.__version__
     assert sorted(env) == ["backend", "budget", "mpmath", "package", "python", "seed"]
+
+
+def test_environment_info_without_mpmath(monkeypatch):
+    from importlib import metadata
+
+    def version(name):
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", version)
+    assert harness.environment_info()["mpmath"] == "absent"
 
 
 def test_version_is_the_pyproject_version():

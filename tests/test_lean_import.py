@@ -1,13 +1,16 @@
-"""`import addcomb` loads no module that only some commands need.
+"""`import addcomb` loads no module that only some commands need, and no
+`spctl` command loads mpmath.
 
-The exact counts are integer work; mpmath serves the enclosures of
-`intervals` alone, `platform` only `environment_info`, `statistics` only
+The enclosures of `intervals` are integer work, and mpmath serves only
+the tests' oracle (`intervals._mpmath`); `platform` and
+`importlib.metadata` serve only `environment_info`, `statistics` only
 `fit_exponent` and `importlib.resources` only `load_baselines`, so each is
 imported inside the function that uses it.  A fresh interpreter checks
 that `import addcomb` leaves them out of `sys.modules` and that the first
-enclosure brings mpmath in with the same endpoints; a rule of the one
-scanner (`source_rules.eager_imports`) keeps every module of `src/addcomb`
-from importing them at module level.
+enclosure still leaves mpmath out, with the same endpoints; another runs
+one of each `spctl` command form and finds no mpmath either.  A rule of
+the one scanner (`source_rules.eager_imports`) keeps every module of
+`src/addcomb` from importing them at module level.
 """
 
 import json
@@ -15,31 +18,71 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import metadata
 
 import pytest
 
 from addcomb import intervals
+from addcomb.core import canonical_line, point
+from addcomb.incidence import Arrangement, write_arrangement
 from source_rules import PACKAGE, ROOT, eager_imports, nodes, scan
 
 _CHILD = """
 import json, sys
 import addcomb
 from addcomb import intervals
-before = [m for m in ("mpmath", "platform", "statistics") if m in sys.modules]
+before = [m for m in ("mpmath", "platform", "statistics", "importlib.metadata")
+          if m in sys.modules]
 lo, hi = intervals.ln2_bounds()
 print(json.dumps({"before": before, "after": "mpmath" in sys.modules,
                   "ln2": [str(lo), str(hi)]}))
 """
 
+# one of each spctl command form, run in one interpreter from the
+# directory that holds a.txt and arr.json
+_COMMANDS = """
+import json, sys
+from addcomb.cli import main
+forms = [
+    ["gen", "--kind", "AP", "--start", "1", "--step", "2", "--n", "12", "--out", "a.txt"],
+    ["energy", "--set", "a.txt", "--k", "3"],
+    ["triples", "--set", "a.txt"],
+    ["ratios", "--set", "a.txt"],
+    ["incidence", "--set", "a.txt"],
+    ["incidence", "--arrangement", "arr.json"],
+    ["decompose", "--set", "a.txt", "--mode", "bw"],
+    ["decompose", "--set", "a.txt", "--mode", "xy"],
+    ["regularize", "--set", "a.txt", "--k", "2"],
+    ["report", "--set", "a.txt"],
+    ["verify", "--suite", "reports", "--json", "v.json"],
+]
+codes = [main(argv) for argv in forms]
+print(json.dumps({"codes": codes, "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def _child(code, cwd=None):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
 
 def test_import_leaves_mpmath_platform_statistics_unloaded():
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
-    got = json.loads(res.stdout)
+    got = _child(_CHILD)
     assert got["before"] == []
-    assert got["after"] is True
+    assert got["after"] is False
     assert [Fraction(x) for x in got["ln2"]] == list(intervals.ln2_bounds())
+
+
+def test_no_spctl_command_loads_mpmath(tmp_path):
+    write_arrangement(tmp_path / "arr.json", Arrangement.build(
+        [point(x, y) for x in range(3) for y in range(3)],
+        [canonical_line(1, -1, b) for b in range(-1, 2)]))
+    got = _child(_COMMANDS, cwd=tmp_path)
+    assert got == {"codes": [0] * 11, "mpmath": False}
+    (suite,) = json.loads((tmp_path / "v.json").read_text())["payload"]["suites"]
+    assert suite["environment"]["mpmath"] == metadata.version("mpmath")
 
 
 def test_scanner_finds_every_form_of_an_eager_import():
@@ -65,6 +108,7 @@ def test_scanner_finds_every_form_of_an_eager_import():
     # a relative `.platform` is the package's own module; function bodies
     # run on the first call; a longer name is a different module
     assert eager_imports(nodes(src)) == [(2, "mpmath"), (3, "mpmath"),
+                                         (4, "importlib.metadata"),
                                          (4, "importlib.resources"),
                                          (5, "importlib.resources"), (8, "statistics"),
                                          (12, "platform")]

@@ -166,6 +166,17 @@ def test_popular_ratios_rejects_count_below_one():
             popular_ratios(a, a, count)
 
 
+def test_popular_ratios_on_an_empty_first_set():
+    # the default count |A1|^2 is 0, so the selection is empty; an explicit
+    # count still has to be at least 1
+    b = RatSet([1, 2])
+    assert popular_ratios(RatSet(), b) == RatSet()
+    assert popular_ratios(RatSet(), RatSet()) == RatSet()
+    assert popular_ratios(RatSet(), b, 3) == RatSet()
+    with pytest.raises(InvalidConfig):
+        popular_ratios(RatSet(), b, 0)
+
+
 def test_popular_ratios_budget_boundary():
     # cost is |nonzero sums|^2: {-1, 1, 2} has sums -2, 0, 1, 2, 3, 4
     a = RatSet([-1, 1, 2])

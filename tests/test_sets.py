@@ -229,6 +229,25 @@ def test_generator_config_refuses_fields_its_kind_never_reads(kind, stray):
         GeneratorConfig(kind=kind, **{key: 1 for key in stray})
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("n", {"kind": "AP", "start": 1, "step": 1, "n": 3.9}),
+    ("n", {"kind": "AP", "start": 1, "step": 1, "n": True}),
+    ("start", {"kind": "AP", "start": 0.1, "step": 1, "n": 3}),
+    ("seed", {"kind": "Random", "size": 4, "range": 9, "seed": 1.0}),
+    ("values", {"kind": "Literal", "values": [1, False]}),
+    ("values", {"kind": "Literal", "values": "123"}),
+], ids=["n-float", "n-bool", "start-float", "seed-float", "values-bool", "values-string"])
+def test_python_built_configs_obey_the_json_field_rule(field, kw):
+    # a config built in Python is refused where its JSON form would be:
+    # n = 3.9 no longer reaches range(), n = True no longer builds a
+    # 1-element AP whose to_json() from_json refuses, start = 0.1 no longer
+    # becomes 3602879701896397/36028797018963968, and values = "123" no
+    # longer becomes {1, 2, 3}
+    with pytest.raises(InvalidConfig, match=repr(field)):
+        GeneratorConfig(**kw)
+    assert GeneratorConfig(kind="AP", start="1/2", step=Fraction(1, 3), n=2).start == Fraction(1, 2)
+
+
 def test_generator_config_refuses_unknown_keys():
     # a misspelt key is refused by name, not dropped
     with pytest.raises(InvalidConfig, match="no field 'sede'"):
@@ -353,6 +372,18 @@ def test_wide_element_is_refused_before_anything_is_written(tmp_path):
         with pytest.raises(InvalidConfig, match="more than 4300 digits"):
             write()
     assert not path.exists()
+
+
+def test_a_lone_wide_fraction_is_refused_as_a_set_is():
+    # format_rational writes through _format_ints, so one wide value gets
+    # the same digit-limit message as a wide set, a dict key included
+    wide = Fraction(10**5000 + 1, 3)
+    for write in (lambda: format_rational(wide), lambda: jsonable({wide: 1}),
+                  lambda: jsonable([Fraction(1, 10**5000)])):
+        with pytest.raises(InvalidConfig, match="more than 4300 digits"):
+            write()
+    assert [format_rational(v) for v in (Fraction(-7, 3), Fraction(5), Fraction(0))] == [
+        "-7/3", "5", "0"]
 
 
 def test_corpus_file_roundtrip(tmp_path):
