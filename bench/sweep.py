@@ -55,6 +55,11 @@ CALLS = {
         "ratios.ratio_profile(ratios.popular_ratios(A, A), A, A)",
     "energy(k=3)": "energy.energy(A, A, 3)",
     "t_o_count(A,A,A)": "collinear.t_o_count(A, A, A)",
+    "triple_count_report(A,A,A)": "collinear.triple_count_report(A, A, A)",
+    "best_z": "decompose.best_z(A)",
+    "bw_decompose": "decompose.bw_decompose(A)",
+    "xy_decompose": "decompose.xy_decompose(A)",
+    "regularize(k=3)": "decompose.regularize(A, 3)",
 }
 
 CHILD = """
@@ -64,6 +69,7 @@ from addcomb.sets import ap, generate, gp, random_set
 energy = importlib.import_module("addcomb.energy")
 ratios = importlib.import_module("addcomb.ratios")
 collinear = importlib.import_module("addcomb.collinear")
+decompose = importlib.import_module("addcomb.decompose")
 A = generate({config})
 gc.collect()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -93,8 +93,9 @@ class TripleCountReport(Record):
     """T, T_o and the degenerate remainder for one (A1, A2, A3) triple.
 
     degenerate_terms counts the T solutions with at least one coincidence
-    among the three points; ratio_vs_bound is the outward-rounded interval
-    for T_o / (|A1| |A2|^(5/3) |A3|^(4/3)), rendered as decimal strings.
+    among the three points; ratio_vs_bound holds the decimal strings of a
+    rational bracket of T_o / (|A1| |A2|^(5/3) |A3|^(4/3)), each end rounded
+    to nearest (`intervals.power_sum_ratio_decimal`).
     """
 
     T: int

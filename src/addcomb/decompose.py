@@ -174,7 +174,8 @@ def extract_mult_structured(A: RatSet):
 
 
 def extraction_ratio_decimal(source_size: int, cert: ExtractionCertificate):
-    """Outward decimal interval of E3(A)^4 Emul(A')^3 / (|A'|^12 |A|^10)."""
+    """Decimal strings of a rational bracket of E3(A)^4 Emul(A')^3 /
+    (|A'|^12 |A|^10), each end rounded to nearest."""
     numer = cert.E3_input**4 * cert.Emul_output**3
     return power_sum_ratio_decimal(
         numer, [[(len(cert.chosen), 12), (source_size, 10)]]
@@ -288,7 +289,8 @@ class DecompositionResult(Record):
 
     kind "bw": parts {B, C}, B disjoint-union C = A, E_3^+(B) below the
     M threshold; kind "xy": parts {X, Y}, X union Y = A, both halves large.
-    target_ratio is the outward decimal interval of the theorem ratio.
+    target_ratio holds the decimal strings of a rational bracket of the
+    theorem ratio, each end rounded to nearest.
     """
 
     kind: str
@@ -482,12 +484,11 @@ class RegTrace(Record):
         )
 
 
-def _epsilon_bounds(k: int, n: int):
-    # enclosure of ln2 / (k 2^(k+1) ln^2 n); both logs natural
-    l2lo, l2hi = ln2_bounds()
-    lglo, lghi = log_squared_fraction_bounds(n)
-    denom = k * 2 ** (k + 1)
-    return l2lo / (denom * lghi), l2hi / (denom * lglo)
+def _epsilon(k: int, n: int) -> Fraction:
+    # lower end of the enclosure of ln2 / (k 2^(k+1) ln^2 n); both logs natural
+    l2lo, _ = ln2_bounds()
+    _, lghi = log_squared_fraction_bounds(n)
+    return l2lo / (k * 2 ** (k + 1) * lghi)
 
 
 def _reg_step(cur: RatSet, k: int, eps: Fraction):
@@ -539,7 +540,7 @@ def regularize(A: RatSet, k: int) -> RegTrace:
         raise InvalidConfig("regularize needs k in [2, 8]")
     if len(A) < 4:
         raise DegenerateInput("regularize needs |A| >= 4")
-    eps, _ = _epsilon_bounds(k, len(A))
+    eps = _epsilon(k, len(A))
     cap = _step_cap(eps)
     steps = []
     cur = A

@@ -21,13 +21,12 @@ and the pairs family; its check is `line_through` on each pair, with
 The incidence bound I <= 4 |P|^(2/3) |L|^(2/3) + 4 |P| + |L| is checked in
 an exact integer form by `st_bound_holds` (cube the surplus, compare against
 64 (|P||L|)^2), so the verdict never depends on rounding.  The decimal
-rendering of the bound in reports is outward-rounded interval arithmetic
-and purely cosmetic.
+strings of the bound in reports render a rational bracket of it, each end
+rounded to nearest, and are purely cosmetic.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +40,8 @@ from ._kernels_py import _canonical_span, _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, point
 from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import RatSet, Record, canonical_json, format_rational, integerize, parse_rational
+from .sets import (RatSet, Record, canonical_json, format_rational, integerize, parse_rational,
+                   read_json_file)
 
 
 def _coefficient(v) -> int:
@@ -86,12 +86,7 @@ def write_arrangement(path, arr: Arrangement) -> None:
 
 
 def read_arrangement(path) -> Arrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise InvalidConfig(f"arrangement file {path} is not JSON: {exc}") from exc
-    return Arrangement.from_json(data)
+    return Arrangement.from_json(read_json_file(path, "arrangement"))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,11 @@ def _power_sum(terms) -> tuple[Fraction, Fraction]:
 
 
 def power_sum_ratio_decimal(numer: int, terms) -> tuple[str, str]:
-    """Decimal endpoints of numer / sum_of_power_products, outward rounded.
+    """Decimal endpoints of numer / sum_of_power_products.
+
+    The Fraction ends enclose the value; `fraction_decimal` rounds each to
+    nearest, so a string may fall just inside it (the ends are made
+    outward with the payload batch, ROADMAP item 7 step 1).
 
     terms is a list of terms, each a list of (base, exponent) factors; the
     denominator is the sum of the term products.  Used for the asymptotic
@@ -133,7 +137,8 @@ def power_sum_ratio_decimal(numer: int, terms) -> tuple[str, str]:
 
 
 def power_sum_decimal(terms) -> tuple[str, str]:
-    """Decimal endpoints of a sum of power products, outward rounded."""
+    """Decimal endpoints of a sum of power products: Fraction ends that
+    enclose it, each rounded to nearest, as `power_sum_ratio_decimal`."""
     return tuple(map(fraction_decimal, _power_sum(terms)))
 
 

@@ -68,7 +68,8 @@ class RatioProfile(Record):
 
     R = sum of r(z)^2; sum_r = sum of r(z); zero_sums = #{(a1,a2): a1+a2=0},
     the diagonal that inflates every r(z) by its square.  The bound ratios
-    are outward-rounded decimal intervals and only present when
+    are the decimal strings of rational brackets, each end rounded to
+    nearest, and only present when
     |A1| <= |A2| (the shape the bounds are stated for); None otherwise.
     """
 

@@ -489,17 +489,28 @@ def _format_ints(ints, scale: int) -> list:
             g = gcd(k, scale)
             out.append(str(k // g) if g == scale else f"{k // g}/{scale // g}")
     except ValueError as exc:
-        raise InvalidConfig(f"an element has more than {sys.get_int_max_str_digits()} "
-                            "digits, too many to write as text") from exc
+        raise InvalidConfig(f"an element has {_too_many_digits('write')}") from exc
     return out
+
+
+def _too_many_digits(action: str) -> str:
+    return f"more than {sys.get_int_max_str_digits()} digits, too many to {action} as text"
+
+
+def _past_digit_limit(exc: Exception) -> bool:
+    """Whether exc is Python's refusal to convert text of more than
+    `sys.get_int_max_str_digits()` digits to an int."""
+    return "int_max_str_digits" in str(exc)
 
 
 def parse_rational(text: str) -> Fraction:
     """The rational in text ("p/q", an integer or a decimal); InvalidConfig
-    if it is not one."""
+    if it is not one or has more digits than Python converts from text."""
     try:
         return Fraction(text.strip())
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        if _past_digit_limit(exc):
+            raise InvalidConfig(f"a number of {_too_many_digits('read')}") from exc
         raise InvalidConfig(f"not a rational: {text!r}") from exc
 
 
@@ -514,10 +525,13 @@ def read_set_file(path) -> RatSet:
     vals = []
     with open(path, encoding="utf-8") as fh:
         try:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if line:
-                    vals.append(parse_rational(line))
+                    try:
+                        vals.append(parse_rational(line))
+                    except InvalidConfig as exc:
+                        raise InvalidConfig(f"set file {path} line {lineno}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InvalidConfig(f"set file {path} is not UTF-8 text: {exc}") from exc
     if not vals:
@@ -525,13 +539,22 @@ def read_set_file(path) -> RatSet:
     return RatSet(vals)
 
 
-def read_corpus_file(path) -> list[GeneratorConfig]:
-    """Corpus file: JSON list of generator configs."""
+def read_json_file(path, what: str):
+    """The JSON document in the `what` file at path; InvalidConfig if it is
+    not JSON or holds an int of more digits than Python converts from text."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:
-            raise InvalidConfig(f"corpus file {path} is not JSON: {exc}") from exc
+            if _past_digit_limit(exc):
+                raise InvalidConfig(f"{what} file {path} holds a number of "
+                                    f"{_too_many_digits('read')}") from exc
+            raise InvalidConfig(f"{what} file {path} is not JSON: {exc}") from exc
+
+
+def read_corpus_file(path) -> list[GeneratorConfig]:
+    """Corpus file: JSON list of generator configs."""
+    data = read_json_file(path, "corpus")
     if not isinstance(data, list) or not data:
         raise InvalidConfig("corpus file must be a nonempty JSON list")
     return [GeneratorConfig.from_json(d) for d in data]

@@ -65,6 +65,7 @@ ADDCOMB_ERRORS = {name for name, obj in vars(errors).items()
 # (module, exception, enclosing function) of the raises that a Python
 # protocol requires to be that builtin exception
 PROTOCOL_RAISES = {
+    ("__init__.py", "AttributeError", "__getattr__"),  # PEP 562 module __getattr__
     ("energy.py", "KeyError", "__getitem__"),  # _Entries is a Mapping
     ("sets.py", "AttributeError", "__setattr__"),  # RatSet is immutable
 }

@@ -2,17 +2,29 @@
 
 Each command returns its payload and `cli.main` writes it: a rule of the
 one scanner (`source_rules.call_sites`) keeps `_emit` to that one call.
+
+`payload_hashes.json` pins the bytes of every `JSON_RUNS` payload: the
+sha256 of its `canonical_json`, with each suite's `environment` block
+fixed.  A change that alters a payload fails `test_json_to_stdout`, so
+one meant to alter a payload re-records the table with
+`tests/record_payload_hashes.py`.
 """
 
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from addcomb.cli import build_parser, main
 from addcomb.core import canonical_line, point
 from addcomb.incidence import Arrangement, write_arrangement
-from addcomb.sets import RatSet, read_set_file
+from addcomb.sets import RatSet, canonical_json, read_set_file
 from source_rules import call_sites, findings, nodes
+from test_json_bytes import ENVIRONMENT
+
+PAYLOAD_HASHES = Path(__file__).with_name("payload_hashes.json")
 
 
 def run(argv):
@@ -202,19 +214,35 @@ JSON_RUNS = [
     (["regularize", "--set", "a.txt", "--k", "2"],
      ["B", "B_dprime", "B_prime", "epsilon", "final_P", "final_t", "k", "steps"], "k=2"),
     (["verify", "--suite", "oracle"], ["ok", "suites"], "VERIFY PASS"),
+    (["verify", "--suite", "all"], ["ok", "suites"], "VERIFY PASS"),
     (["report", "--set", "a.txt", "--alpha", "1/2", "--beta", "3"],
      ["K_div", "K_mul", "identity", "ratio_vs_Kmul3", "ratio_vs_Kmul5",
       "shifted_product_size", "triple_sum_size"], "K_mul="),
 ]
 
 
+def write_inputs(folder: Path) -> None:
+    """The a.txt, b.txt and arr.json that `JSON_RUNS` read."""
+    (folder / "a.txt").write_text("\n".join(map(str, range(1, 9))) + "\n")
+    (folder / "b.txt").write_text("2\n4\n6\n12\n")
+    write_arrangement(folder / "arr.json", Arrangement.build(
+        [point(0, 0), point(1, 1), point(1, 0)], [canonical_line(1, -1, 0)]))
+
+
+def payload_sha256(payload: dict) -> str:
+    """sha256 of `canonical_json(payload)`, each suite's environment block
+    replaced by the fixed one of `test_json_bytes`."""
+    if "suites" in payload:
+        payload = {**payload, "suites": [{**s, "environment": ENVIRONMENT}
+                                         for s in payload["suites"]]}
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
 def test_json_to_stdout(tmp_path, capsys, monkeypatch):
     # with --json - stdout is exactly one JSON document; the text is on stderr
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "a.txt").write_text("\n".join(map(str, range(1, 9))) + "\n")
-    (tmp_path / "b.txt").write_text("2\n4\n6\n12\n")
-    write_arrangement(tmp_path / "arr.json", Arrangement.build(
-        [point(0, 0), point(1, 1), point(1, 0)], [canonical_line(1, -1, 0)]))
+    write_inputs(tmp_path)
+    hashes = {}
     for argv, keys, text in JSON_RUNS:
         assert run([*argv, "--json", "-"]) == 0, argv
         captured = capsys.readouterr()
@@ -223,6 +251,8 @@ def test_json_to_stdout(tmp_path, capsys, monkeypatch):
         assert doc["command"] == argv[0]
         assert sorted(doc["payload"]) == keys, argv
         assert text in captured.err, argv
+        hashes[" ".join(argv)] = payload_sha256(doc["payload"])
+    assert hashes == json.loads(PAYLOAD_HASHES.read_text())
 
 
 MALFORMED = {
@@ -265,6 +295,29 @@ def test_malformed_input_is_an_error_line(case, tmp_path, monkeypatch, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
+
+
+# an int past Python's int-to-str limit of 4300 digits, in either input file
+WIDE_INPUT = {
+    "set file line": (["energy", "--set", "wide.txt"], "wide.txt",
+                      "1\n2\n1/" + "7" * 4400 + "\n", "set file wide.txt line 3: "),
+    "corpus file int": (["verify", "--suite", "oracle", "--corpus", "wide.json"], "wide.json",
+                        '[{"kind": "AP", "start": ' + "7" * 5001 + ', "step": 1, "n": 3}]',
+                        "corpus file wide.json "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_INPUT))
+def test_input_past_the_digit_limit_names_the_limit(case, tmp_path, monkeypatch, capsys):
+    argv, name, text, where = WIDE_INPUT[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+    assert "more than 4300 digits, too many to read as text" in err, err
+    assert "7777" not in err
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_seed_only_on_verify_and_report(tmp_path, capsys):

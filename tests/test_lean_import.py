@@ -1,6 +1,12 @@
 """`import addcomb` loads no module that only some commands need, and no
 `spctl` command loads mpmath.
 
+The package imports `energy` alone and reads every other public name from
+its module on first use, so a fresh `import addcomb` loads `energy` and
+what it imports, and `from addcomb.collinear import t_o_count` leaves the
+harness, the decompositions, incidence, ratios and the CLI unloaded.  Each
+public name is still the one object that every module binding it holds.
+
 The enclosures of `intervals` are integer work, and mpmath serves only
 the tests' oracle (`intervals._mpmath`); `platform` and
 `importlib.metadata` serve only `environment_info`, `statistics` only
@@ -13,6 +19,8 @@ the one scanner (`source_rules.eager_imports`) keeps every module of
 `src/addcomb` from importing them at module level.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -22,6 +30,7 @@ from importlib import metadata
 
 import pytest
 
+import addcomb
 from addcomb import intervals
 from addcomb.core import canonical_line, point
 from addcomb.incidence import Arrangement, write_arrangement
@@ -29,6 +38,7 @@ from source_rules import PACKAGE, ROOT, eager_imports, nodes, scan
 
 _CHILD = """
 import json, sys
+import addcomb
 import addcomb
 from addcomb import intervals
 before = [m for m in ("mpmath", "platform", "statistics", "importlib.metadata")
@@ -61,6 +71,23 @@ print(json.dumps({"codes": codes, "mpmath": "mpmath" in sys.modules}))
 """
 
 
+_PACKAGE_NAMES = """
+import json, sys
+import addcomb
+loaded = sorted(m for m in sys.modules if m.startswith("addcomb"))
+from addcomb import cli
+print(json.dumps({"loaded": loaded, "cli": cli.__name__,
+                  "energy": addcomb.energy is sys.modules["addcomb.energy"].energy,
+                  "unknown": hasattr(addcomb, "no_such_name")}))
+"""
+
+_T_O = """
+import json, sys
+from addcomb.collinear import t_o_count
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("addcomb"))))
+"""
+
+
 def _child(code, cwd=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
@@ -73,6 +100,33 @@ def test_import_leaves_mpmath_platform_statistics_unloaded():
     assert got["before"] == []
     assert got["after"] is False
     assert [Fraction(x) for x in got["ln2"]] == list(intervals.ln2_bounds())
+
+
+def test_import_loads_energy_and_what_it_imports():
+    got = _child(_PACKAGE_NAMES)
+    assert got["loaded"] == ["addcomb", "addcomb._kernels", "addcomb._kernels_py",
+                             "addcomb.energy", "addcomb.errors", "addcomb.sets"]
+    assert got == {**got, "cli": "addcomb.cli", "energy": True, "unknown": False}
+
+
+def test_collinear_loads_no_harness_decompose_incidence_ratios_or_cli():
+    loaded = set(_child(_T_O))
+    assert "addcomb.collinear" in loaded
+    assert loaded.isdisjoint({f"addcomb.{m}" for m in
+                              ("harness", "decompose", "incidence", "ratios", "cli")})
+
+
+def test_each_public_name_is_the_object_its_modules_bind():
+    modules = [importlib.import_module(f"addcomb.{p.stem}") for p in PACKAGE
+               if p.stem != "__init__"]
+    for name in addcomb.__all__:
+        obj = getattr(addcomb, name)
+        assert all(vars(m)[name] is obj for m in modules if name in vars(m)), name
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert vars(sys.modules[obj.__module__])[name] is obj, name
+    assert len(set(addcomb.__all__)) == len(addcomb.__all__) == 59
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(addcomb, "no_such_name")
 
 
 def test_no_spctl_command_loads_mpmath(tmp_path):
