@@ -1,7 +1,8 @@
 """Command line front end: `spctl`.
 
 Subcommands map one-to-one onto the library surface.  Each `_cmd_*`
-prints its text lines and returns its payload and exit status; `main`
+imports the modules it runs, prints its text lines and returns its
+payload and exit status, so a command loads only what it needs; `main`
 writes the payload as the one canonical JSON report (sorted keys, no
 timestamps) when `--json` asks for it, so batch runs diff cleanly.  With
 `--json -` stdout carries that one document and the command's text lines
@@ -15,23 +16,10 @@ import argparse
 import sys
 from dataclasses import fields
 
-from . import decompose as dec
-from . import harness, ratios
-from .collinear import triple_count_report
 from .core import DEFAULT_BUDGET
-from .energy import energy_op, rep_histogram
 from .errors import AddcombError
-from .incidence import line_moment_sums, read_arrangement, st_bound_check
-from .sets import (
-    GeneratorConfig,
-    canonical_json,
-    generate,
-    jsonable,
-    parse_rational,
-    read_corpus_file,
-    read_set_file,
-    write_set_file,
-)
+from .sets import (_KIND_FIELDS, INT_FIELDS, GeneratorConfig, canonical_json, generate, jsonable,
+                   read_corpus_file, read_set_file, write_set_file)
 
 SCHEMA = "addcomb-report/1"
 
@@ -66,7 +54,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
     given = {f.name: getattr(args, f.name) for f in fields(GeneratorConfig)
              if getattr(args, f.name) is not None}
     if "values" in given:
-        given["values"] = given["values"].split(",")
+        given["values"] = [v.strip(" ") for v in given["values"].split(",")]
     cfg = GeneratorConfig.from_json(given)
     a = generate(cfg)
     elements = jsonable(a)
@@ -80,6 +68,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 
 def _cmd_energy(args) -> tuple[dict, int]:
+    from .energy import energy_op, rep_histogram
     A, B = _load_sets(args.set, 2, "energy")
     hist = rep_histogram(A, B, energy_op(args.k, args.flavor))
     val = hist.moment(args.k)
@@ -89,6 +78,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
 
 
 def _cmd_triples(args) -> tuple[dict, int]:
+    from .collinear import triple_count_report
     A1, A2, A3 = _load_sets(args.set, 3, "triples")
     rep = triple_count_report(A1, A2, A3, args.budget)
     _say(args, f"T={rep.T} T_o={rep.T_o} degenerate={rep.degenerate_terms}")
@@ -96,6 +86,7 @@ def _cmd_triples(args) -> tuple[dict, int]:
 
 
 def _cmd_ratios(args) -> tuple[dict, int]:
+    from . import ratios
     A1, A2 = _load_sets(args.set, 2, "ratios")
     Z = ratios.popular_ratios(A1, A2, args.count, args.budget)
     prof = ratios.ratio_profile(Z, A1, A2)
@@ -104,6 +95,7 @@ def _cmd_ratios(args) -> tuple[dict, int]:
 
 
 def _cmd_incidence(args) -> tuple[dict, int]:
+    from .incidence import line_moment_sums, read_arrangement, st_bound_check
     if args.arrangement:
         rep = st_bound_check(read_arrangement(args.arrangement))
         _say(args, f"incidences={rep.count} bound=[{rep.bound_lo},{rep.bound_hi}] "
@@ -116,12 +108,9 @@ def _cmd_incidence(args) -> tuple[dict, int]:
 
 
 def _cmd_decompose(args) -> tuple[dict, int]:
+    from . import decompose as dec
     (A,) = _load_sets(args.set, 1, "decompose")
-    if args.mode == "bw":
-        M = "auto" if args.M == "auto" else parse_rational(args.M)
-        res = dec.bw_decompose(A, M)
-    else:
-        res = dec.xy_decompose(A)
+    res = dec.bw_decompose(A, args.M) if args.mode == "bw" else dec.xy_decompose(A)
     sizes = {k: len(v) for k, v in res.parts.items()}
     _say(args, f"{res.kind}: parts={sizes} energies={res.energies} "
                f"ratio=[{res.target_ratio[0]},{res.target_ratio[1]}]")
@@ -129,6 +118,7 @@ def _cmd_decompose(args) -> tuple[dict, int]:
 
 
 def _cmd_regularize(args) -> tuple[dict, int]:
+    from . import decompose as dec
     (A,) = _load_sets(args.set, 1, "regularize")
     tr = dec.regularize(A, args.k)
     _say(args, f"k={tr.k} eps={tr.epsilon} steps={len(tr.steps)} "
@@ -137,6 +127,7 @@ def _cmd_regularize(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from . import harness
     corpus = read_corpus_file(args.corpus) if args.corpus else None
     names = list(harness.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = []
@@ -144,8 +135,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         res = harness.run_suite(name, corpus, budget=args.budget, seed=args.seed)
         results.append(res)
         n_exact = sum(1 for c in res.checks if c.kind == "EXACT")
-        n_fail = sum(1 for c in res.checks
-                     if c.kind == "EXACT" and c.status == "fail")
+        n_fail = sum(1 for c in res.checks if c.kind == "EXACT" and c.status == "fail")
         _say(args, f"suite {name}: {n_exact - n_fail}/{n_exact} exact checks passed, "
                    f"{len(res.checks) - n_exact} report-only")
         for c in res.checks:
@@ -157,9 +147,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_report(args) -> tuple[dict, int]:
+    from . import harness
     (A,) = _load_sets(args.set, 1, "report")
-    rep = harness.shift_product_report(
-        A, parse_rational(args.alpha), parse_rational(args.beta), args.budget)
+    rep = harness.shift_product_report(A, args.alpha, args.beta, args.budget)
     _say(args, f"K_mul={rep['K_mul']} |(A+a)(A+b)|={rep['shifted_product_size']} "
                f"identity={rep['identity']}")
     return rep, 0
@@ -184,18 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("gen", help="generate a set and write a set file")
-    p.add_argument("--kind", required=True,
-                   choices=["AP", "GP", "GridExample", "Random", "Literal"])
-    p.add_argument("--start")
-    p.add_argument("--step")
-    p.add_argument("--ratio")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--range", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--values", help="comma-separated rationals (Literal)")
+    p.add_argument("--kind", required=True, choices=list(_KIND_FIELDS))
+    # one flag per config field, typed as the config reads it
+    for f in fields(GeneratorConfig):
+        if f.name != "kind":
+            p.add_argument(f"--{f.name}", type=int if f.name in INT_FIELDS else None,
+                           help="comma-separated rationals (Literal)"
+                           if f.name == "values" else None)
     p.add_argument("--out", metavar="FILE", help="set file to write")
     common(p, sets=False)
     p.set_defaults(func=_cmd_gen)
@@ -242,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, sets=False, budget=True)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the report's environment block; the suites pin their own")
-    p.add_argument("--suite", default="all",
-                   choices=["all", *harness.SUITE_NAMES])
+    # run_suite is the one check of a suite name
+    p.add_argument("--suite", default="all", help="a suite to run, or 'all' (the default)")
     p.add_argument("--corpus", metavar="FILE",
                    help="JSON list of generator configs (default built-in)")
     p.set_defaults(func=_cmd_verify)

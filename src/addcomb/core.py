@@ -15,6 +15,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, DegeneratePair
+from .sets import as_fraction
 
 # Default work budget for the brute-force counters, measured in elementary
 # tuple checks.  Callers can raise or lower it per call.
@@ -85,5 +86,5 @@ def line_through(p: PlanePoint, q: PlanePoint) -> LineKey:
 
 
 def point(x, y) -> PlanePoint:
-    """Convenience constructor accepting ints / strings / Fractions."""
-    return PlanePoint(Fraction(x), Fraction(y))
+    """The point (x, y), each coordinate a rational by the rule of `sets._num_den`."""
+    return PlanePoint(as_fraction(x), as_fraction(y))

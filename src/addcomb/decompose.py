@@ -27,7 +27,7 @@ from .errors import (
     PostconditionFailed,
 )
 from .intervals import ln2_bounds, log_squared_fraction_bounds, power_sum_ratio_decimal
-from .sets import RatSet, Record, affine, parse_rational
+from .sets import RatSet, Record, affine, as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +119,8 @@ class ExtractionCertificate(Record):
     def from_json(d: dict) -> "ExtractionCertificate":
         return ExtractionCertificate(
             t=d["t"], q1=d["q1"], q2=d["q2"],
-            P=RatSet(parse_rational(x) for x in d["P"]),
-            A1_pop=RatSet(parse_rational(x) for x in d["A1_pop"]),
-            A2_pop=RatSet(parse_rational(x) for x in d["A2_pop"]),
-            branch=d["branch"], E3_input=d["E3_input"],
-            Emul_output=d["Emul_output"],
+            P=RatSet(d["P"]), A1_pop=RatSet(d["A1_pop"]), A2_pop=RatSet(d["A2_pop"]),
+            branch=d["branch"], E3_input=d["E3_input"], Emul_output=d["Emul_output"],
         )
 
 
@@ -265,7 +262,7 @@ def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
             if M == "auto":
                 ok = e3**11 * n**6 <= n**44  # M = |A|^(6/11)
             else:
-                m = Fraction(M)
+                m = as_fraction(M)
                 ok = e3 * m.numerator <= n**4 * m.denominator
             if not ok:
                 failures.append("energy_guard")
@@ -304,13 +301,8 @@ class DecompositionResult(Record):
     def from_json(d: dict) -> "DecompositionResult":
         return DecompositionResult(
             kind=d["kind"],
-            parts={
-                name: RatSet(parse_rational(x) for x in part)
-                for name, part in d["parts"].items()
-            },
-            certificates=tuple(
-                ExtractionCertificate.from_json(c) for c in d["certificates"]
-            ),
+            parts={name: RatSet(part) for name, part in d["parts"].items()},
+            certificates=tuple(ExtractionCertificate.from_json(c) for c in d["certificates"]),
             energies=dict(d["energies"]),
             target_ratio=tuple(d["target_ratio"]),
             meta=dict(d["meta"]),
@@ -335,15 +327,14 @@ def _extractions(A: RatSet, more, loop: str):
 
 
 def _guard_energy_large(B: RatSet, n: int, M) -> bool:
-    # guard: B is nonempty and E_3^+(B) > |A|^4 / M, in exact integer form
+    # guard: B is nonempty and E_3^+(B) > |A|^4 / M (a Fraction or "auto"), exactly
     if len(B) == 0:
         return False
     e3 = energy(B, B, 3, "additive")
     if M == "auto":
         # M = |A|^(6/11): compare e3^11 * n^6 > n^44
         return e3**11 * n**6 > n**44
-    m = Fraction(M)
-    return e3 * m.numerator > n**4 * m.denominator
+    return e3 * M.numerator > n**4 * M.denominator
 
 
 def _pieces_emul(union: RatSet, certs: list) -> int:
@@ -360,13 +351,15 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
 
     M = "auto" uses the threshold |A|^(6/11); because that exponent is
     irrational the guard is evaluated as E_3^+(B)^11 |A|^6 > |A|^44, which
-    is exactly equivalent in integers.  Explicit rational M is compared by
-    cross multiplication.  Iteration count is capped at |A| (each pass
-    removes a nonempty set), with NonTermination signalling a bug.
+    is exactly equivalent in integers.  Any other M is a rational by the
+    rule of `sets._num_den`, compared by cross multiplication.  Iteration
+    count is capped at |A| (each pass removes a nonempty set), with
+    NonTermination signalling a bug.
     """
     A.require_nonzero("bw decomposition")
     if M != "auto":
-        if Fraction(M) <= 0:
+        M = as_fraction(M)
+        if M <= 0:
             raise InvalidConfig("M must be positive or 'auto'")
     n = len(A)
     B, certs = _extractions(A, lambda rest: _guard_energy_large(rest, n, M), "energy split")
@@ -387,7 +380,7 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         certificates=tuple(certs),
         energies={"E_plus_B": e_plus_b, "E_mul_C": e_mul_c},
         target_ratio=ratio,
-        meta={"M": "auto" if M == "auto" else str(Fraction(M)), "pieces": len(certs)},
+        meta={"M": "auto" if M == "auto" else str(M), "pieces": len(certs)},
     )
 
 
@@ -474,13 +467,10 @@ class RegTrace(Record):
     @staticmethod
     def from_json(d: dict) -> "RegTrace":
         return RegTrace(
-            k=d["k"], epsilon=Fraction(d["epsilon"]),
+            k=d["k"], epsilon=as_fraction(d["epsilon"]),
             steps=tuple(RegStep(*s) for s in d["steps"]),
-            B=RatSet(parse_rational(x) for x in d["B"]),
-            B_prime=RatSet(parse_rational(x) for x in d["B_prime"]),
-            B_dprime=RatSet(parse_rational(x) for x in d["B_dprime"]),
-            final_t=d["final_t"],
-            final_P=RatSet(parse_rational(x) for x in d["final_P"]),
+            B=RatSet(d["B"]), B_prime=RatSet(d["B_prime"]), B_dprime=RatSet(d["B_dprime"]),
+            final_t=d["final_t"], final_P=RatSet(d["final_P"]),
         )
 
 
@@ -646,7 +636,7 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
 def default_dilates(A: RatSet) -> RatSet:
     """Candidate dilates {1} union {1/a : a in A}."""
     A.require_nonzero("dilate candidates")
-    return RatSet([Fraction(1)] + [1 / a for a in A])
+    return RatSet([1] + [1 / a for a in A])
 
 
 def best_z(A: RatSet, candidates: Optional[RatSet] = None):

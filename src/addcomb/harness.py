@@ -49,6 +49,7 @@ from .sets import (
     SplitMix64,
     affine,
     ap,
+    as_fraction,
     canonical_json,
     format_rational,
     generate,
@@ -424,7 +425,7 @@ def _suite_incidence(corpus, budget: int):
 
     # rich lines really are rich, and no rich line is missed
     rng = SplitMix64(77)
-    pts = [point(Fraction(rng.below(9)), Fraction(rng.below(9))) for _ in range(40)]
+    pts = [point(rng.below(9), rng.below(9)) for _ in range(40)]
     pts = list(dict.fromkeys(pts))
     rich = rich_lines(pts, 3)
     ok = all(sum(1 for p in pts if li.contains(p)) >= 3 for li in rich)
@@ -486,7 +487,7 @@ def _suite_decomposition(corpus, budget: int):
             em = energy(A, A, 2, "multiplicative")
             checks.append(_report(
                 f"best_z:{lbl}",
-                f"z={format_rational(Fraction(zbest))} value={val} "
+                f"z={format_rational(zbest)} value={val} "
                 f"value*|A|/E_mul = {Fraction(val * n, em)}"))
     checks.append(_baseline_drift_check(maxima))
     return checks, tables, maxima
@@ -614,11 +615,12 @@ def shift_product_report(A: RatSet, alpha, beta,
 
     Reports K_mul, K_div, |(A+alpha)(A+beta)| with its ratio against
     K^-3 |A|^2, and the triple sum |A + alpha A + beta A| with its ratio
-    against K^-5 |A|^2 (all exact rationals).  When the sizes fit the
-    budget, the collinearity identity on (A, AA/alpha, AA/beta) is run and
-    a mismatch raises PostconditionFailed.
+    against K^-5 |A|^2 (all exact rationals), for alpha and beta rationals
+    by the rule of `sets._num_den`.  When the sizes fit the budget, the
+    collinearity identity on (A, AA/alpha, AA/beta) is run and a mismatch
+    raises PostconditionFailed.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     if alpha == 0 or beta == 0:
         raise ZeroShift("shifts must be nonzero")
     A.require_nonzero("shift-product report")
@@ -629,8 +631,8 @@ def shift_product_report(A: RatSet, alpha, beta,
     k_div = Fraction(len(dd), n)
     shifted_prod = set_op(affine(A, 1, alpha), affine(A, 1, beta), "prod")
     triple = set_op(set_op(A, affine(A, alpha, 0), "sum"), affine(A, beta, 0), "sum")
-    ratio_prod = Fraction(len(shifted_prod)) * k_mul**3 / (n * n)
-    ratio_triple = Fraction(len(triple)) * k_mul**5 / (n * n)
+    ratio_prod = len(shifted_prod) * k_mul**3 / (n * n)
+    ratio_triple = len(triple) * k_mul**5 / (n * n)
     report = {
         "K_mul": str(k_mul),
         "K_div": str(k_div),

@@ -27,7 +27,6 @@ rounded to nearest, and are purely cosmetic.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,15 +39,16 @@ from ._kernels_py import _canonical_span, _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, point
 from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import (RatSet, Record, canonical_json, format_rational, integerize, parse_rational,
-                   read_json_file)
+from .sets import (RatSet, Record, _shown, as_fraction, canonical_json, format_rational,
+                   integerize, read_json_file)
 
 
 def _coefficient(v) -> int:
-    # a line coefficient: an int that is not a bool, or an integer string
-    if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
-        return int(v)
-    raise InvalidConfig(f"line coefficient must be an int or an integer string, got {v!r}")
+    # a line coefficient: the integer half of the rational rule of
+    # `sets._num_den`, an int that is not a bool or the text of one
+    if type(v) is int or isinstance(v, str) and "/" not in v:
+        return int(as_fraction(v, "line coefficient: "))
+    raise InvalidConfig(f"line coefficient must be an int or an integer string, got {_shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,18 @@ class Arrangement:
 
     @staticmethod
     def from_json(data: dict) -> "Arrangement":
-        """Inverse of to_json; InvalidConfig on anything else, such as a
-        line coefficient that is a float, a bool or a non-integer string."""
+        """Inverse of to_json; InvalidConfig on anything else.  A point is a
+        list [x, y] of rationals by the rule of `sets._num_den` (a JSON int
+        too) and a line a list [a, b, c] of ints or integer strings."""
         try:
-            pts = [point(parse_rational(px), parse_rational(py)) for px, py in data["points"]]
-            lns = [canonical_line(*map(_coefficient, abc)) for abc in data["lines"]]
+            pts, lns = data["points"], data["lines"]
+            if not all(type(r) is list and len(r) == n
+                       for n, rows in ((2, pts), (3, lns)) for r in rows):
+                raise InvalidConfig("each point must be a list [x, y] and each line [a, b, c]")
+            pts = [point(px, py) for px, py in pts]
+            lns = [canonical_line(*map(_coefficient, abc)) for abc in lns]
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"bad arrangement: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"bad arrangement: {exc!r}") from exc
         return Arrangement.build(pts, lns)

@@ -28,7 +28,7 @@ from .core import DEFAULT_BUDGET, charge
 from .energy import rep_histogram
 from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, Record
+from .sets import RatSet, Record, as_fraction
 
 
 def _r_from_hist(hist, z: Fraction, lo: int, hi: int) -> int:
@@ -57,9 +57,10 @@ def _r_from_hist(hist, z: Fraction, lo: int, hi: int) -> int:
 
 
 def r_of_z(z, A1: RatSet, A2: RatSet) -> int:
-    """Exact count of (a1, a1', a2, a2') with a1' + a2' = z (a1 + a2)."""
+    """Exact count of (a1, a1', a2, a2') with a1' + a2' = z (a1 + a2);
+    z is a rational by the rule of `sets._num_den`."""
     hist = rep_histogram(A1, A2, "sum").counts
-    return _r_from_hist(hist, Fraction(z), min(hist, default=0), max(hist, default=0))
+    return _r_from_hist(hist, as_fraction(z), min(hist, default=0), max(hist, default=0))
 
 
 @dataclass(frozen=True)

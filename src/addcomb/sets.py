@@ -40,6 +40,7 @@ its output is fully pinned by the seed across platforms and Python versions.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from array import array
 from bisect import bisect_left
@@ -152,13 +153,33 @@ class SplitMix64:
 
 
 def _num_den(v) -> tuple[int, int]:
-    """The reduced (numerator, denominator) of v: an int, a Fraction, or
-    anything `Fraction` parses (a string "p/q", a float, ...)."""
+    """The reduced (numerator, denominator) of v by the package's one rule
+    for a rational it takes in: an int that is not a bool, a Fraction, or
+    text that `parse_rational` reads.  Anything else, such as a float, a
+    bool, a Decimal or the text "1e5", raises InvalidConfig."""
     if type(v) is int:
         return v, 1
     if not isinstance(v, Fraction):
-        v = Fraction(v)
+        if not isinstance(v, str):
+            raise InvalidConfig(f"not a rational: {_shown(v)}")
+        v = parse_rational(v)
     return v.numerator, v.denominator
+
+
+def as_fraction(v, what: str = "") -> Fraction:
+    """v as a Fraction, by the rule of `_num_den`; a refusal starts with `what`."""
+    try:
+        return v if isinstance(v, Fraction) else Fraction(*_num_den(v))
+    except InvalidConfig as exc:
+        raise InvalidConfig(what + str(exc)) from exc
+
+
+def _shown(v) -> str:
+    """repr(v) for a message, or its type if it holds an int too wide to write."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"a {type(v).__name__} holding an int of {_too_many_digits('write')}"
 
 
 class RatSet:
@@ -168,7 +189,8 @@ class RatSet:
     the lcm of the reduced denominators (1 for an empty or integer set), so
     equal sets have equal (scale, ints).  Membership and the set algebra run
     on these ints; `elements` and iteration give the Fractions, built once,
-    on first use.
+    on first use.  The values, and the v of `v in A`, are rationals by the
+    rule of `_num_den`: a float or the text " 3" raises InvalidConfig.
     """
 
     __slots__ = ("scale", "ints", "_elements")
@@ -284,6 +306,7 @@ class RatSet:
             raise DivisionByZero(f"{context}: set contains 0")
 
 
+INT_FIELDS = ("n", "s", "p", "size", "range", "seed")  # the others but kind are rationals
 # the fields that each generator kind reads
 _KIND_FIELDS = {
     "AP": ("start", "step", "n"),
@@ -292,17 +315,6 @@ _KIND_FIELDS = {
     "Random": ("size", "range", "seed"),
     "Literal": ("values",),
 }
-
-
-def _rational_field(key: str, v) -> Fraction:
-    # a config rational: a string, an int that is not a bool, or a Fraction
-    if type(v) is not int and not isinstance(v, (str, Fraction)):
-        raise InvalidConfig(f"generator config field {key!r} must be a string or an int, "
-                            f"got {v!r}")
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidConfig(f"bad generator config field {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -334,23 +346,25 @@ class GeneratorConfig:
                 raise InvalidConfig(f"{self.kind} config takes no {', '.join(stray)}")
         # the JSON field rule however the config is built: the sizes are
         # ints that are not bools, values is a list (or a tuple), and start,
-        # step, ratio and each of values a string, an int or a Fraction, so
-        # a float or a bool is refused, naming the field, rather than
-        # rounded or read as 0 or 1; the rationals become Fractions, so
-        # equal configs serialise alike
+        # step, ratio and each of values a rational by the rule of
+        # `_num_den`, so a float or a bool is refused, naming the field,
+        # rather than rounded or read as 0 or 1; the rationals become
+        # Fractions, so equal configs serialise alike
         for key in ("start", "step", "ratio"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, _rational_field(key, getattr(self, key)))
-        for key in ("n", "s", "p", "size", "range", "seed"):
+                object.__setattr__(self, key, as_fraction(getattr(self, key),
+                                                          f"generator config field {key!r}: "))
+        for key in INT_FIELDS:
             v = getattr(self, key)
             if v is not None and type(v) is not int:
-                raise InvalidConfig(f"generator config field {key!r} must be an int, got {v!r}")
+                raise InvalidConfig(
+                    f"generator config field {key!r} must be an int, got {_shown(v)}")
         if self.values is not None:
             if not isinstance(self.values, (list, tuple)):
                 raise InvalidConfig(
-                    f"generator config field 'values' must be a list, got {self.values!r}")
-            object.__setattr__(self, "values",
-                               tuple(_rational_field("values", v) for v in self.values))
+                    f"generator config field 'values' must be a list, got {_shown(self.values)}")
+            object.__setattr__(self, "values", tuple(
+                as_fraction(v, "generator config field 'values': ") for v in self.values))
 
     def label(self) -> str:
         if self.kind == "AP":
@@ -375,7 +389,7 @@ class GeneratorConfig:
         config field is refused by name too.
         """
         if not isinstance(d, dict) or "kind" not in d:
-            raise InvalidConfig(f"generator config must be an object with a kind: {d!r}")
+            raise InvalidConfig(f"generator config must be an object with a kind: {_shown(d)}")
         unknown = sorted(set(d) - {f.name for f in fields(GeneratorConfig)}, key=str)
         if unknown:
             raise InvalidConfig(f"generator config has no field {', '.join(map(repr, unknown))}")
@@ -444,7 +458,7 @@ def generate(config: GeneratorConfig) -> RatSet:
         if config.values is None or len(config.values) == 0:
             raise InvalidConfig("Literal needs at least one value")
         return RatSet(config.values)
-    raise InvalidConfig(f"unknown generator kind {k!r}")
+    raise InvalidConfig(f"unknown generator kind {_shown(k)}")
 
 
 def set_op(a: RatSet, b: RatSet, op: str) -> RatSet:
@@ -469,7 +483,7 @@ def affine(a: RatSet, scale, shift) -> RatSet:
 
 
 # ---------------------------------------------------------------------------
-# Set files: UTF-8 text, one element per line ("p/q" or integer), '#' comments.
+# Set files: UTF-8, one "p/q" or "p" per line amid ASCII whitespace, '#' comments.
 
 def format_rational(v: Fraction) -> str:
     """v as "p/q", or "p" for an integer; InvalidConfig past the digit
@@ -497,21 +511,20 @@ def _too_many_digits(action: str) -> str:
     return f"more than {sys.get_int_max_str_digits()} digits, too many to {action} as text"
 
 
-def _past_digit_limit(exc: Exception) -> bool:
-    """Whether exc is Python's refusal to convert text of more than
-    `sys.get_int_max_str_digits()` digits to an int."""
-    return "int_max_str_digits" in str(exc)
-
-
 def parse_rational(text: str) -> Fraction:
-    """The rational in text ("p/q", an integer or a decimal); InvalidConfig
-    if it is not one or has more digits than Python converts from text."""
+    """The rational in text "p/q" or "p", the form `format_rational` writes:
+    ASCII digits, an optional leading "-" and a nonzero denominator, with
+    no space, "+", decimal point, exponent or "_".  InvalidConfig if text
+    is anything else, or has more digits than Python converts from text."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text) if isinstance(text, str) else None
     try:
-        return Fraction(text.strip())
-    except (AttributeError, ValueError, ZeroDivisionError) as exc:
-        if _past_digit_limit(exc):
-            raise InvalidConfig(f"a number of {_too_many_digits('read')}") from exc
-        raise InvalidConfig(f"not a rational: {text!r}") from exc
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
+    except ZeroDivisionError:
+        pass
+    except ValueError as exc:  # the pattern leaves only the digit limit
+        raise InvalidConfig(f"a number of {_too_many_digits('read')}") from exc
+    raise InvalidConfig(f"not a rational: {text!r}")
 
 
 def write_set_file(path, a: RatSet, header: str | None = None):
@@ -526,7 +539,7 @@ def read_set_file(path) -> RatSet:
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                line = raw.split("#", 1)[0].strip(" \t\n\r\v\f")
                 if line:
                     try:
                         vals.append(parse_rational(line))
@@ -546,7 +559,7 @@ def read_json_file(path, what: str):
         try:
             return json.load(fh)
         except ValueError as exc:
-            if _past_digit_limit(exc):
+            if "int_max_str_digits" in str(exc):  # Python's digit limit
                 raise InvalidConfig(f"{what} file {path} holds a number of "
                                     f"{_too_many_digits('read')}") from exc
             raise InvalidConfig(f"{what} file {path} is not JSON: {exc}") from exc

@@ -3,13 +3,13 @@
 `PACKAGE` lists the modules of `src/addcomb`; `TOOLING` lists the test
 modules, the root `conftest.py` and the scripts of `bench/`.  `scan(path)` parses and walks a file
 once per session, giving each node with its enclosing function, and
-`nodes(source)` walks a snippet the same way.  The nine rules below read
+`nodes(source)` walks a snippet the same way.  The ten rules below read
 such a walk.  Each rule's test over the files and its self-test on a
 breaking snippet sit in the test module of its guarantee: test_budget
 (BudgetExceeded, the error rule, no `assert`), test_cli (only `cli.main`
 calls `_emit`), test_energy (no package module calls `decide_leq`),
 test_key_format, test_lean_import, test_line_census, test_one_mixer,
-test_unused_imports.
+test_rational_rule (one-argument `Fraction` calls), test_unused_imports.
 """
 
 import ast
@@ -133,6 +133,20 @@ def call_sites(walk, name: str) -> list:
     attribute, in source order."""
     return _in_order((node, fn) for node, fn in walk
                      if isinstance(node, ast.Call) and _name(node.func) == name)
+
+
+def one_arg_calls(walk, name: str) -> list:
+    """The enclosing function of each call of `name`, by name or attribute,
+    on one positional argument that is neither starred nor an int literal
+    and no keyword, in source order."""
+    found = []
+    for node, fn in walk:
+        if (isinstance(node, ast.Call) and _name(node.func) == name and len(node.args) == 1
+                and not node.keywords and not isinstance(node.args[0], ast.Starred)
+                and not (isinstance(node.args[0], ast.Constant)
+                         and type(node.args[0].value) is int)):
+            found.append((node, fn))
+    return _in_order(found)
 
 
 # the state increment and the two multipliers of the output function

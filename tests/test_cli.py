@@ -3,16 +3,20 @@
 Each command returns its payload and `cli.main` writes it: a rule of the
 one scanner (`source_rules.call_sites`) keeps `_emit` to that one call.
 
-`payload_hashes.json` pins the bytes of every `JSON_RUNS` payload: the
+`payload_hashes.json` pins the bytes of every `JSON_RUNS` payload and of
+the `GRID_RUNS` grid (gen and ten command forms on each of five sets): the
 sha256 of its `canonical_json`, with each suite's `environment` block
-fixed.  A change that alters a payload fails `test_json_to_stdout`, so
-one meant to alter a payload re-records the table with
-`tests/record_payload_hashes.py`.
+fixed.  A change that alters a payload fails `test_json_to_stdout` or
+`test_grid_payloads`, so one meant to alter a payload re-records the table
+with `tests/record_payload_hashes.py`.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,7 @@ import pytest
 from addcomb.cli import build_parser, main
 from addcomb.core import canonical_line, point
 from addcomb.incidence import Arrangement, write_arrangement
-from addcomb.sets import RatSet, canonical_json, read_set_file
+from addcomb.sets import INT_FIELDS, GeneratorConfig, RatSet, canonical_json, read_set_file
 from source_rules import call_sites, findings, nodes
 from test_json_bytes import ENVIRONMENT
 
@@ -221,6 +225,33 @@ JSON_RUNS = [
 ]
 
 
+# the five sets of the grid, each written by `gen --out` and read back by
+# every form of GRID_FORMS, so the grid pins the set-file reader too
+GRID_SETS = {
+    "ap.txt": ["--kind", "AP", "--start", "1", "--step", "2", "--n", "16"],
+    "random.txt": ["--kind", "Random", "--size", "20", "--range", "100", "--seed", "3"],
+    "grid.txt": ["--kind", "GridExample", "--s", "3", "--p", "4"],
+    "gp.txt": ["--kind", "GP", "--start", "2/3", "--ratio", "3/2", "--n", "12"],
+    "literal.txt": ["--kind", "Literal", "--values=-7,-3,-1/2,1,5/3,4,9"],
+}
+# report's budget skips the brute 6-tuple identity on GridExample(3,4),
+# about 26 s; the report of JSON_RUNS runs it
+GRID_FORMS = [
+    ["energy", "--k", "3"],
+    ["energy", "--flavor", "multiplicative"],
+    ["triples"],
+    ["ratios"],
+    ["incidence"],
+    ["incidence", "--family", "pairs"],
+    ["decompose", "--mode", "bw"],
+    ["decompose", "--mode", "xy"],
+    ["regularize", "--k", "2"],
+    ["report", "--budget", "1000000"],
+]
+GRID_RUNS = [["gen", *flags, "--out", name] for name, flags in GRID_SETS.items()] + [
+    [command, "--set", name, *rest] for name in GRID_SETS for command, *rest in GRID_FORMS]
+
+
 def write_inputs(folder: Path) -> None:
     """The a.txt, b.txt and arr.json that `JSON_RUNS` read."""
     (folder / "a.txt").write_text("\n".join(map(str, range(1, 9))) + "\n")
@@ -238,6 +269,19 @@ def payload_sha256(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+def payload_hashes(runs) -> dict:
+    """{command line: `payload_sha256`} of each argv of runs, run in order
+    with `--json -` in the current folder; a run that fails raises."""
+    hashes = {}
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            if main([*argv, "--json", "-"]) != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+        hashes[" ".join(argv)] = payload_sha256(json.loads(out.getvalue())["payload"])
+    return hashes
+
+
 def test_json_to_stdout(tmp_path, capsys, monkeypatch):
     # with --json - stdout is exactly one JSON document; the text is on stderr
     monkeypatch.chdir(tmp_path)
@@ -252,7 +296,19 @@ def test_json_to_stdout(tmp_path, capsys, monkeypatch):
         assert sorted(doc["payload"]) == keys, argv
         assert text in captured.err, argv
         hashes[" ".join(argv)] = payload_sha256(doc["payload"])
-    assert hashes == json.loads(PAYLOAD_HASHES.read_text())
+    table = json.loads(PAYLOAD_HASHES.read_text())
+    assert hashes == {key: table[key] for key in hashes}
+
+
+def test_grid_payloads(tmp_path, monkeypatch):
+    # gen and ten command forms on each of the five sets; the table holds
+    # these rows and those of JSON_RUNS, and no other
+    monkeypatch.chdir(tmp_path)
+    hashes = payload_hashes(GRID_RUNS)
+    assert len(hashes) == 5 * 11
+    table = json.loads(PAYLOAD_HASHES.read_text())
+    assert set(table) == set(hashes) | {" ".join(argv) for argv, _, _ in JSON_RUNS}
+    assert hashes == {key: table[key] for key in hashes}
 
 
 MALFORMED = {
@@ -318,6 +374,26 @@ def test_input_past_the_digit_limit_names_the_limit(case, tmp_path, monkeypatch,
     assert "more than 4300 digits, too many to read as text" in err, err
     assert "7777" not in err
     assert sys.get_int_max_str_digits() == 4300
+
+
+def test_unknown_suite_lists_the_suites(capsys):
+    # harness.run_suite is the one check of a suite name: one error line
+    assert run(["verify", "--suite", "nope"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown suite 'nope'; options: "
+        "exact, oracle, incidence, decomposition, regularization, reports\n")
+
+
+def test_gen_flags_are_the_config_fields():
+    # one value flag per GeneratorConfig field but kind, an int where the
+    # config takes an int
+    for f in fields(GeneratorConfig):
+        if f.name != "kind":
+            args = build_parser().parse_args(["gen", "--kind", "AP", f"--{f.name}", "7"])
+            assert getattr(args, f.name) == (7 if f.name in INT_FIELDS else "7"), f.name
+    assert build_parser().parse_args(["gen", "--kind", "Literal"]).kind == "Literal"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["gen", "--kind", "Cube"])
 
 
 def test_seed_only_on_verify_and_report(tmp_path, capsys):

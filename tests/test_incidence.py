@@ -126,6 +126,17 @@ def test_arrangement_line_coefficients_parse_strictly(line):
         Arrangement.from_json({"points": [], "lines": [line]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"points": ["12"], "lines": []}, {"points": [], "lines": ["103"]},
+    {"points": [[1, 2, 3]], "lines": []}, {"points": [], "lines": [[1, 0]]},
+    {"points": {"12": 1}, "lines": []}, {"points": [(1, 2)], "lines": []},
+], ids=["string-point", "string-line", "long-point", "short-line", "object", "tuple"])
+def test_arrangement_rows_are_lists_of_two_or_three(doc):
+    # a JSON string is read as given, not as the characters of a row
+    with pytest.raises(InvalidConfig, match="each point must be a list"):
+        Arrangement.from_json(doc)
+
+
 def test_spanned_line_multiplicities_square():
     # unit square: 4 side/diagonal... all 6 spanned lines, each by one pair
     pts = [point(0, 0), point(0, 1), point(1, 0), point(1, 1)]

@@ -6,6 +6,8 @@ its module on first use, so a fresh `import addcomb` loads `energy` and
 what it imports, and `from addcomb.collinear import t_o_count` leaves the
 harness, the decompositions, incidence, ratios and the CLI unloaded.  Each
 public name is still the one object that every module binding it holds.
+Each `spctl` command imports the modules it runs, so `gen`, `energy`,
+`triples` and `ratios` leave the harness and the decompositions unloaded.
 
 The enclosures of `intervals` are integer work, and mpmath serves only
 the tests' oracle (`intervals._mpmath`); `platform` and
@@ -71,6 +73,21 @@ print(json.dumps({"codes": codes, "mpmath": "mpmath" in sys.modules}))
 """
 
 
+# the commands that run neither a suite nor a decomposition
+_LIGHT_COMMANDS = """
+import json, sys
+from addcomb.cli import main
+forms = [
+    ["gen", "--kind", "AP", "--start", "1", "--step", "2", "--n", "12", "--out", "a.txt"],
+    ["energy", "--set", "a.txt", "--k", "3"],
+    ["triples", "--set", "a.txt"],
+    ["ratios", "--set", "a.txt"],
+]
+codes = [main(argv) for argv in forms]
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("addcomb"))}))
+"""
+
 _PACKAGE_NAMES = """
 import json, sys
 import addcomb
@@ -114,6 +131,14 @@ def test_collinear_loads_no_harness_decompose_incidence_ratios_or_cli():
     assert "addcomb.collinear" in loaded
     assert loaded.isdisjoint({f"addcomb.{m}" for m in
                               ("harness", "decompose", "incidence", "ratios", "cli")})
+
+
+def test_light_commands_load_no_harness_or_decompose(tmp_path):
+    # each spctl command imports the modules it runs, and only those
+    got = _child(_LIGHT_COMMANDS, cwd=tmp_path)
+    assert got["codes"] == [0] * 4
+    assert "addcomb.collinear" in got["loaded"] and "addcomb.ratios" in got["loaded"]
+    assert {"addcomb.harness", "addcomb.decompose"}.isdisjoint(got["loaded"])
 
 
 def test_each_public_name_is_the_object_its_modules_bind():

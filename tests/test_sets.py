@@ -334,7 +334,10 @@ def test_generate_random_range_at_most_two_to_64():
 def test_rational_text_roundtrip():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-5, 7)) == "-5/7"
-    assert parse_rational(" -5/7 ") == Fraction(-5, 7)
+    assert parse_rational("-5/7") == Fraction(-5, 7)
+    # the text spctl writes, and nothing padded
+    with pytest.raises(InvalidConfig, match="not a rational: ' -5/7 '"):
+        parse_rational(" -5/7 ")
 
 
 @given(st.sets(st.integers(-10**6, 10**6), max_size=12), st.integers(1, 720))
