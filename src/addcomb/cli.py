@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from .core import DEFAULT_BUDGET
 from .errors import AddcombError
-from .sets import (_KIND_FIELDS, INT_FIELDS, GeneratorConfig, canonical_json, generate, jsonable,
+from .sets import (_KINDS, INT_FIELDS, GeneratorConfig, canonical_json, generate, jsonable,
                    read_corpus_file, read_set_file, write_set_file)
 
 SCHEMA = "addcomb-report/1"
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("gen", help="generate a set and write a set file")
-    p.add_argument("--kind", required=True, choices=list(_KIND_FIELDS))
+    p.add_argument("--kind", required=True, choices=list(_KINDS))
     # one flag per config field, typed as the config reads it
     for f in fields(GeneratorConfig):
         if f.name != "kind":

@@ -27,7 +27,7 @@ from .errors import (
     PostconditionFailed,
 )
 from .intervals import ln2_bounds, log_squared_fraction_bounds, power_sum_ratio_decimal
-from .sets import RatSet, Record, affine, as_fraction
+from .sets import RatSet, Record, affine, as_fraction, as_int, format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def dyadic_band(h: CountHistogram, k: int) -> DyadicBand:
     counts, each r^k times the number of keys that attain r, and one pass
     over the keys then collects the chosen band's P.
     """
-    if k < 1:
+    if as_int(k, "k") < 1:
         raise InvalidConfig("dyadic_band needs k >= 1")
     if not h.counts:
         raise EmptyHistogram("cannot band an empty histogram")
@@ -361,6 +361,8 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         M = as_fraction(M)
         if M <= 0:
             raise InvalidConfig("M must be positive or 'auto'")
+    # written now, so an M past the digit limit is refused before any extraction
+    shown = M if M == "auto" else format_rational(M)
     n = len(A)
     B, certs = _extractions(A, lambda rest: _guard_energy_large(rest, n, M), "energy split")
     pieces = [cert.chosen for cert in certs]
@@ -380,7 +382,7 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
         certificates=tuple(certs),
         energies={"E_plus_B": e_plus_b, "E_mul_C": e_mul_c},
         target_ratio=ratio,
-        meta={"M": "auto" if M == "auto" else str(M), "pieces": len(certs)},
+        meta={"M": shown, "pieces": len(certs)},
     )
 
 
@@ -526,7 +528,7 @@ def regularize(A: RatSet, k: int) -> RegTrace:
     |A| >= 1146 at k = 2 and |A| >= 5031 at k = 3, so the shrinking steps
     are reached only by replaying tampered traces.
     """
-    if not 2 <= k <= 8:
+    if not 2 <= as_int(k, "k") <= 8:
         raise InvalidConfig("regularize needs k in [2, 8]")
     if len(A) < 4:
         raise DegenerateInput("regularize needs |A| >= 4")

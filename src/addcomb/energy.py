@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._kernels import mul_pairs_count
 from .errors import InvalidConfig
-from .sets import RatSet, from_keys, int_keys, integerize, unordered_keys
+from .sets import RatSet, as_int, from_keys, int_keys, integerize, unordered_keys
 
 K_MAX = 8
 # fractional bits of the fourth roots in `l4_verdict`: 128, doubled up to 2048
@@ -123,7 +123,7 @@ def rep_histogram(A: RatSet, B: RatSet, op: str = "diff") -> CountHistogram:
 
 def energy_op(k: int, flavor: str) -> str:
     """The histogram op behind E_k of `flavor`; rejects k or flavor."""
-    if not 2 <= k <= K_MAX:
+    if not 2 <= as_int(k, "k") <= K_MAX:
         raise InvalidConfig(f"k must be in [2, {K_MAX}], got {k}")
     if flavor == "additive":
         return "diff"

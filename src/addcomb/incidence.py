@@ -39,8 +39,8 @@ from ._kernels_py import _canonical_span, _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, point
 from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import (RatSet, Record, _shown, as_fraction, canonical_json, format_rational,
-                   integerize, read_json_file)
+from .sets import (RatSet, Record, _format_ints, _shown, as_fraction, as_int, canonical_json,
+                   format_rational, integerize, read_json_file)
 
 
 def _coefficient(v) -> int:
@@ -65,7 +65,7 @@ class Arrangement:
         lns = sorted(self.lines)
         return {
             "points": [[format_rational(p.x), format_rational(p.y)] for p in pts],
-            "lines": [[str(l.a), str(l.b), str(l.c)] for l in lns],
+            "lines": [_format_ints((l.a, l.b, l.c), 1) for l in lns],
         }
 
     @staticmethod
@@ -219,7 +219,7 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
         raise InvalidConfig("pass the sets sorted by size: |A1| <= |A2| <= |A3|")
     if not A1:
         raise InvalidConfig("line_moment_sums needs nonempty sets")
-    if p not in (1, 2, 3):
+    if as_int(p, "p") not in (1, 2, 3):
         raise InvalidConfig("p must be 1, 2 or 3")
     sets = (A1, A2, A3)
     if family == "triple":

@@ -28,7 +28,7 @@ from .core import DEFAULT_BUDGET, charge
 from .energy import rep_histogram
 from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
-from .sets import RatSet, Record, as_fraction
+from .sets import RatSet, Record, as_fraction, as_int
 
 
 def _r_from_hist(hist, z: Fraction, lo: int, hi: int) -> int:
@@ -226,7 +226,7 @@ def popular_ratios(A1: RatSet, A2: RatSet, count: Optional[int] = None,
         count = len(A1) ** 2
         if not count:
             return RatSet()
-    elif count < 1:
+    elif as_int(count, "count") < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
     bands, shift, decode = _quotients(A1, A2, budget)
     # a min-heap of the best (w, -K, w << shift | i) so far, whose root is

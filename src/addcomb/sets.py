@@ -24,13 +24,17 @@ dump (sorted keys, no spaces) that makes the reports byte-stable.
 
 Generators
 ----------
-AP(start, step, n)        arithmetic progression
-GP(start, ratio, n)       geometric progression
+AP(start, step, n)        arithmetic progression; n >= 1, step != 0
+GP(start, ratio, n)       geometric progression; n >= 1, start, ratio != 0
 GridExample(S, P)         {(2m-1) * 2^j : 1 <= m <= S, 1 <= j <= P}, the
                           standard multiplicatively-structured example with
-                          small product set and large difference set
-Random(size, range, seed) distinct integers uniform on [1, range]
-Literal(values)           explicit list
+                          small product set and large difference set; S, P >= 1
+Random(size, range, seed) distinct integers uniform on [1, range];
+                          1 <= size <= range <= 2**64
+Literal(values)           explicit list; at least one value
+
+`_KINDS` holds each kind's fields, rules and builder; the constructor of
+a config judges it by them, so `generate` only builds.
 
 Randomness is produced by SplitMix64 (the 64-bit mixer from Steele et al.,
 "Fast splittable pseudorandom number generators", OOPSLA 2014), chosen because
@@ -46,10 +50,10 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
-from operator import mod
-from typing import Iterable, Iterator
+from operator import mod, mul
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DivisionByZero, InvalidConfig, ZeroScale
 
@@ -172,6 +176,14 @@ def as_fraction(v, what: str = "") -> Fraction:
         return v if isinstance(v, Fraction) else Fraction(*_num_den(v))
     except InvalidConfig as exc:
         raise InvalidConfig(what + str(exc)) from exc
+
+
+def as_int(v, what: str) -> int:
+    """v if it is an int that is not a bool, the rule of every int parameter;
+    anything else, such as 3.0 or True, raises InvalidConfig naming `what`."""
+    if type(v) is not int:
+        raise InvalidConfig(f"{what} must be an int, got {_shown(v)}")
+    return v
 
 
 def _shown(v) -> str:
@@ -307,22 +319,14 @@ class RatSet:
 
 
 INT_FIELDS = ("n", "s", "p", "size", "range", "seed")  # the others but kind are rationals
-# the fields that each generator kind reads
-_KIND_FIELDS = {
-    "AP": ("start", "step", "n"),
-    "GP": ("start", "ratio", "n"),
-    "GridExample": ("s", "p"),
-    "Random": ("size", "range", "seed"),
-    "Literal": ("values",),
-}
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Declarative description of a set; serializes to/from plain JSON.
 
-    A config of a known kind sets only the fields that kind reads
-    (`_KIND_FIELDS`); any other field raises InvalidConfig, naming it.
+    `__post_init__` judges every config, however it is built, by its
+    kind's row of `_KINDS`, so a config that exists can be generated.
     """
 
     kind: str  # "AP" | "GP" | "GridExample" | "Random" | "Literal"
@@ -338,44 +342,45 @@ class GeneratorConfig:
     values: tuple | None = None
 
     def __post_init__(self):
-        if self.kind in _KIND_FIELDS:
-            reads = ("kind", *_KIND_FIELDS[self.kind])
-            stray = [f.name for f in fields(self)
-                     if f.name not in reads and getattr(self, f.name) is not None]
-            if stray:
-                raise InvalidConfig(f"{self.kind} config takes no {', '.join(stray)}")
-        # the JSON field rule however the config is built: the sizes are
-        # ints that are not bools, values is a list (or a tuple), and start,
-        # step, ratio and each of values a rational by the rule of
-        # `_num_den`, so a float or a bool is refused, naming the field,
-        # rather than rounded or read as 0 or 1; the rationals become
-        # Fractions, so equal configs serialise alike
+        if not (isinstance(self.kind, str) and self.kind in _KINDS):
+            raise InvalidConfig(f"unknown generator kind {_shown(self.kind)}")
+        reads, rules, _ = _KINDS[self.kind]
+        stray = [f.name for f in fields(self)
+                 if f.name not in ("kind", *reads) and getattr(self, f.name) is not None]
+        if stray:
+            raise InvalidConfig(f"{self.kind} config takes no {', '.join(stray)}")
+        # the JSON field rule: the sizes are ints that are not bools,
+        # values is a list (or a tuple), and start, step, ratio and each of
+        # values a rational by the rule of `_num_den`, so a float or a bool
+        # is refused, naming the field, rather than rounded or read as 0 or
+        # 1; the rationals become Fractions, so equal configs serialise alike
         for key in ("start", "step", "ratio"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, as_fraction(getattr(self, key),
                                                           f"generator config field {key!r}: "))
         for key in INT_FIELDS:
-            v = getattr(self, key)
-            if v is not None and type(v) is not int:
-                raise InvalidConfig(
-                    f"generator config field {key!r} must be an int, got {_shown(v)}")
+            if getattr(self, key) is not None:
+                as_int(getattr(self, key), f"generator config field {key!r}")
         if self.values is not None:
             if not isinstance(self.values, (list, tuple)):
                 raise InvalidConfig(
                     f"generator config field 'values' must be a list, got {_shown(self.values)}")
             object.__setattr__(self, "values", tuple(
                 as_fraction(v, "generator config field 'values': ") for v in self.values))
+        # an unset field fails the kind's first rule, which names them all
+        unset = any(getattr(self, key) is None for key in reads)
+        for holds, message in rules:
+            if unset or not holds(self):
+                raise InvalidConfig(message)
 
     def label(self) -> str:
-        if self.kind == "AP":
-            return f"AP(start={self.start},step={self.step},n={self.n})"
-        if self.kind == "GP":
-            return f"GP(start={self.start},ratio={self.ratio},n={self.n})"
-        if self.kind == "GridExample":
-            return f"GridExample(S={self.s},P={self.p})"
-        if self.kind == "Random":
-            return f"Random(size={self.size},range={self.range},seed={self.seed})"
-        return f"Literal(n={len(self.values or ())})"
+        """The kind and the fields it reads, as "AP(start=1,step=1,n=8)"."""
+        if self.kind == "Literal":  # the size, not the values
+            return f"Literal(n={len(self.values)})"
+        named = {"s": "S", "p": "P"}  # GridExample's parameters
+        shown = (f"{named.get(key, key)}={format_rational(getattr(self, key))}"
+                 for key in _KINDS[self.kind].reads)
+        return f"{self.kind}({','.join(shown)})"
 
     def to_json(self) -> dict:
         """The `jsonable` form without the fields that are None."""
@@ -396,6 +401,42 @@ class GeneratorConfig:
         return GeneratorConfig(**d)
 
 
+def _random_ints(config: GeneratorConfig) -> set:
+    rng, chosen = SplitMix64(config.seed), set()
+    while len(chosen) < config.size:
+        chosen.add(1 + rng.below(config.range))
+    return chosen
+
+
+class _Kind(NamedTuple):
+    reads: tuple  # the fields the kind reads, in label order
+    rules: tuple  # (holds, message) pairs, judged in order on a config
+    build: Callable  # the values of a config that passed the rules
+
+
+_KINDS = {
+    "AP": _Kind(("start", "step", "n"), (
+        (lambda c: c.n >= 1, "AP needs start, step, n >= 1"),
+        (lambda c: c.step != 0, "AP step must be nonzero"),
+    ), lambda c: (c.start + i * c.step for i in range(c.n))),
+    # a ratio of 1 or -1 repeats values, which the RatSet drops
+    "GP": _Kind(("start", "ratio", "n"), (
+        (lambda c: c.n >= 1, "GP needs start, ratio, n >= 1"),
+        (lambda c: c.start != 0 and c.ratio != 0, "GP start and ratio must be nonzero"),
+    ), lambda c: accumulate(repeat(c.ratio, c.n - 1), mul, initial=c.start)),
+    "GridExample": _Kind(("s", "p"), (
+        (lambda c: c.s >= 1 and c.p >= 1, "GridExample needs S >= 1, P >= 1"),
+    ), lambda c: ((2 * m - 1) * 2**j for m in range(1, c.s + 1) for j in range(1, c.p + 1))),
+    "Random": _Kind(("size", "range", "seed"), (
+        (lambda c: 1 <= c.size <= c.range <= 1 << 64,
+         "Random needs size >= 1, size <= range <= 2**64, seed"),
+    ), _random_ints),
+    "Literal": _Kind(("values",), (
+        (lambda c: len(c.values) > 0, "Literal needs at least one value"),
+    ), lambda c: c.values),
+}
+
+
 def ap(start, step, n: int) -> GeneratorConfig:
     return GeneratorConfig(kind="AP", start=start, step=step, n=n)
 
@@ -413,52 +454,8 @@ def random_set(size: int, rng: int, seed: int) -> GeneratorConfig:
 
 
 def generate(config: GeneratorConfig) -> RatSet:
-    """Materialize a GeneratorConfig.  InvalidConfig on bad parameters."""
-    k = config.kind
-    if k == "AP":
-        if config.n is None or config.n < 1 or config.start is None or config.step is None:
-            raise InvalidConfig("AP needs start, step, n >= 1")
-        if config.step == 0:
-            raise InvalidConfig("AP step must be nonzero")
-        return RatSet(config.start + i * config.step for i in range(config.n))
-    if k == "GP":
-        if config.n is None or config.n < 1 or config.start is None or config.ratio is None:
-            raise InvalidConfig("GP needs start, ratio, n >= 1")
-        if config.start == 0 or config.ratio == 0:
-            raise InvalidConfig("GP start and ratio must be nonzero")
-        vals, v = [], config.start
-        for _ in range(config.n):
-            vals.append(v)
-            v *= config.ratio
-        return RatSet(vals)  # ratio == 1 or +-1 cycles collapse via dedup
-    if k == "GridExample":
-        if not config.s or not config.p or config.s < 1 or config.p < 1:
-            raise InvalidConfig("GridExample needs S >= 1, P >= 1")
-        return RatSet(
-            (2 * m - 1) * 2**j
-            for m in range(1, config.s + 1)
-            for j in range(1, config.p + 1)
-        )
-    if k == "Random":
-        if (
-            config.size is None
-            or config.range is None
-            or config.seed is None
-            or config.size < 1
-            or config.range < config.size
-            or config.range > 1 << 64
-        ):
-            raise InvalidConfig("Random needs size >= 1, size <= range <= 2**64, seed")
-        rng = SplitMix64(config.seed)
-        chosen: set[int] = set()
-        while len(chosen) < config.size:
-            chosen.add(1 + rng.below(config.range))
-        return RatSet(chosen)
-    if k == "Literal":
-        if config.values is None or len(config.values) == 0:
-            raise InvalidConfig("Literal needs at least one value")
-        return RatSet(config.values)
-    raise InvalidConfig(f"unknown generator kind {_shown(k)}")
+    """Materialize a GeneratorConfig, which its constructor has judged."""
+    return RatSet(_KINDS[config.kind].build(config))
 
 
 def set_op(a: RatSet, b: RatSet, op: str) -> RatSet:
@@ -485,7 +482,7 @@ def affine(a: RatSet, scale, shift) -> RatSet:
 # ---------------------------------------------------------------------------
 # Set files: UTF-8, one "p/q" or "p" per line amid ASCII whitespace, '#' comments.
 
-def format_rational(v: Fraction) -> str:
+def format_rational(v: Fraction | int) -> str:
     """v as "p/q", or "p" for an integer; InvalidConfig past the digit
     limit, as `_format_ints`, which writes it."""
     return _format_ints((v.numerator,), v.denominator)[0]

@@ -376,6 +376,22 @@ def test_input_past_the_digit_limit_names_the_limit(case, tmp_path, monkeypatch,
     assert sys.get_int_max_str_digits() == 4300
 
 
+@pytest.mark.parametrize("suite", ["oracle", "incidence", "all"])
+@pytest.mark.parametrize("text, message", [
+    ('[{"kind": ["AP"], "n": 3}]', "unknown generator kind ['AP']"),
+    ('[{"kind": "Foo"}, {"kind": "AP", "n": 0}]', "unknown generator kind 'Foo'"),
+    ('[{"kind": "AP", "start": 1, "step": 1, "n": 0}]', "AP needs start, step, n >= 1"),
+], ids=["kind-list", "kind-unknown", "AP-n-zero"])
+def test_bad_corpus_entry_is_one_error_line_in_every_suite(suite, text, message, tmp_path,
+                                                           capsys):
+    # every entry is judged when the file is read, so the suites that
+    # never generate the corpus refuse it too
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert run(["verify", "--suite", suite, "--corpus", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_suite_lists_the_suites(capsys):
     # harness.run_suite is the one check of a suite name: one error line
     assert run(["verify", "--suite", "nope"]) == 1

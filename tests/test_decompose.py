@@ -205,6 +205,17 @@ def test_bw_explicit_threshold():
         bw_decompose(a, M=0)
 
 
+def test_bw_wide_m_is_refused_before_any_extraction(monkeypatch):
+    # meta["M"] is written at entry, so an M past the digit limit is an
+    # InvalidConfig before the extractions run, not a ValueError after
+    def no_extraction(*_):
+        raise AssertionError("an extraction ran")
+
+    monkeypatch.setattr(decompose, "_extractions", no_extraction)
+    with pytest.raises(InvalidConfig, match="more than 4300 digits"):
+        bw_decompose(RatSet([1, 2, 3, 4]), 10**5000)
+
+
 def test_xy_small_pair():
     res = xy_decompose(RatSet([1, 2]))
     assert res.parts["X"] == RatSet([1, 2])

@@ -81,6 +81,11 @@ def test_run_suite_validation():
         harness.run_suite("exact", [])
 
 
+def test_a_label_past_the_digit_limit_is_an_invalid_config():
+    with pytest.raises(InvalidConfig, match="more than 4300 digits"):
+        harness.run_suite("exact", [ap(10**5000, 1, 2)])
+
+
 def test_suite_result_serialization():
     res = harness.run_suite("oracle", SMALL_CORPUS)
     doc = res.to_json()

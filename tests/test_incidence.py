@@ -112,6 +112,14 @@ def test_arrangement_file_roundtrip(tmp_path):
     assert back == arr
 
 
+def test_arrangement_with_a_wide_coefficient_is_refused_when_written():
+    arr = Arrangement.build([], [canonical_line(10**5000, 1, 3)])
+    with pytest.raises(InvalidConfig, match="more than 4300 digits"):
+        arr.to_json()
+    assert Arrangement.build([], [canonical_line(-4, 2, 6)]).to_json()["lines"] == [
+        ["2", "-1", "-3"]]
+
+
 @pytest.mark.parametrize("line", [
     [3.9, 1, 0], [True, 1, 0], ["3.0", "1", "0"], ["1/2", "1", "0"],
     [" 3", "1", "0"], ["1_0", "1", "0"], [None, 1, 0],

@@ -6,6 +6,10 @@ text "-?[0-9]+(/[0-9]+)?" with a nonzero denominator, the form that
 lines trim ASCII whitespace and '#' comments, `gen --values` trims ASCII
 spaces around each item, and JSON strings are read exactly as given.
 
+An int parameter, such as a moment's k or p or a count, is an int
+that is not a bool, by `sets.as_int`; anything else raises InvalidConfig
+naming the parameter.
+
 `accepted` restates the rule with a pattern and `Fraction` of its own, and
 each reader below is fed arbitrary values and held to it: it refuses with
 InvalidConfig exactly what the rule refuses, and on the rest acts as it
@@ -26,11 +30,12 @@ from hypothesis import strategies as st
 
 from addcomb.cli import main
 from addcomb.core import PlanePoint, canonical_line, point
-from addcomb.decompose import bw_decompose
+from addcomb.decompose import bw_decompose, dyadic_band, regularize
+from addcomb.energy import energy, rep_histogram
 from addcomb.errors import AddcombError, InvalidConfig
 from addcomb.harness import shift_product_report
-from addcomb.incidence import Arrangement
-from addcomb.ratios import r_of_z
+from addcomb.incidence import Arrangement, line_moment_sums
+from addcomb.ratios import popular_ratios, r_of_z
 from addcomb.sets import (INT_FIELDS, GeneratorConfig, RatSet, affine, format_rational,
                           parse_rational, read_set_file)
 from source_rules import findings, nodes, one_arg_calls
@@ -124,6 +129,14 @@ CONFIGS = {
     "Random": {"size": 3, "range": 9, "seed": 1},
     "Literal": {"values": ["1", "2"]},
 }
+# each kind's rules on the values of its fields, every one of which it needs
+KIND_RULES = {
+    "AP": lambda start, step, n: n >= 1 and step != 0,
+    "GP": lambda start, ratio, n: n >= 1 and start != 0 and ratio != 0,
+    "GridExample": lambda s, p: s >= 1 and p >= 1,
+    "Random": lambda size, range, seed: 1 <= size <= range <= 2**64,
+    "Literal": lambda values: len(values) > 0,
+}
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,6 +144,9 @@ CONFIGS = {
 @example(["1/2", 3])
 @example(["1/2", 3.0])
 @example(10**5000)
+@example(0)
+@example([])
+@example(None)
 def test_each_corpus_field_follows_the_rule(v):
     for kind, fields in CONFIGS.items():
         for field in fields:
@@ -144,8 +160,13 @@ def test_each_corpus_field_follows_the_rule(v):
                 want = None if None in items else tuple(items)
             else:
                 want = accepted(v)
+            base = {key: accepted(x) if isinstance(x, str) else x for key, x in fields.items()}
             if want is None and v is not None:
                 with pytest.raises(InvalidConfig, match=repr(field)):
+                    GeneratorConfig.from_json(doc)
+            elif want is None or not KIND_RULES[kind](**{**base, field: want}):
+                # the field rule takes the value and the kind refuses it
+                with pytest.raises(InvalidConfig, match=f"^{kind} "):
                     GeneratorConfig.from_json(doc)
             else:
                 assert getattr(GeneratorConfig.from_json(doc), field) == want
@@ -237,6 +258,27 @@ def test_set_file_and_values_trim_only_ascii_space(tmp_path):
     code, err = spctl(["gen", "--kind", "Literal", "--values", "1,\xa02", "--out", str(out)])
     assert (code, err) == (1, "error: generator config field 'values': "
                               "not a rational: '\\xa02'\n")
+
+
+# the int half of the rule: an int parameter is an int that is not a bool
+INT_PARAMETERS = {
+    "energy k": ("k", lambda v: energy(A, A, v, "multiplicative")),
+    "regularize k": ("k", lambda v: regularize(RatSet([1, 2, 3, 5]), v)),
+    "line_moment_sums p": ("p", lambda v: line_moment_sums(A, A, A, v)),
+    "popular_ratios count": ("count", lambda v: popular_ratios(A, A, count=v)),
+    "dyadic_band k": ("k", lambda v: dyadic_band(rep_histogram(A, A), v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_PARAMETERS))
+@pytest.mark.parametrize("v", [2.0, 3.0, True, "2", Fraction(2), Decimal(2)], ids=repr)
+def test_int_parameters_take_only_ints(name, v):
+    # energy(A, A, 3.0, "multiplicative") gave 736.0, a count of True one
+    # ratio, and p = True a report of "p": true
+    param, call = INT_PARAMETERS[name]
+    with pytest.raises(InvalidConfig, match=f"^{param} must be an int, got {re.escape(repr(v))}$"):
+        call(v)
+    assert outcome(call, 2)[0] == "ok"
 
 
 # (module, function) of the one-argument Fraction calls that take in no

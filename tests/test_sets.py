@@ -3,17 +3,20 @@
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb.decompose import dyadic_band
 from addcomb.energy import rep_histogram
 from addcomb.errors import DivisionByZero, InvalidConfig, ZeroScale
 from addcomb.sets import (
+    _KINDS,
+    INT_FIELDS,
     GeneratorConfig,
     RatSet,
     SplitMix64,
@@ -33,6 +36,9 @@ from addcomb.sets import (
     set_op,
     write_set_file,
 )
+from source_rules import PACKAGE, nodes, raise_sites, scan
+
+SETS = next(p for p in PACKAGE if p.name == "sets.py")
 
 
 def test_ratset_dedupes_and_sorts():
@@ -257,21 +263,103 @@ def test_generator_config_refuses_unknown_keys():
         GeneratorConfig.from_json({"kind": "AP", "label": "x", "N": 3})
 
 
-@pytest.mark.parametrize("cfg, message", [
-    (GeneratorConfig(kind="AP", start=1, step=1, n=0), "AP needs start, step, n >= 1"),
-    (GeneratorConfig(kind="AP", start=1, n=3), "AP needs start, step, n >= 1"),
-    (ap(1, 0, 3), "AP step must be nonzero"),
-    (GeneratorConfig(kind="GP", start=1, n=3), "GP needs start, ratio, n >= 1"),
-    (gp(0, 2, 3), "GP start and ratio must be nonzero"),
-    (grid_example(0, 2), "GridExample needs S >= 1, P >= 1"),
-    (random_set(5, 4, 1), "Random needs size >= 1, size <= range <= 2\\*\\*64, seed"),
-    (GeneratorConfig(kind="Literal", values=()), "Literal needs at least one value"),
-    (GeneratorConfig(kind="Cube", n=3), "unknown generator kind 'Cube'"),
+# each factory and the fields it takes, in order
+FACTORIES = {"AP": (ap, ("start", "step", "n")), "GP": (gp, ("start", "ratio", "n")),
+             "GridExample": (grid_example, ("s", "p")),
+             "Random": (random_set, ("size", "range", "seed"))}
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"kind": "AP", "start": 1, "step": 1, "n": 0}, "AP needs start, step, n >= 1"),
+    ({"kind": "AP", "start": 1, "n": 3}, "AP needs start, step, n >= 1"),
+    ({"kind": "AP", "start": 1, "step": 0, "n": 3}, "AP step must be nonzero"),
+    ({"kind": "GP", "start": 1, "n": 3}, "GP needs start, ratio, n >= 1"),
+    ({"kind": "GP", "start": 0, "ratio": 2, "n": 3}, "GP start and ratio must be nonzero"),
+    ({"kind": "GridExample", "s": 0, "p": 2}, "GridExample needs S >= 1, P >= 1"),
+    ({"kind": "Random", "size": 5, "range": 4, "seed": 1},
+     "Random needs size >= 1, size <= range <= 2\\*\\*64, seed"),
+    ({"kind": "Literal", "values": []}, "Literal needs at least one value"),
+    ({"kind": "Cube", "n": 3}, "unknown generator kind 'Cube'"),
 ], ids=["AP-n", "AP-step-missing", "AP-step-zero", "GP-ratio-missing", "GP-start-zero",
         "GridExample", "Random", "Literal", "unknown-kind"])
-def test_generate_refuses_bad_parameters(cfg, message):
-    with pytest.raises(InvalidConfig, match=message):
-        generate(cfg)
+def test_generate_refuses_bad_parameters(kw, message):
+    # a bad config is refused where it is built, so generate never sees one
+    builds = [lambda: GeneratorConfig(**kw), lambda: GeneratorConfig.from_json(kw)]
+    if kw["kind"] in FACTORIES:
+        factory, names = FACTORIES[kw["kind"]]
+        builds.append(lambda: factory(*(kw.get(name) for name in names)))
+    for build in builds:
+        with pytest.raises(InvalidConfig, match=message):
+            build()
+
+
+def test_generate_and_its_builders_raise_nothing():
+    # the constructor judges every config, so generate and the builders of
+    # `_KINDS` hold no raise site
+    builders = {"generate", *(kind.build.__name__ for kind in _KINDS.values())}
+    assert [site for site in raise_sites(scan(SETS)) if site[1] in builders] == []
+    snippet = ("def generate(c):\n"
+               "    if c.n < 1:\n"
+               "        raise InvalidConfig('AP needs n >= 1')\n"
+               "    return c\n")
+    assert [site for site in raise_sites(nodes(snippet)) if site[1] in builders] == [
+        ("InvalidConfig", "generate")]
+
+
+# sizes from -3 to 40 and small rationals, so every accepted config
+# generates in milliseconds, amid JSON values of every other shape
+_SMALL = st.integers(-3, 40) | st.fractions(-9, 9, max_denominator=9).map(format_rational)
+_VALUE = st.recursive(st.none() | st.booleans() | _SMALL | st.floats() | st.text(max_size=3),
+                      lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                      max_leaves=5)
+_FIELDS = {"values": st.lists(_SMALL, max_size=5),
+           **{key: st.integers(-3, 40) for key in INT_FIELDS}}
+_READS = {**{kind: names for kind, (_, names) in FACTORIES.items()}, "Literal": ("values",)}
+_KEYS = st.sampled_from([f.name for f in fields(GeneratorConfig)] + ["label"])
+
+
+def _kind_and(fields_of):
+    # a kind with each field it reads, drawn by fields_of(key)
+    return st.sampled_from(sorted(_READS)).flatmap(lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind), **{key: fields_of(key) for key in _READS[kind]}}))
+
+
+_DOCS = st.one_of(
+    _VALUE,
+    st.builds(lambda kind, rest: {**rest, "kind": kind},
+              st.sampled_from([*_READS, "Foo"]) | _VALUE,
+              st.dictionaries(_KEYS, _SMALL | _VALUE, max_size=3)),
+    _kind_and(lambda key: _FIELDS.get(key, _SMALL) | _VALUE),
+    _kind_and(lambda key: _FIELDS.get(key, _SMALL)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+@example({"kind": ["AP"]})
+@example({"kind": {"a": 1}})
+@example({"kind": "Foo"})
+@example({"kind": "AP", "start": "1", "step": "1", "n": 0})
+@example({"kind": "Literal", "values": []})
+@example({"kind": "GP", "start": "2", "ratio": "-1", "n": 5})
+def test_a_config_that_exists_can_be_generated(doc):
+    try:
+        cfg = GeneratorConfig.from_json(doc)
+    except InvalidConfig:
+        return
+    generate(cfg)
+    cfg.label()
+    assert GeneratorConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_the_label_of_a_wide_int_is_refused():
+    # label writes through format_rational, so an int past the digit limit,
+    # a seed included, is refused by InvalidConfig rather than ValueError
+    for cfg in (ap(10**5000, 1, 2), random_set(2, 9, 10**5000)):
+        with pytest.raises(InvalidConfig, match="more than 4300 digits"):
+            cfg.label()
+    assert random_set(2, 9, 2**64 + 1).label() == f"Random(size=2,range=9,seed={2**64 + 1})"
 
 
 def test_splitmix64_reference_values():
