@@ -124,8 +124,8 @@ class ExtractionCertificate(Record):
         )
 
 
-def _extract_core(A: RatSet) -> ExtractionCertificate:
-    diff = rep_histogram(A, A, "diff")
+def _extract_core(A: RatSet, diff: CountHistogram) -> ExtractionCertificate:
+    # diff is rep_histogram(A, A, "diff"), the tally of A's differences
     band = dyadic_band(diff, 3)
     t, P = band.t, band.P
 
@@ -166,7 +166,7 @@ def extract_mult_structured(A: RatSet):
     if len(A) < 2:
         raise DegenerateInput("extraction needs |A| >= 2")
     A.require_nonzero("extraction")
-    cert = _extract_core(A)
+    cert = _extract_core(A, rep_histogram(A, A, "diff"))
     return cert.chosen, cert
 
 
@@ -179,14 +179,25 @@ def extraction_ratio_decimal(source_size: int, cert: ExtractionCertificate):
     )
 
 
+def _argmax_band(h: CountHistogram, k: int):
+    # the replay's own band choice: the t = 2^j whose [t, 2t) holds the
+    # largest sum of r^k, ties to the smaller t; None for no counts
+    mass = Counter()
+    for r, m in Counter(h.counts.values()).items():
+        mass[1 << (r.bit_length() - 1)] += m * r**k
+    return min(mass, key=lambda t: (-mass[t], t), default=None)
+
+
 def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     """Re-derive every certificate claim from the source set.
 
     Returns the list of failed claim names (empty means fully verified).
-    Checks are set equalities against the band definitions, the popularity
-    mass sandwich, the branch rule, the recorded energies, and the chained
-    dyadic inequality 2 q2 |A2| nb1 nb2 > |P| t with nb1, nb2 the actual
-    nonempty band counts of the two popularity histograms.  The chain is
+    Checks are set equalities against the band definitions (P is the whole
+    nonempty level t <= r_{A-A} < 2t), the band choice (t, q1, q2 the
+    argmax bands of k = 3, 1, 1, restated here without `dyadic_band`), the
+    popularity mass sandwich, the branch rule, the recorded energies, and
+    the chained dyadic inequality 2 q2 |A2| nb1 nb2 > |P| t with nb1, nb2
+    the nonempty band counts of the two popularity histograms.  The chain is
     guaranteed: sum over A of r_{P+A} equals the band mass of r_{A-A} on P
     (at least |P| t), the argmax band holds a 1/nb1 share of it, that share
     reappears verbatim as the total of the second histogram, and each
@@ -195,8 +206,7 @@ def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     failures = []
     A = source
     diff = rep_histogram(A, A, "diff")
-    band_ok = all(cert.t <= r < 2 * cert.t for r in diff.counts_on(cert.P))
-    if not (band_ok and len(cert.P) > 0):
+    if not (len(cert.P) and _level(diff, cert.t) == cert.P):
         failures.append("P_band_membership")
     if cert.E3_input != diff.moment(3):
         failures.append("E3_input")
@@ -225,6 +235,9 @@ def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     if cert.Emul_output != energy(cert.chosen, cert.chosen, 2, "multiplicative"):
         failures.append("Emul_output")
 
+    if (cert.t, cert.q1, cert.q2) != (_argmax_band(diff, 3), _argmax_band(h1, 1),
+                                      _argmax_band(h2, 1)):
+        failures.append("band_choice")
     nb1, nb2 = band_count(h1), band_count(h2)
     if not 2 * cert.q2 * n2 * nb1 * nb2 > len(cert.P) * cert.t:
         failures.append("dyadic_chain")
@@ -238,10 +251,11 @@ def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
     First the certificate chain: each certificate is rechecked against the
     remainder its extraction saw, source minus every earlier chosen piece.
     Then the parts.  bw: B disjoint-union C = A ("partition"), C is the
-    union of the chosen pieces ("pieces"), and E_3^+(B) <= |A|^4 / M for the
-    recorded M ("energy_guard").  xy: the cover claims of `_cover_failures`,
-    Y is the union of the chosen pieces ("pieces"), and X is the remainder
-    before the last extraction ("remainder").
+    union of the chosen pieces ("pieces"), the recorded M is "auto" or
+    positive ("M"), and E_3^+(B) <= |A|^4 / M for it ("energy_guard").
+    xy: the cover claims of `_cover_failures`, Y is the union of the chosen
+    pieces ("pieces"), and X is the remainder before the last extraction
+    ("remainder").
     """
     failures = []
     rem = before_last = source
@@ -255,14 +269,17 @@ def recheck_decomposition(source: RatSet, res: DecompositionResult) -> list:
             failures.append("partition")
         if C != pieces:
             failures.append("pieces")
-        if len(B):
+        M = res.meta["M"]
+        m = None if M == "auto" else as_fraction(M)
+        if m is not None and m <= 0:
+            failures.append("M")
+        elif len(B):
             # restated from the theorem rather than taken from the producer's
             # guard, so a broken guard still fails here
-            e3, n, M = energy(B, B, 3, "additive"), len(source), res.meta["M"]
-            if M == "auto":
+            e3, n = energy(B, B, 3, "additive"), len(source)
+            if m is None:
                 ok = e3**11 * n**6 <= n**44  # M = |A|^(6/11)
             else:
-                m = as_fraction(M)
                 ok = e3 * m.numerator <= n**4 * m.denominator
             if not ok:
                 failures.append("energy_guard")
@@ -309,28 +326,18 @@ class DecompositionResult(Record):
         )
 
 
-def _extractions(A: RatSet, more, loop: str):
-    """Extract popular pieces from what is left of A while more(rest) holds.
-
-    Returns (rest, certificates); each piece is its certificate's `chosen`
-    set.  Every extraction removes a nonempty set, so more than |A| of them
-    mean a bug and raise NonTermination.
-    """
-    rest, certs = A, []
-    while more(rest):
-        if len(certs) >= len(A):
-            raise NonTermination(f"{loop} exceeded |A| iterations")
-        cert = _extract_core(rest)
-        certs.append(cert)
-        rest = rest.difference(cert.chosen)
-    return rest, certs
+def _extract_next(certs: list, rest: RatSet, diff: CountHistogram, n: int,
+                  loop: str) -> RatSet:
+    # one more extraction from rest, whose difference tally is diff; each
+    # removes a nonempty set, so more than n = |A| of them mean a bug
+    if len(certs) >= n:
+        raise NonTermination(f"{loop} exceeded |A| iterations")
+    certs.append(_extract_core(rest, diff))
+    return rest.difference(certs[-1].chosen)
 
 
-def _guard_energy_large(B: RatSet, n: int, M) -> bool:
-    # guard: B is nonempty and E_3^+(B) > |A|^4 / M (a Fraction or "auto"), exactly
-    if len(B) == 0:
-        return False
-    e3 = energy(B, B, 3, "additive")
+def _guard_energy_large(e3: int, n: int, M) -> bool:
+    # guard: E_3^+(B) > |A|^4 / M (a Fraction or "auto"), exactly
     if M == "auto":
         # M = |A|^(6/11): compare e3^11 * n^6 > n^44
         return e3**11 * n**6 > n**44
@@ -352,9 +359,11 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
     M = "auto" uses the threshold |A|^(6/11); because that exponent is
     irrational the guard is evaluated as E_3^+(B)^11 |A|^6 > |A|^44, which
     is exactly equivalent in integers.  Any other M is a rational by the
-    rule of `sets._num_den`, compared by cross multiplication.  Iteration
-    count is capped at |A| (each pass removes a nonempty set), with
-    NonTermination signalling a bug.
+    rule of `sets._num_den`, compared by cross multiplication.  One ordered
+    difference tally of each remainder gives its E_3^+ to the guard, its
+    histogram to the extraction and, for B, E_plus_B.  Iteration count is
+    capped at |A| (each pass removes a nonempty set), with NonTermination
+    signalling a bug.
     """
     A.require_nonzero("bw decomposition")
     if M != "auto":
@@ -364,10 +373,14 @@ def bw_decompose(A: RatSet, M: Union[str, Fraction, int] = "auto") -> Decomposit
     # written now, so an M past the digit limit is refused before any extraction
     shown = M if M == "auto" else format_rational(M)
     n = len(A)
-    B, certs = _extractions(A, lambda rest: _guard_energy_large(rest, n, M), "energy split")
+    B, certs = A, []
+    diff = rep_histogram(B, B, "diff")  # one tally per remainder
+    while _guard_energy_large(diff.moment(3), n, M):
+        B = _extract_next(certs, B, diff, n, "energy split")
+        diff = rep_histogram(B, B, "diff")
     pieces = [cert.chosen for cert in certs]
     C = RatSet().union(*pieces)
-    e_plus_b = energy(B, B, 2, "additive") if len(B) else 0
+    e_plus_b = diff.moment(2)
     e_mul_c = _pieces_emul(C, certs)
     # quarter-power recombination across the extracted pieces, which are
     # disjoint and nonempty and whose E_mul each certificate holds
@@ -416,7 +429,10 @@ def xy_decompose(A: RatSet) -> DecompositionResult:
     if len(A) < 2:
         raise DegenerateInput("xy decomposition needs |A| >= 2")
     n = len(A)
-    rest, certs = _extractions(A, lambda rest: 2 * (n - len(rest)) < n, "cover loop")
+    rest, certs = A, []
+    while 2 * (n - len(rest)) < n:
+        diff = rep_histogram(rest, rest, "diff")
+        rest = _extract_next(certs, rest, diff, n, "cover loop")
     X = rest.union(certs[-1].chosen)  # the remainder before the last extraction
     Y = A.difference(rest)
     _raise_first(_cover_failures(A, X, Y))
@@ -584,14 +600,17 @@ def _assert_reg_invariants(A: RatSet, tr: RegTrace) -> None:
 def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
     """Re-verify a regularization trace from scratch; returns failed claims.
 
-    The steps are replayed first.  The trace must end at its first
-    terminating step: steps recorded after it fail as "trailing_steps".
-    Then come the invariants of `_pruning_failures`: the subset chain
-    B'' <= B' <= B <= A, the size chain and the step cap ceil(1/eps).
+    First, k is in [2, 8] and epsilon is the one `regularize` runs with at
+    k and |A| ("epsilon").  Then the steps are replayed at the recorded
+    epsilon; the trace must end at its first terminating step, and steps
+    recorded after it fail as "trailing_steps".  Then come the invariants
+    of `_pruning_failures`: the subset chain B'' <= B' <= B <= A, the size
+    chain and the step cap ceil(1/eps).
     """
-    failures = []
-    cur = A
     eps = tr.epsilon
+    ok = 2 <= as_int(tr.k, "k") <= 8 and len(A) >= 4 and eps == _epsilon(tr.k, len(A))
+    failures = [] if ok else ["epsilon"]
+    cur = A
     for i, st in enumerate(tr.steps):
         if len(cur) != st.size:
             failures.append(f"step{i}_size")

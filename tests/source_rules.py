@@ -7,10 +7,11 @@ once per session, giving each node with its enclosing function, and
 such a walk.  Each rule's test over the files and its self-test on a
 breaking snippet sit in the test module of its guarantee: test_budget
 (BudgetExceeded, the error rule, no `assert`), test_cli (only `cli.main`
-calls `_emit`), test_energy (no package module calls `decide_leq`),
-test_key_format, test_lean_import, test_line_census, test_one_mixer,
-test_rational_rule (one-argument `Fraction` calls), test_sets (`raise_sites`
-finds none in `sets.generate` or a kind's builder), test_unused_imports.
+calls `_emit`), test_decompose (no `recheck_*` calls `dyadic_band`),
+test_energy (no package module calls `decide_leq`), test_key_format,
+test_lean_import, test_line_census, test_one_mixer, test_rational_rule
+(one-argument `Fraction` calls), test_sets (`raise_sites` finds none in
+`sets.generate` or a kind's builder), test_unused_imports.
 """
 
 import ast

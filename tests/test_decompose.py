@@ -38,7 +38,10 @@ from addcomb.errors import (
     InvalidConfig,
     NonTermination,
 )
-from addcomb.sets import GeneratorConfig, RatSet, affine, canonical_json, generate, grid_example
+from addcomb.sets import (
+    GeneratorConfig, RatSet, affine, ap, canonical_json, generate, gp, grid_example,
+)
+from source_rules import call_sites, findings, nodes
 
 nonzero_sets = st.builds(
     RatSet,
@@ -164,11 +167,51 @@ def test_recheck_certificate_names_tampered_branch_energy_and_chain():
         (replace(cert, Emul_output=cert.Emul_output + 1), ["Emul_output"]),
         # the chain bound follows from the band claims, so it fails only
         # beside one of them: t = 10 puts r(0) = 5 below the band, and
-        # |P| t = 10 reaches 2 q2 |A2_pop| = 10 with one band in each level
-        (replace(cert, t=10), ["P_band_membership", "dyadic_chain"]),
+        # |P| t = 10 reaches 2 q2 |A2_pop| = 10 with one band in each level;
+        # the argmax band of r_{A-A} is still t = 4
+        (replace(cert, t=10), ["P_band_membership", "band_choice", "dyadic_chain"]),
     ]
     for tampered, expected in cases:
         assert recheck_certificate(a, tampered) == expected, expected
+
+
+def test_recheck_certificate_needs_the_whole_band(monkeypatch):
+    # an extraction run on its band P less one element derives q1, A1_pop,
+    # q2, A2_pop, branch and Emul_output from the smaller P; only P's
+    # claim to be the whole band fails
+    a = generate(grid_example(5, 5))
+    band = dyadic_band
+
+    def thinned(h, k):
+        b = band(h, k)
+        return replace(b, P=b.P.difference(RatSet([next(iter(b.P))]))) if k == 3 else b
+
+    monkeypatch.setattr(decompose, "dyadic_band", thinned)
+    _, cert = extract_mult_structured(a)
+    monkeypatch.undo()
+    assert len(cert.P) == len(extract_mult_structured(a)[1].P) - 1
+    assert recheck_certificate(a, cert) == ["P_band_membership"]
+
+
+def test_dyadic_band_scanner_finds_every_form_of_the_call():
+    src = (
+        "from . import decompose\n"
+        "def recheck_x(h):\n"
+        "    def inner():\n"
+        "        return dyadic_band(h, 1)\n"
+        "    return decompose.dyadic_band(h, 3), inner\n"
+        "B = dyadic_band(H, 2)\n"
+    )
+    assert call_sites(nodes(src), "dyadic_band") == ["inner", "recheck_x", None]
+
+
+def test_no_recheck_calls_dyadic_band():
+    # the replays restate the band choice, so a broken dyadic_band cannot
+    # pass its own check
+    def replay_calls(walk):
+        return [fn for fn in call_sites(walk, "dyadic_band") if fn.startswith("recheck_")]
+
+    assert findings(replay_calls) == {}
 
 
 def test_extraction_certificate_json_roundtrip():
@@ -203,6 +246,10 @@ def test_bw_explicit_threshold():
     assert aggressive.parts["C"] == a
     with pytest.raises(InvalidConfig):
         bw_decompose(a, M=0)
+    # the replay refuses an M that bw_decompose would, with B empty or not
+    for res in (aggressive, bw_decompose(a, M=Fraction(1, 10**9))):
+        for M in ("0", "-5"):
+            assert recheck_decomposition(a, replace(res, meta={**res.meta, "M": M})) == ["M"]
 
 
 def test_bw_wide_m_is_refused_before_any_extraction(monkeypatch):
@@ -211,9 +258,36 @@ def test_bw_wide_m_is_refused_before_any_extraction(monkeypatch):
     def no_extraction(*_):
         raise AssertionError("an extraction ran")
 
-    monkeypatch.setattr(decompose, "_extractions", no_extraction)
+    monkeypatch.setattr(decompose, "_extract_core", no_extraction)
     with pytest.raises(InvalidConfig, match="more than 4300 digits"):
         bw_decompose(RatSet([1, 2, 3, 4]), 10**5000)
+
+
+@pytest.mark.parametrize("cfg, pieces", [
+    (ap(Fraction(1, 2), Fraction(1, 3), 12), 1),
+    (gp(1, 2, 16), 0),
+])
+def test_bw_tallies_each_remainder_once(monkeypatch, cfg, pieces):
+    # the guard, the extraction and E_plus_B read one difference tally of
+    # each remainder: A, then A less each piece in turn
+    tallied = []
+
+    def counting(real):
+        def tally(S, T, *args):
+            if T is S and ("diff" in args or "additive" in args):
+                tallied.append(S)
+            return real(S, T, *args)
+        return tally
+
+    for name in ("energy", "rep_histogram"):
+        monkeypatch.setattr(decompose, name, counting(getattr(decompose, name)))
+    a = generate(cfg)
+    res = bw_decompose(a)
+    remainders = [a]
+    for cert in res.certificates:
+        remainders.append(remainders[-1].difference(cert.chosen))
+    assert len(res.certificates) == pieces
+    assert tallied == remainders and remainders[-1] == res.parts["B"]
 
 
 def test_xy_small_pair():
@@ -290,7 +364,7 @@ def test_extraction_chain_stops_after_size_of_a(monkeypatch, run, message):
                                   branch="ordinates", E3_input=0, Emul_output=0)
     calls = []
     monkeypatch.setattr(decompose, "_extract_core",
-                        lambda rest: calls.append(rest) or stuck)
+                        lambda rest, diff: calls.append(rest) or stuck)
     a = RatSet(range(1, 9))
     with pytest.raises(NonTermination) as exc:
         run(a)
@@ -401,7 +475,7 @@ def test_recheck_reg_trace_names_each_tampered_claim():
         # one step keeps all of A, so |B| = |B''| < |A| breaks the size chain
         (replace(tr, B=tr.B_dprime, B_prime=tr.B_dprime), ["final_sets", "size_chain"]),
         # ceil(1/eps) = -1 is below the one recorded step
-        (replace(tr, epsilon=Fraction(-1)), ["step_cap"]),
+        (replace(tr, epsilon=Fraction(-1)), ["epsilon", "step_cap"]),
         (replace(tr, B_prime=tr.B_dprime), ["final_sets"]),
         (replace(tr, B_dprime=tr.B_dprime.difference(RatSet([some]))), ["core_set"]),
         (replace(tr, B_dprime=tr.B_prime), ["core_set", "core_sandwich"]),
@@ -417,12 +491,9 @@ def test_recheck_reg_trace_names_each_tampered_claim():
         assert recheck_reg_trace(a, tampered) == expected, expected
 
 
-def test_recheck_reg_trace_replays_a_shrinking_step():
-    # regularize cannot shrink below |A| = 1146, so this trace is built
-    # from _reg_step at eps = 1: GridExample(4, 4) keeps 6 of 16, then
-    # stops.  The replay walks both steps, and the one claim that fails is
-    # the cap ceil(1/eps) = 1
-    a, k, eps = generate(grid_example(4, 4)), 2, Fraction(1)
+def _trace_at(a, k, eps):
+    # the trace of the regularization loop on a run step by step with
+    # _reg_step at the given eps, which regularize would not pick
     steps, cur = [], a
     while True:
         t, P, g_size, deg, kept_set, g_kept, stop = decompose._reg_step(cur, k, eps)
@@ -430,12 +501,36 @@ def test_recheck_reg_trace_replays_a_shrinking_step():
         if stop:
             break
         cur = kept_set
-    tr = RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=kept_set,
-                  B_dprime=decompose._two_sided_core(kept_set, deg, k, len(cur), g_size),
-                  final_t=t, final_P=P)
+    return RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=kept_set,
+                    B_dprime=decompose._two_sided_core(kept_set, deg, k, len(cur), g_size),
+                    final_t=t, final_P=P)
+
+
+def test_recheck_reg_trace_replays_a_shrinking_step():
+    # regularize cannot shrink below |A| = 1146, so this trace is built
+    # from _reg_step at eps = 1: GridExample(4, 4) keeps 6 of 16, then
+    # stops.  The replay walks both steps, and the claims that fail are
+    # the eps of k = 2 and |A| = 16 and the cap ceil(1/eps) = 1
+    a = generate(grid_example(4, 4))
+    tr = _trace_at(a, 2, Fraction(1))
     assert [st.size for st in tr.steps] == [16, 6]
-    assert recheck_reg_trace(a, tr) == ["step_cap"]
-    assert recheck_reg_trace(a, _tamper_step(tr, kept=True)) == ["step0_stop_flag", "step_cap"]
+    assert recheck_reg_trace(a, tr) == ["epsilon", "step_cap"]
+    assert recheck_reg_trace(a, _tamper_step(tr, kept=True)) == [
+        "epsilon", "step0_stop_flag", "step_cap"]
+
+
+def test_recheck_reg_trace_refuses_an_epsilon_regularize_would_not_pick():
+    # at eps = 9/10 the core of AP(1, 1, 32) keeps 22 elements, not 32;
+    # every other claim replays at the recorded eps and holds
+    a = RatSet(range(1, 33))
+    tr = _trace_at(a, 2, Fraction(9, 10))
+    assert len(tr.B_dprime) == 22 and len(regularize(a, 2).B_dprime) == 32
+    assert recheck_reg_trace(a, tr) == ["epsilon"]
+    # k = 9 is past the range regularize takes; a k that is not an int is
+    # refused, not compared
+    assert recheck_reg_trace(a, replace(tr, k=9)) == ["epsilon"]
+    with pytest.raises(InvalidConfig, match="k must be an int"):
+        recheck_reg_trace(a, replace(tr, k="2"))
 
 
 def test_reg_invariants_raise_under_python_O():
@@ -483,12 +578,12 @@ def test_recheck_decomposition_names_tampered_chain():
         # without the first piece the second is replayed against all of A,
         # and Y and X no longer match the chain
         (replace(res, certificates=(c1,)),
-         ["E3_input", "A1_band_definition", "pieces", "remainder"]),
+         ["E3_input", "A1_band_definition", "band_choice", "pieces", "remainder"]),
         # a repeated piece is no longer inside the remainder
         (replace(res, certificates=(c0, c0)),
          ["P_band_membership", "E3_input", "A1_band_definition",
           "A1_mass_sandwich", "A2_band_definition", "A2_mass_sandwich",
-          "chosen_subset", "pieces"]),
+          "chosen_subset", "band_choice", "pieces"]),
         # Y without one of its pieces: the first is in no other part, the
         # second alone leaves Y short of half of A
         (replace(res, parts={"X": X, "Y": c1.chosen}), ["cover", "pieces"]),
