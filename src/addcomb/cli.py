@@ -17,9 +17,9 @@ import sys
 from dataclasses import fields
 
 from .core import DEFAULT_BUDGET
-from .errors import AddcombError
+from .errors import AddcombError, InvalidConfig
 from .sets import (_KINDS, INT_FIELDS, GeneratorConfig, canonical_json, generate, jsonable,
-                   read_corpus_file, read_set_file, write_set_file)
+                   parse_int, read_corpus_file, read_set_file, write_set_file)
 
 SCHEMA = "addcomb-report/1"
 
@@ -155,6 +155,14 @@ def _cmd_report(args) -> tuple[dict, int]:
     return rep, 0
 
 
+def _int_flag(text: str) -> int:
+    # an int flag reads by `parse_int`; argparse refuses the rest, exit 2
+    try:
+        return parse_int(text)
+    except InvalidConfig as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="spctl",
@@ -171,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "with the text lines on stderr)")
         # only the commands that charge their work take a budget
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            p.add_argument("--budget", type=_int_flag, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("gen", help="generate a set and write a set file")
     p.add_argument("--kind", required=True, choices=list(_KINDS))
     # one flag per config field, typed as the config reads it
     for f in fields(GeneratorConfig):
         if f.name != "kind":
-            p.add_argument(f"--{f.name}", type=int if f.name in INT_FIELDS else None,
+            p.add_argument(f"--{f.name}", type=_int_flag if f.name in INT_FIELDS else None,
                            help="comma-separated rationals (Literal)"
                            if f.name == "values" else None)
     p.add_argument("--out", metavar="FILE", help="set file to write")
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="E_k of one or two sets")
     common(p)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_flag, default=2)
     p.add_argument("--flavor", choices=["additive", "multiplicative"],
                    default="additive")
     p.set_defaults(func=_cmd_energy)
@@ -198,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratios", help="popular ratio profile r(z), R(Z)")
     common(p, budget=True)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_int_flag, default=None,
                    help="how many popular ratios (default |A1|^2)")
     p.set_defaults(func=_cmd_ratios)
 
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, budget=True)
     p.add_argument("--arrangement", metavar="FILE",
                    help="arrangement JSON (points + lines)")
-    p.add_argument("--p", type=int, default=2, help="moment exponent (1..3)")
+    p.add_argument("--p", type=_int_flag, default=2, help="moment exponent (1..3)")
     p.add_argument("--family", choices=["triple", "pairs"], default="triple")
     p.set_defaults(func=_cmd_incidence)
 
@@ -220,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize", help="iterative popular-difference pruning")
     common(p)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_int_flag, default=3)
     p.set_defaults(func=_cmd_regularize)
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p, sets=False, budget=True)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_flag, default=0,
                    help="recorded in the report's environment block; the suites pin their own")
     # run_suite is the one check of a suite name
     p.add_argument("--suite", default="all", help="a suite to run, or 'all' (the default)")

@@ -6,6 +6,14 @@ Control flow never depends on floating point: irrational thresholds are
 replaced by exact rational surrogates chosen on the sound side (documented
 per routine), and every certificate or trace stores enough to re-verify
 all band memberships from scratch.
+
+The replays share no step code with the producers, only the tally
+`rep_histogram`, `energy`, epsilon, the step cap and the claim tables
+`_cover_failures` and `_pruning_failures`.  They pick each band by their
+own argmax (`_argmax_band`).  `recheck_certificate` tests levels by its
+own rule (`_is_level`) and E_mul by its product form.  `recheck_reg_trace`
+builds each step's level and |G| itself, counts degrees as r_{cur-P}
+where the producer counts r_{P+cur}, and restates the keep and core rules.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Optional, Union
 
-from .energy import CountHistogram, energy, l4_verdict, rep_histogram
+from .energy import (CountHistogram, energy, energy_mul_product_form, l4_verdict,
+                     rep_histogram)
 from .errors import (
     DegenerateInput,
     EmptyCandidateList,
@@ -74,12 +83,8 @@ def dyadic_band(h: CountHistogram, k: int) -> DyadicBand:
     if best * ((max(multiplicity) - 1).bit_length() + 1) < sum(masses.values()):
         raise PostconditionFailed("dyadic pigeonhole bound violated")
     t = 1 << best_j
-    return DyadicBand(t=t, P=_level(h, t), mass=best)
-
-
-def _level(h: CountHistogram, q: int) -> RatSet:
-    # the values x with q <= r(x) < 2q
-    return h.key_set(key for key, r in h.counts.items() if q <= r < 2 * q)
+    P = h.key_set(key for key, r in h.counts.items() if t <= r < 2 * t)
+    return DyadicBand(t=t, P=P, mass=best)
 
 
 def band_count(h: CountHistogram) -> int:
@@ -188,51 +193,55 @@ def _argmax_band(h: CountHistogram, k: int):
     return min(mass, key=lambda t: (-mass[t], t), default=None)
 
 
+def _is_level(h: CountHistogram, t: int, on_S: list) -> bool:
+    # the replays' own level rule: S = {x : t <= r(x) < 2t} iff its counts
+    # on_S = h.counts_on(S), and as many counts of h, lie in [t, 2t)
+    return (all(t <= r < 2 * t for r in on_S)
+            and sum(t <= r < 2 * t for r in h.counts.values()) == len(on_S))
+
+
 def recheck_certificate(source: RatSet, cert: ExtractionCertificate) -> list:
     """Re-derive every certificate claim from the source set.
 
     Returns the list of failed claim names (empty means fully verified).
-    Checks are set equalities against the band definitions (P is the whole
+    Checks are the band definitions by `_is_level` (P is the whole
     nonempty level t <= r_{A-A} < 2t), the band choice (t, q1, q2 the
-    argmax bands of k = 3, 1, 1, restated here without `dyadic_band`), the
-    popularity mass sandwich, the branch rule, the recorded energies, and
-    the chained dyadic inequality 2 q2 |A2| nb1 nb2 > |P| t with nb1, nb2
-    the nonempty band counts of the two popularity histograms.  The chain is
-    guaranteed: sum over A of r_{P+A} equals the band mass of r_{A-A} on P
-    (at least |P| t), the argmax band holds a 1/nb1 share of it, that share
-    reappears verbatim as the total of the second histogram, and each
-    popular set bounds its band mass by 2 q |pop|.
+    argmax bands of k = 3, 1, 1, by `_argmax_band`), the popularity mass
+    sandwich, the branch rule, the recorded energies (E_mul by its product
+    form), and the chained dyadic inequality 2 q2 |A2| nb1 nb2 > |P| t with
+    nb1, nb2 the nonempty band counts of the two popularity histograms.  The
+    chain is guaranteed: sum over A of r_{P+A} equals the band mass of
+    r_{A-A} on P (at least |P| t), the argmax band holds a 1/nb1 share of
+    it, that share reappears verbatim as the total of the second histogram,
+    and each popular set bounds its band mass by 2 q |pop|.
     """
     failures = []
     A = source
     diff = rep_histogram(A, A, "diff")
-    if not (len(cert.P) and _level(diff, cert.t) == cert.P):
+    if not (len(cert.P) and _is_level(diff, cert.t, diff.counts_on(cert.P))):
         failures.append("P_band_membership")
     if cert.E3_input != diff.moment(3):
         failures.append("E3_input")
 
     h1 = rep_histogram(cert.P, A, "sum").restrict(A)
-    if _level(h1, cert.q1) != cert.A1_pop:
+    on1, n1 = h1.counts_on(cert.A1_pop), len(cert.A1_pop)
+    if not _is_level(h1, cert.q1, on1):
         failures.append("A1_band_definition")
-    mass1 = sum(h1.counts_on(cert.A1_pop))
-    n1 = len(cert.A1_pop)
-    if not (cert.q1 * n1 <= mass1 < 2 * cert.q1 * n1):
+    if not (cert.q1 * n1 <= sum(on1) < 2 * cert.q1 * n1):
         failures.append("A1_mass_sandwich")
 
     h2 = rep_histogram(cert.A1_pop, cert.P, "diff").restrict(A)
-    if _level(h2, cert.q2) != cert.A2_pop:
+    on2, n2 = h2.counts_on(cert.A2_pop), len(cert.A2_pop)
+    if not _is_level(h2, cert.q2, on2):
         failures.append("A2_band_definition")
-    n2 = len(cert.A2_pop)
-    mass2 = sum(h2.counts_on(cert.A2_pop))
-    if not (cert.q2 * n2 <= mass2 < 2 * cert.q2 * n2):
+    if not (cert.q2 * n2 <= sum(on2) < 2 * cert.q2 * n2):
         failures.append("A2_mass_sandwich")
 
-    expected_branch = "ordinates" if cert.q2 <= n2 else "abscissae"
-    if cert.branch != expected_branch:
+    if cert.branch != ("ordinates" if cert.q2 <= n2 else "abscissae"):
         failures.append("branch_rule")
     if not cert.chosen.is_subset(A) or len(cert.chosen) < 1:
         failures.append("chosen_subset")
-    if cert.Emul_output != energy(cert.chosen, cert.chosen, 2, "multiplicative"):
+    if cert.Emul_output != energy_mul_product_form(cert.chosen, cert.chosen):
         failures.append("Emul_output")
 
     if (cert.t, cert.q1, cert.q2) != (_argmax_band(diff, 3), _argmax_band(h1, 1),
@@ -499,35 +508,6 @@ def _epsilon(k: int, n: int) -> Fraction:
     return l2lo / (k * 2 ** (k + 1) * lghi)
 
 
-def _reg_step(cur: RatSet, k: int, eps: Fraction):
-    """One pass of the regularization loop on the working set cur.
-
-    Bands the k-th difference moment and keeps a iff its band degree
-    deg(a) = #{b in cur : a - b in P} is at most |G| / (eps |cur|).
-    Returns (t, P, g_size, deg, kept_set, g_kept, stop), with deg the
-    degree histogram on cur: regularize runs it, recheck_reg_trace
-    replays it.
-    """
-    diff = rep_histogram(cur, cur, "diff")
-    band = dyadic_band(diff, k)
-    t, P = band.t, band.P
-    g_size = sum(diff.counts_on(P))
-    deg = rep_histogram(P, cur, "sum").restrict(cur)
-    degs = deg.counts_on(cur)
-    # keep a iff deg(a) <= |G| / (eps |cur|), cross-multiplied
-    na = len(cur)
-    keep = [d * eps.numerator * na <= g_size * eps.denominator for d in degs]
-    kept_set = cur.select(keep)
-    g_kept = sum(compress(degs, keep))
-    return t, P, g_size, deg, kept_set, g_kept, g_kept * 2**k >= g_size
-
-
-def _two_sided_core(kept_set: RatSet, deg: CountHistogram, k: int, n: int,
-                    g_size: int) -> RatSet:
-    # deg(x) >= |G| / (2^(k+1) |B|), cross-multiplied
-    return kept_set.select(d * 2 ** (k + 1) * n >= g_size for d in deg.counts_on(kept_set))
-
-
 def regularize(A: RatSet, k: int) -> RegTrace:
     """Shrink A to a set B whose popular-difference graph is regular enough,
     then carve the two-sided-degree core B'' out of B' subset of B.
@@ -549,25 +529,27 @@ def regularize(A: RatSet, k: int) -> RegTrace:
     if len(A) < 4:
         raise DegenerateInput("regularize needs |A| >= 4")
     eps = _epsilon(k, len(A))
-    cap = _step_cap(eps)
-    steps = []
-    cur = A
+    steps, cur = [], A
     while True:
-        if len(steps) >= cap:
+        if len(steps) >= _step_cap(eps):
             raise IterationOverflow("regularization exceeded ceil(1/epsilon) steps")
-        t, P, g_size, deg, kept_set, g_kept, stop = _reg_step(cur, k, eps)
-        steps.append(RegStep(size=len(cur), t=t, p_size=len(P), g_size=g_size,
-                             g_kept=g_kept, kept=stop))
+        diff = rep_histogram(cur, cur, "diff")
+        band = dyadic_band(diff, k)
+        g_size = sum(diff.counts_on(band.P))
+        degs = rep_histogram(band.P, cur, "sum").counts_on(cur)
+        # keep a iff deg(a) <= |G| / (eps |cur|), cross-multiplied
+        keep = [d * eps.numerator * len(cur) <= g_size * eps.denominator for d in degs]
+        g_kept = sum(compress(degs, keep))
+        stop = g_kept * 2**k >= g_size
+        steps.append(RegStep(len(cur), band.t, len(band.P), g_size, g_kept, stop))
         if stop:
             break
-        cur = kept_set
-    trace = RegTrace(
-        k=k, epsilon=eps, steps=tuple(steps),
-        B=cur, B_prime=kept_set,
-        B_dprime=_two_sided_core(kept_set, deg, k, len(cur), g_size),
-        final_t=t, final_P=P,
-    )
-    _assert_reg_invariants(A, trace)
+        cur = cur.select(keep)
+    # B'': the kept a with deg(a) >= |G| / (2^(k+1) |B|), cross-multiplied
+    core = [kept and d * 2 ** (k + 1) * len(cur) >= g_size for kept, d in zip(keep, degs)]
+    trace = RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=cur.select(keep),
+                     B_dprime=cur.select(core), final_t=band.t, final_P=band.P)
+    _raise_first(_pruning_failures(A, trace))
     return trace
 
 
@@ -593,29 +575,37 @@ def _pruning_failures(A: RatSet, tr: RegTrace) -> list:
     return [(name, msg) for name, ok, msg in claims if not ok]
 
 
-def _assert_reg_invariants(A: RatSet, tr: RegTrace) -> None:
-    _raise_first(_pruning_failures(A, tr))
-
-
 def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
     """Re-verify a regularization trace from scratch; returns failed claims.
 
     First, k is in [2, 8] and epsilon is the one `regularize` runs with at
     k and |A| ("epsilon").  Then the steps are replayed at the recorded
-    epsilon; the trace must end at its first terminating step, and steps
-    recorded after it fail as "trailing_steps".  Then come the invariants
-    of `_pruning_failures`: the subset chain B'' <= B' <= B <= A, the size
-    chain and the step cap ceil(1/eps).
+    epsilon on a route of their own: t by `_argmax_band`, P and |G| read
+    off the tally here, deg(a) as r_{cur-P}(a), which is the producer's
+    r_{P+cur}(a) as P = -P, and the keep and core rules restated.  The trace
+    must end at its first terminating step; steps recorded after it fail as
+    "trailing_steps".  Then come the invariants of `_pruning_failures`: the
+    subset chain B'' <= B' <= B <= A, the size chain and the step cap
+    ceil(1/eps).
     """
-    eps = tr.epsilon
-    ok = 2 <= as_int(tr.k, "k") <= 8 and len(A) >= 4 and eps == _epsilon(tr.k, len(A))
+    eps, k = tr.epsilon, tr.k
+    ok = 2 <= as_int(k, "k") <= 8 and len(A) >= 4 and eps == _epsilon(k, len(A))
     failures = [] if ok else ["epsilon"]
     cur = A
     for i, st in enumerate(tr.steps):
-        if len(cur) != st.size:
+        n = len(cur)
+        if n != st.size:
             failures.append(f"step{i}_size")
             break
-        t, P, g_size, deg, kept_set, g_kept, stop = _reg_step(cur, tr.k, eps)
+        diff = rep_histogram(cur, cur, "diff")
+        t = _argmax_band(diff, k)
+        level = {key: r for key, r in diff.counts.items() if t <= r < 2 * t}
+        P, g_size = diff.key_set(level), sum(level.values())
+        degs = rep_histogram(cur, P, "diff").counts_on(cur)
+        # deg(a) <= |G| / (eps |cur|) keeps a
+        high = [d * eps.numerator * n <= g_size * eps.denominator for d in degs]
+        g_kept = sum(d for d, h in zip(degs, high) if h)
+        stop = g_kept * 2**k >= g_size
         claims = (
             ("band", t == st.t and len(P) == st.p_size),
             ("gsize", g_size == st.g_size),
@@ -626,25 +616,24 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
         if wrong:
             failures.append(f"step{i}_{wrong[0]}")
             break
+        kept = cur.select(high)
         if stop:
-            if cur != tr.B or kept_set != tr.B_prime:
+            if cur != tr.B or kept != tr.B_prime:
                 failures.append("final_sets")
             if t != tr.final_t or P != tr.final_P:
                 failures.append("final_band")
-            if _two_sided_core(kept_set, deg, tr.k, len(cur), g_size) != tr.B_dprime:
+            # the core also asks deg(a) >= |G| / (2^(k+1) |cur|)
+            core = cur.select(h and d * 2 ** (k + 1) * n >= g_size for d, h in zip(degs, high))
+            if core != tr.B_dprime:
                 failures.append("core_set")
-            # element-wise two-sided degree sandwich on the core
-            for d in deg.counts_on(tr.B_dprime):  # 0 off cur: fails lo_ok
-                lo_ok = d * 2 ** (tr.k + 1) * len(cur) >= g_size
-                hi_ok = d * eps.numerator * len(cur) <= g_size * eps.denominator
-                if not (lo_ok and hi_ok):
-                    failures.append("core_sandwich")
-                    break
+            # the two-sided degree sandwich holds on every element of B''
+            if not tr.B_dprime.is_subset(core):
+                failures.append("core_sandwich")
             if i != len(tr.steps) - 1:
                 # nothing may be recorded after the terminating step
                 failures.append("trailing_steps")
             break
-        cur = kept_set
+        cur = kept
     else:
         failures.append("no_terminating_step")
     return failures + [name for name, _ in _pruning_failures(A, tr)]

@@ -39,16 +39,13 @@ from ._kernels_py import _canonical_span, _spanned_lines
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, point
 from .errors import InvalidConfig, PostconditionFailed
 from .intervals import power_sum_decimal
-from .sets import (RatSet, Record, _format_ints, _shown, as_fraction, as_int, canonical_json,
-                   format_rational, integerize, read_json_file)
+from .sets import (RatSet, Record, _format_ints, as_int, canonical_json, format_rational,
+                   integerize, parse_int, read_json_file)
 
 
 def _coefficient(v) -> int:
-    # a line coefficient: the integer half of the rational rule of
-    # `sets._num_den`, an int that is not a bool or the text of one
-    if type(v) is int or isinstance(v, str) and "/" not in v:
-        return int(as_fraction(v, "line coefficient: "))
-    raise InvalidConfig(f"line coefficient must be an int or an integer string, got {_shown(v)}")
+    # a line coefficient: an int that is not a bool, or text `parse_int` reads
+    return v if type(v) is int else parse_int(v, "line coefficient: ")
 
 
 @dataclass(frozen=True)
@@ -142,16 +139,10 @@ def st_bound_check(arr: Arrangement) -> STReport:
     count = incidences(arr)
     np_, nl = len(arr.points), len(arr.lines)
     ok = st_bound_holds(count, np_, nl)
-    if np_ and nl:
-        # write 4 (PL)^(2/3) as (64 P^2 L^2)^(1/3) so every base is an integer
-        lo, hi = power_sum_decimal(
-            [
-                [(64 * np_ * np_ * nl * nl, Fraction(1, 3))],
-                [(4 * np_ + nl, Fraction(1))],
-            ]
-        )
-    else:
-        lo, hi = power_sum_decimal([[(4 * np_ + nl, Fraction(1))]])
+    # write 4 (PL)^(2/3) as (64 P^2 L^2)^(1/3) so every base is an integer;
+    # with no points or no lines that term is 0
+    lo, hi = power_sum_decimal([[(64 * np_ * np_ * nl * nl, Fraction(1, 3))],
+                                [(4 * np_ + nl, Fraction(1))]])
     return STReport(count=count, n_points=np_, n_lines=nl, bound_lo=lo, bound_hi=hi, ok=ok)
 
 

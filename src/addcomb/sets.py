@@ -524,6 +524,14 @@ def parse_rational(text: str) -> Fraction:
     raise InvalidConfig(f"not a rational: {text!r}")
 
 
+def parse_int(text: str, what: str = "") -> int:
+    """The int in text "p", the integer half of `parse_rational`'s grammar;
+    anything else raises InvalidConfig, its message led by `what`."""
+    if isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text):
+        return as_fraction(text, what).numerator  # refuses only past the digit limit
+    raise InvalidConfig(f"{what}not an integer: {_shown(text)}")
+
+
 def write_set_file(path, a: RatSet, header: str | None = None):
     lines = [f"# {h}" for h in (header or "").splitlines()]
     lines.extend(_format_ints(a.ints, a.scale))  # before the file is opened

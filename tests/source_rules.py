@@ -7,8 +7,9 @@ once per session, giving each node with its enclosing function, and
 such a walk.  Each rule's test over the files and its self-test on a
 breaking snippet sit in the test module of its guarantee: test_budget
 (BudgetExceeded, the error rule, no `assert`), test_cli (only `cli.main`
-calls `_emit`), test_decompose (no `recheck_*` calls `dyadic_band`),
-test_energy (no package module calls `decide_leq`), test_key_format,
+calls `_emit`), test_decompose (no `recheck_*` calls a producer step:
+`dyadic_band`, `_level`, `_reg_step` or `_two_sided_core`), test_energy
+(no package module calls `decide_leq`), test_key_format,
 test_lean_import, test_line_census, test_one_mixer, test_rational_rule
 (one-argument `Fraction` calls), test_sets (`raise_sites` finds none in
 `sets.generate` or a kind's builder), test_unused_imports.
@@ -65,9 +66,10 @@ def _in_order(found) -> list:
 ADDCOMB_ERRORS = {name for name, obj in vars(errors).items()
                   if isinstance(obj, type) and issubclass(obj, errors.AddcombError)}
 # (module, exception, enclosing function) of the raises that a Python
-# protocol requires to be that builtin exception
+# protocol requires to be that exception
 PROTOCOL_RAISES = {
     ("__init__.py", "AttributeError", "__getattr__"),  # PEP 562 module __getattr__
+    ("cli.py", "ArgumentTypeError", "_int_flag"),  # an argparse type= refusal
     ("energy.py", "KeyError", "__getitem__"),  # _Entries is a Mapping
     ("sets.py", "AttributeError", "__setattr__"),  # RatSet is immutable
 }

@@ -30,7 +30,7 @@ from addcomb.decompose import (
     regularize,
     xy_decompose,
 )
-from addcomb.energy import CountHistogram, energy
+from addcomb.energy import CountHistogram, energy, rep_histogram
 from addcomb.errors import (
     DegenerateInput,
     EmptyCandidateList,
@@ -205,11 +205,13 @@ def test_dyadic_band_scanner_finds_every_form_of_the_call():
     assert call_sites(nodes(src), "dyadic_band") == ["inner", "recheck_x", None]
 
 
-def test_no_recheck_calls_dyadic_band():
-    # the replays restate the band choice, so a broken dyadic_band cannot
-    # pass its own check
+@pytest.mark.parametrize("step", ["dyadic_band", "_level", "_reg_step", "_two_sided_core"])
+def test_no_recheck_calls_a_producer_step(step):
+    # the replays restate the band choice, the level sets and the
+    # regularization step, so a broken producer step cannot pass its own
+    # check
     def replay_calls(walk):
-        return [fn for fn in call_sites(walk, "dyadic_band") if fn.startswith("recheck_")]
+        return [fn for fn in call_sites(walk, step) if fn.startswith("recheck_")]
 
     assert findings(replay_calls) == {}
 
@@ -492,23 +494,29 @@ def test_recheck_reg_trace_names_each_tampered_claim():
 
 
 def _trace_at(a, k, eps):
-    # the trace of the regularization loop on a run step by step with
-    # _reg_step at the given eps, which regularize would not pick
+    # the trace of the regularization loop on a at the given eps, which
+    # regularize would not pick, each step built here
     steps, cur = [], a
     while True:
-        t, P, g_size, deg, kept_set, g_kept, stop = decompose._reg_step(cur, k, eps)
-        steps.append(RegStep(len(cur), t, len(P), g_size, g_kept, stop))
-        if stop:
+        diff = rep_histogram(cur, cur, "diff")
+        band = dyadic_band(diff, k)
+        g_size = sum(diff.counts_on(band.P))
+        degs = rep_histogram(band.P, cur, "sum").counts_on(cur)
+        keep = [d * eps.numerator * len(cur) <= g_size * eps.denominator for d in degs]
+        g_kept = sum(d for d, kept in zip(degs, keep) if kept)
+        steps.append(RegStep(len(cur), band.t, len(band.P), g_size, g_kept,
+                             g_kept * 2**k >= g_size))
+        if steps[-1].kept:
             break
-        cur = kept_set
-    return RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=kept_set,
-                    B_dprime=decompose._two_sided_core(kept_set, deg, k, len(cur), g_size),
-                    final_t=t, final_P=P)
+        cur = cur.select(keep)
+    core = [kept and d * 2 ** (k + 1) * len(cur) >= g_size for kept, d in zip(keep, degs)]
+    return RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=cur.select(keep),
+                    B_dprime=cur.select(core), final_t=band.t, final_P=band.P)
 
 
 def test_recheck_reg_trace_replays_a_shrinking_step():
     # regularize cannot shrink below |A| = 1146, so this trace is built
-    # from _reg_step at eps = 1: GridExample(4, 4) keeps 6 of 16, then
+    # step by step at eps = 1: GridExample(4, 4) keeps 6 of 16, then
     # stops.  The replay walks both steps, and the claims that fail are
     # the eps of k = 2 and |A| = 16 and the cap ceil(1/eps) = 1
     a = generate(grid_example(4, 4))
@@ -538,16 +546,16 @@ def test_reg_invariants_raise_under_python_O():
     code = f"""
 import sys
 from dataclasses import replace
-from addcomb.decompose import _assert_reg_invariants, regularize
+from addcomb.decompose import _pruning_failures, _raise_first, regularize
 from addcomb.errors import PostconditionFailed
 from addcomb.sets import RatSet
 if __debug__:
     sys.exit("not running under -O")
 a = RatSet({[int(v) for v in _REG_SET]})
 tr = regularize(a, 2)
-_assert_reg_invariants(a, tr)
+_raise_first(_pruning_failures(a, tr))
 try:
-    _assert_reg_invariants(a, replace(tr, B=tr.B.union(RatSet([7]))))
+    _raise_first(_pruning_failures(a, replace(tr, B=tr.B.union(RatSet([7])))))
 except PostconditionFailed as exc:
     print(exc)
 """

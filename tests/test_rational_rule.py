@@ -8,7 +8,9 @@ spaces around each item, and JSON strings are read exactly as given.
 
 An int parameter, such as a moment's k or p or a count, is an int
 that is not a bool, by `sets.as_int`; anything else raises InvalidConfig
-naming the parameter.
+naming the parameter.  An int flag of `spctl` is text of the integer half
+of the grammar, "-?[0-9]+", read by `sets.parse_int`; argparse refuses
+anything else with exit status 2.
 
 `accepted` restates the rule with a pattern and `Fraction` of its own, and
 each reader below is fed arbitrary values and held to it: it refuses with
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addcomb.cli import main
+from addcomb.cli import build_parser, main
 from addcomb.core import PlanePoint, canonical_line, point
 from addcomb.decompose import bw_decompose, dyadic_band, regularize
 from addcomb.energy import energy, rep_histogram
@@ -221,12 +223,21 @@ def spctl(argv) -> tuple:
     return code, err.getvalue()
 
 
+# each int flag of spctl: the command's arguments, then the flag's name
+INT_FLAGS = [("gen", "--kind", "AP", field) for field in INT_FIELDS] + [
+    ("energy", "k"), ("regularize", "k"), ("incidence", "p"), ("ratios", "count"),
+    ("triples", "budget"), ("verify", "seed")]
+
+
 @settings(max_examples=40, deadline=None)
 @given(TEXT)
 @example("auto")
 @example("3/2")
 @example(" 1, -1/2 ,3")
 @example("1,,2")
+@example("\u0661\u0662")
+@example(" 1_2 ")
+@example("-0012")
 def test_flags_follow_the_rule_or_print_one_error_line(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("flags") / "a.txt"
     path.write_text("1\n2\n3\n")
@@ -246,6 +257,20 @@ def test_flags_follow_the_rule_or_print_one_error_line(tmp_path_factory, text):
         else:
             assert code == 1, argv
             assert err.startswith("error: ") and err.count("\n") == 1, err
+    # an int flag reads the integer half of the rule; argparse refuses the
+    # rest with exit status 2, as it refuses --n abc
+    for argv in INT_FLAGS:
+        flag = argv[-1]
+        argv = [*argv[:-1], f"--{flag}={text}"]
+        if q is not None and "/" not in text:
+            assert getattr(build_parser().parse_args(argv), flag) == q, argv
+        else:
+            err = io.StringIO()
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert f"error: argument --{flag}: " in err.getvalue(), err.getvalue()
+
 
 
 def test_set_file_and_values_trim_only_ascii_space(tmp_path):

@@ -7,6 +7,8 @@ must catch it, and names the replay claim that does.
 
 from collections import Counter
 
+import pytest
+
 from addcomb import decompose, harness
 
 
@@ -18,12 +20,35 @@ def _reanchored_band(h, k):
         masses[r.bit_length() - 1] += m * r**k
     bands = (max(h.counts.values()) - 1).bit_length() + 1
     j = max(j for j, mass in masses.items() if mass * bands >= sum(masses.values()))
-    return decompose.DyadicBand(t=1 << j, P=decompose._level(h, 1 << j), mass=masses[j])
+    t = 1 << j
+    P = h.key_set(key for key, r in h.counts.items() if t <= r < 2 * t)
+    return decompose.DyadicBand(t=t, P=P, mass=masses[j])
 
 
-def test_decomposition_suite_catches_a_band_that_is_not_the_argmax(monkeypatch):
-    monkeypatch.setattr(decompose, "dyadic_band", _reanchored_band)
-    res = harness.run_suite("decomposition")
+_energy = decompose.energy
+
+
+def _emul_plus_one(A, B=None, k=2, flavor="additive"):
+    # the mutant: every multiplicative energy one too large
+    return _energy(A, B, k, flavor) + (flavor == "multiplicative")
+
+
+# (attribute of decompose, its mutant, the suite that must catch it, the
+# replay claim that does)
+MUTANTS = {
+    "band_not_argmax_decomposition": ("dyadic_band", _reanchored_band, "decomposition",
+                                      "band_choice"),
+    "band_not_argmax_regularization": ("dyadic_band", _reanchored_band, "regularization",
+                                       "step0_band"),
+    "emul_plus_one": ("energy", _emul_plus_one, "decomposition", "Emul_output"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_the_replaying_suite_catches_the_mutant(monkeypatch, name):
+    attr, mutant, suite, claim = MUTANTS[name]
+    monkeypatch.setattr(decompose, attr, mutant)
+    res = harness.run_suite(suite)
     failed = [c for c in res.checks if c.kind == "EXACT" and c.status == "fail"]
     assert not res.ok
-    assert any("band_choice" in c.details for c in failed), failed
+    assert any(claim in c.details for c in failed), failed
