@@ -100,6 +100,8 @@ def cells() -> list:
     for n in WIDE_SIZES:
         out.append((f"popular_ratios GP(1,1/10^6,{n})",
                     f"gp(1, Fraction(1, 10**6), {n})", "ratios.popular_ratios(A, A)"))
+    # a regularize band that leaves the zero difference: t = 512, |P| = 1024
+    out.append(("regularize(k=2) AP(1,1,1200)", "ap(1, 1, 1200)", "decompose.regularize(A, 2)"))
     return out
 
 

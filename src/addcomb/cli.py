@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="energy guard threshold (rational or 'auto')")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("regularize", help="iterative popular-difference pruning")
+    p = sub.add_parser("regularize", help="one-step popular-difference pruning and its core")
     common(p)
     p.add_argument("--k", type=_int_flag, default=3)
     p.set_defaults(func=_cmd_regularize)

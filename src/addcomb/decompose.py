@@ -1,6 +1,6 @@
 """Constructive decompositions: dyadic bands, the popular-set extractor,
-the additive/multiplicative energy split, the X/Y cover, the graph
-regularization loop, and the best-dilate search.
+the additive/multiplicative energy split, the X/Y cover, the one-step graph
+regularization, and the best-dilate search.
 
 Control flow never depends on floating point: irrational thresholds are
 replaced by exact rational surrogates chosen on the sound side (documented
@@ -8,12 +8,12 @@ per routine), and every certificate or trace stores enough to re-verify
 all band memberships from scratch.
 
 The replays share no step code with the producers, only the tally
-`rep_histogram`, `energy`, epsilon, the step cap and the claim tables
-`_cover_failures` and `_pruning_failures`.  They pick each band by their
-own argmax (`_argmax_band`).  `recheck_certificate` tests levels by its
-own rule (`_is_level`) and E_mul by its product form.  `recheck_reg_trace`
-builds each step's level and |G| itself, counts degrees as r_{cur-P}
-where the producer counts r_{P+cur}, and restates the keep and core rules.
+`rep_histogram`, `energy`, epsilon and the claim tables `_cover_failures`
+and `_pruning_failures`.  They pick each band by their own argmax
+(`_argmax_band`).  `recheck_certificate` tests levels by its own rule
+(`_is_level`) and E_mul by its product form.  `recheck_reg_trace` builds
+the step's level and |G| itself, counts degrees as r_{A-P} where the
+producer counts r_{P+A}, and restates the keep and core rules.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     EmptyCandidateList,
     EmptyHistogram,
     InvalidConfig,
-    IterationOverflow,
     NonTermination,
     PostconditionFailed,
 )
@@ -473,13 +472,14 @@ class RegStep(NamedTuple):
 
 @dataclass(frozen=True)
 class RegTrace(Record):
-    """Full audit trail of the degree-regularization loop.
+    """Full audit trail of the one regularization step.
 
-    epsilon is the exact rational the loop actually ran with: an outward
-    LOWER bound (128-bit) of ln 2 / (k 2^(k+1) ln^2 |A|).  Rounding down
-    is the sound side twice over: the degree threshold |G|/(eps |A_i|)
-    only grows, so the filter keeps at least everything the ideal
-    threshold would keep, and the step cap ceil(1/eps) only grows.
+    steps holds that one step, and B is A itself; both stay fields so
+    every payload keeps its pinned form.  epsilon is the exact rational the
+    step ran with: an outward LOWER bound (128-bit) of ln 2 / (k 2^(k+1)
+    ln^2 |A|).  Rounding down is the sound side: the degree threshold
+    |G|/(eps |A|) only grows, so the filter keeps at least everything the
+    ideal threshold would keep.
     """
 
     k: int
@@ -508,69 +508,75 @@ def _epsilon(k: int, n: int) -> Fraction:
     return l2lo / (k * 2 ** (k + 1) * lghi)
 
 
+def _stops_at_once(n: int, k: int, eps: Fraction) -> bool:
+    # the condition of the lemma of `regularize`: n (2 eps)^k <= (1 - 2^-k)^k
+    return n * (2 * eps) ** k <= (1 - Fraction(1, 2**k)) ** k
+
+
 def regularize(A: RatSet, k: int) -> RegTrace:
-    """Shrink A to a set B whose popular-difference graph is regular enough,
-    then carve the two-sided-degree core B'' out of B' subset of B.
+    """Drop from B = A the vertices of too high degree in its popular-
+    difference graph, giving B', then carve the two-sided-degree core B''.
 
-    Each pass bands the k-th difference moment, drops the vertices whose
-    band degree exceeds |G_i| / (epsilon |A_i|), and repeats while the kept
-    graph loses a 2^k factor; all comparisons are exact rationals.
+    The step bands the k-th moment of the ordered difference tally r of A:
+    P is the argmax band t <= r < 2t, G the pairs (a, b) with a - b in P,
+    and deg(a) = #{b in A : a - b in P}.  It keeps the a with deg(a) <=
+    |G| / (epsilon |A|), and it stops when the kept degrees sum to at least
+    |G| / 2^k; all comparisons are exact rationals.
 
-    Lemma: if epsilon |A| <= 1, the loop stops after one step with
-    B = B' = A.  Each a has deg(a) = #{b : a - b in P} <= |P|, and every
-    x in P has r(x) >= t >= 1, so deg(a) <= |P| <= t |P| <= |G| <= |G| /
-    (epsilon |A|): the first step keeps every vertex.  It then keeps all
-    of G, since the degrees sum to |G|, so it stops.  epsilon |A| > 1 needs
-    |A| >= 1146 at k = 2 and |A| >= 5031 at k = 3, so the shrinking steps
-    are reached only by replaying tampered traces.
+    Lemma: with n = |A|, if n (2 epsilon)^k <= (1 - 2^-k)^k, this first
+    step stops, so no step ever shrinks A and repeats.  Proof: each deg(a)
+    is at most min(|P|, n), and the degrees sum to |G| >= t |P|.  A pruned
+    vertex has deg(a) > |G| / (epsilon n), so fewer than epsilon n are
+    pruned, and they remove less than epsilon n min(|P|, n) of G.  The step
+    goes on only if that exceeds (1 - 2^-k) |G| >= (1 - 2^-k) t |P|, so
+    t < epsilon n / (1 - 2^-k) and |P| < epsilon n^2 / ((1 - 2^-k) t).  The
+    band's mass is below |P| (2t)^k, and it is at least n^k: r(0) = n, and
+    the argmax band weighs at least the band that holds 0, though 0 need
+    not lie in P.  So n^k < epsilon n^2 2^k t^(k-1) / (1 - 2^-k), which is
+    below n^(k+1) (2 epsilon)^k / (1 - 2^-k)^k, against the condition.
+    When epsilon n <= 1 the step even keeps every vertex, as deg(a) <= |P|
+    <= |G| <= |G| / (epsilon n), so B' = A.
+
+    Checked exactly at this epsilon, the condition first fails at n =
+    4,002,154 for k = 2 and at n = 23,729,908,049,827 for k = 3 (later for
+    larger k), where the tally holds n^2 differences.  A set past it is
+    refused by DegenerateInput before any tally.
     """
     if not 2 <= as_int(k, "k") <= 8:
         raise InvalidConfig("regularize needs k in [2, 8]")
-    if len(A) < 4:
+    n = len(A)
+    if n < 4:
         raise DegenerateInput("regularize needs |A| >= 4")
-    eps = _epsilon(k, len(A))
-    steps, cur = [], A
-    while True:
-        if len(steps) >= _step_cap(eps):
-            raise IterationOverflow("regularization exceeded ceil(1/epsilon) steps")
-        diff = rep_histogram(cur, cur, "diff")
-        band = dyadic_band(diff, k)
-        g_size = sum(diff.counts_on(band.P))
-        degs = rep_histogram(band.P, cur, "sum").counts_on(cur)
-        # keep a iff deg(a) <= |G| / (eps |cur|), cross-multiplied
-        keep = [d * eps.numerator * len(cur) <= g_size * eps.denominator for d in degs]
-        g_kept = sum(compress(degs, keep))
-        stop = g_kept * 2**k >= g_size
-        steps.append(RegStep(len(cur), band.t, len(band.P), g_size, g_kept, stop))
-        if stop:
-            break
-        cur = cur.select(keep)
-    # B'': the kept a with deg(a) >= |G| / (2^(k+1) |B|), cross-multiplied
-    core = [kept and d * 2 ** (k + 1) * len(cur) >= g_size for kept, d in zip(keep, degs)]
-    trace = RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=cur.select(keep),
-                     B_dprime=cur.select(core), final_t=band.t, final_P=band.P)
+    eps = _epsilon(k, n)
+    if not _stops_at_once(n, k, eps):
+        raise DegenerateInput("regularize needs |A| (2 eps)^k <= (1 - 2^-k)^k, "
+                              "the bound of its one-step lemma")
+    diff = rep_histogram(A, A, "diff")
+    band = dyadic_band(diff, k)
+    g_size = sum(diff.counts_on(band.P))
+    degs = rep_histogram(band.P, A, "sum").counts_on(A)
+    # keep a iff deg(a) <= |G| / (eps |A|), cross-multiplied
+    keep = [d * eps.numerator * n <= g_size * eps.denominator for d in degs]
+    g_kept = sum(compress(degs, keep))
+    stop = g_kept * 2**k >= g_size
+    if not stop:
+        raise PostconditionFailed("the regularization step did not stop, against its lemma")
+    # B'': the kept a with deg(a) >= |G| / (2^(k+1) |A|), cross-multiplied
+    core = [kept and d * 2 ** (k + 1) * n >= g_size for kept, d in zip(keep, degs)]
+    step = RegStep(n, band.t, len(band.P), g_size, g_kept, stop)
+    trace = RegTrace(k=k, epsilon=eps, steps=(step,), B=A, B_prime=A.select(keep),
+                     B_dprime=A.select(core), final_t=band.t, final_P=band.P)
     _raise_first(_pruning_failures(A, trace))
     return trace
 
 
-def _step_cap(eps: Fraction) -> int:
-    return -(-eps.denominator // eps.numerator)  # ceil(1/eps)
-
-
 def _pruning_failures(A: RatSet, tr: RegTrace) -> list:
-    # (claim, message) for each failed pruning invariant; regularize raises
-    # on the first, recheck_reg_trace reports them all.  Size chain:
-    # |B| >= (1 - eps)^(shrink steps) |A| as an exact rational power; the
-    # last step keeps its set, so only the others shrink it
-    factor = (1 - tr.epsilon) ** (len(tr.steps) - 1)
+    # (claim, message) for each failed link of the subset chain; regularize
+    # raises on the first, recheck_reg_trace reports them all
     claims = (
         ("B_dprime_subset", tr.B_dprime.is_subset(tr.B_prime), "B'' is not a subset of B'"),
         ("B_prime_subset", tr.B_prime.is_subset(tr.B), "B' is not a subset of B"),
         ("B_subset", tr.B.is_subset(A), "B is not a subset of A"),
-        ("size_chain", len(tr.B) * factor.denominator >= factor.numerator * len(A),
-         "|B| fell below (1 - eps)^(shrink steps) |A|"),
-        ("step_cap", len(tr.steps) <= _step_cap(tr.epsilon),
-         "regularization ran past ceil(1/eps) steps"),
     )
     return [(name, msg) for name, ok, msg in claims if not ok]
 
@@ -579,64 +585,53 @@ def recheck_reg_trace(A: RatSet, tr: RegTrace) -> list:
     """Re-verify a regularization trace from scratch; returns failed claims.
 
     First, k is in [2, 8] and epsilon is the one `regularize` runs with at
-    k and |A| ("epsilon").  Then the steps are replayed at the recorded
-    epsilon on a route of their own: t by `_argmax_band`, P and |G| read
-    off the tally here, deg(a) as r_{cur-P}(a), which is the producer's
-    r_{P+cur}(a) as P = -P, and the keep and core rules restated.  The trace
-    must end at its first terminating step; steps recorded after it fail as
-    "trailing_steps".  Then come the invariants of `_pruning_failures`: the
-    subset chain B'' <= B' <= B <= A, the size chain and the step cap
-    ceil(1/eps).
+    k and |A| ("epsilon").  The trace holds exactly one step, as the lemma
+    of `regularize` proves ("step_count").  That step is replayed on A at
+    the recorded epsilon on a route of its own: t by `_argmax_band`, P and
+    |G| read off the tally here, deg(a) as r_{A-P}(a), which is the
+    producer's r_{P+A}(a) as P = -P, and the keep and core rules restated.
+    The first of its claims that fails is reported as "step0_<claim>", and
+    the step must stop as recorded ("step0_stop_flag").  A step that
+    replays is held to the final sets, band and core.  Last come the links
+    of `_pruning_failures`, the subset chain B'' <= B' <= B <= A.
     """
-    eps, k = tr.epsilon, tr.k
-    ok = 2 <= as_int(k, "k") <= 8 and len(A) >= 4 and eps == _epsilon(k, len(A))
+    eps, k, n = tr.epsilon, tr.k, len(A)
+    ok = 2 <= as_int(k, "k") <= 8 and n >= 4 and eps == _epsilon(k, n)
     failures = [] if ok else ["epsilon"]
-    cur = A
-    for i, st in enumerate(tr.steps):
-        n = len(cur)
-        if n != st.size:
-            failures.append(f"step{i}_size")
-            break
-        diff = rep_histogram(cur, cur, "diff")
-        t = _argmax_band(diff, k)
-        level = {key: r for key, r in diff.counts.items() if t <= r < 2 * t}
-        P, g_size = diff.key_set(level), sum(level.values())
-        degs = rep_histogram(cur, P, "diff").counts_on(cur)
-        # deg(a) <= |G| / (eps |cur|) keeps a
-        high = [d * eps.numerator * n <= g_size * eps.denominator for d in degs]
-        g_kept = sum(d for d, h in zip(degs, high) if h)
-        stop = g_kept * 2**k >= g_size
-        claims = (
-            ("band", t == st.t and len(P) == st.p_size),
-            ("gsize", g_size == st.g_size),
-            ("gkept", g_kept == st.g_kept),
-            ("stop_flag", stop == st.kept),
-        )
-        wrong = [name for name, ok in claims if not ok]
-        if wrong:
-            failures.append(f"step{i}_{wrong[0]}")
-            break
-        kept = cur.select(high)
-        if stop:
-            if cur != tr.B or kept != tr.B_prime:
-                failures.append("final_sets")
-            if t != tr.final_t or P != tr.final_P:
-                failures.append("final_band")
-            # the core also asks deg(a) >= |G| / (2^(k+1) |cur|)
-            core = cur.select(h and d * 2 ** (k + 1) * n >= g_size for d, h in zip(degs, high))
-            if core != tr.B_dprime:
-                failures.append("core_set")
-            # the two-sided degree sandwich holds on every element of B''
-            if not tr.B_dprime.is_subset(core):
-                failures.append("core_sandwich")
-            if i != len(tr.steps) - 1:
-                # nothing may be recorded after the terminating step
-                failures.append("trailing_steps")
-            break
-        cur = kept
-    else:
-        failures.append("no_terminating_step")
-    return failures + [name for name, _ in _pruning_failures(A, tr)]
+    chain = [name for name, _ in _pruning_failures(A, tr)]
+    if len(tr.steps) != 1:
+        return failures + ["step_count"] + chain
+    (st,) = tr.steps
+    diff = rep_histogram(A, A, "diff")
+    t = _argmax_band(diff, k)
+    level = {key: r for key, r in diff.counts.items() if t <= r < 2 * t}
+    P, g_size = diff.key_set(level), sum(level.values())
+    degs = rep_histogram(A, P, "diff").counts_on(A)
+    # deg(a) <= |G| / (eps |A|) keeps a
+    high = [d * eps.numerator * n <= g_size * eps.denominator for d in degs]
+    g_kept = sum(d for d, h in zip(degs, high) if h)
+    claims = (
+        ("size", n == st.size),
+        ("band", t == st.t and len(P) == st.p_size),
+        ("gsize", g_size == st.g_size),
+        ("gkept", g_kept == st.g_kept),
+        ("stop_flag", st.kept and g_kept * 2**k >= g_size),
+    )
+    wrong = [f"step0_{name}" for name, ok in claims if not ok]
+    if wrong:
+        return failures + wrong[:1] + chain
+    if A != tr.B or A.select(high) != tr.B_prime:
+        failures.append("final_sets")
+    if t != tr.final_t or P != tr.final_P:
+        failures.append("final_band")
+    # the core also asks deg(a) >= |G| / (2^(k+1) |A|)
+    core = A.select(h and d * 2 ** (k + 1) * n >= g_size for d, h in zip(degs, high))
+    if core != tr.B_dprime:
+        failures.append("core_set")
+    # the two-sided degree sandwich holds on every element of B''
+    if not tr.B_dprime.is_subset(core):
+        failures.append("core_sandwich")
+    return failures + chain
 
 
 # ---------------------------------------------------------------------------

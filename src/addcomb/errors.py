@@ -46,10 +46,6 @@ class BudgetExceeded(AddcombError):
     """Requested exact enumeration is larger than the configured budget."""
 
 
-class IterationOverflow(AddcombError):
-    """An iteration provably bounded by theory ran past its cap: a bug."""
-
-
 class NonTermination(AddcombError):
     """A decomposition loop failed to shrink its working set: a bug."""
 

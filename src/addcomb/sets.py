@@ -375,8 +375,8 @@ class GeneratorConfig:
 
     def label(self) -> str:
         """The kind and the fields it reads, as "AP(start=1,step=1,n=8)"."""
-        if self.kind == "Literal":  # the size, not the values
-            return f"Literal(n={len(self.values)})"
+        if self.kind == "Literal":  # the size of the set, not the values
+            return f"Literal(n={len(set(self.values))})"
         named = {"s": "S", "p": "P"}  # GridExample's parameters
         shown = (f"{named.get(key, key)}={format_rational(getattr(self, key))}"
                  for key in _KINDS[self.kind].reads)

@@ -116,8 +116,8 @@ def test_criterion_6_decomposition_postconditions_every_corpus_set():
 
 
 def test_criterion_7_regularization_postconditions():
-    # regularize_k* pass iff recheck_reg_trace replays the steps and the
-    # subset chain, size chain and step cap without failure
+    # regularize_k* pass iff recheck_reg_trace replays the one step, its
+    # final sets and core, and the subset chain without failure
     for c in _corpus_checks("regularization", ("regularize_k2", "regularize_k3")):
         assert _passes(c) and c.details.endswith("failures: none"), c
 

@@ -1,5 +1,5 @@
 """Dyadic bands, extraction certificates, the two decompositions, the
-regularization loop, and the best-dilate search."""
+one-step regularization, and the best-dilate search."""
 
 import hashlib
 import os
@@ -399,7 +399,7 @@ def test_regularize_trace_ap16():
     tr = regularize(a, 3)
     assert tr.k == 3
     assert recheck_reg_trace(a, tr) == []
-    assert len(tr.steps) >= 1
+    assert len(tr.steps) == 1
 
 
 def test_regularize_validation():
@@ -444,6 +444,35 @@ def test_regularize_cannot_prune_when_epsilon_n_at_most_one(a, k):
     _assert_one_step_keeps_all(a, k)
 
 
+def test_regularize_stops_at_once_past_epsilon_n_one():
+    # epsilon |A| > 1 here, yet the one step stops, as the lemma proves;
+    # its band t = 512 leaves the zero difference, and keeps all of A
+    a = generate(ap(1, 1, 1200))
+    tr = regularize(a, 2)
+    assert tr.epsilon * len(a) > 1
+    (step,) = tr.steps
+    assert step.kept and step.t == 512 and 0 not in tr.final_P
+    assert tr.B == tr.B_prime == tr.B_dprime == a
+    assert recheck_reg_trace(a, tr) == []
+
+
+def test_regularize_refuses_a_set_past_its_lemma_before_any_tally(monkeypatch):
+    def no_tally(*args):
+        pytest.fail("regularize tallied a set its lemma does not cover")
+
+    monkeypatch.setattr(decompose, "_epsilon", lambda k, n: Fraction(1))
+    monkeypatch.setattr(decompose, "rep_histogram", no_tally)
+    with pytest.raises(DegenerateInput, match="one-step lemma"):
+        regularize(RatSet(range(1, 17)), 2)
+
+
+@pytest.mark.parametrize("k, first", [(2, 4_002_154), (3, 23_729_908_049_827)])
+def test_regularize_lemma_first_fails_at_its_threshold(k, first):
+    # the exact condition |A| (2 eps)^k <= (1 - 2^-k)^k at the eps of |A|
+    for n, holds in ((first - 1, True), (first, False)):
+        assert decompose._stops_at_once(n, k, decompose._epsilon(k, n)) is holds
+
+
 _REG_SET = RatSet([1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48])
 
 
@@ -466,27 +495,25 @@ def test_recheck_reg_trace_names_each_tampered_claim():
         (_tamper_step(tr, g_size=st0.g_size + 1), ["step0_gsize"]),
         (_tamper_step(tr, g_kept=st0.g_kept - 1), ["step0_gkept"]),
         (_tamper_step(tr, kept=False), ["step0_stop_flag"]),
-        (replace(tr, B=tr.B.difference(RatSet([some]))),
-         ["final_sets", "B_prime_subset", "size_chain"]),
+        (replace(tr, B=tr.B.difference(RatSet([some]))), ["final_sets", "B_prime_subset"]),
         (replace(tr, B=tr.B.union(RatSet([7]))), ["final_sets", "B_subset"]),
         (replace(tr, B_prime=tr.B_prime.difference(RatSet([some]))),
          ["final_sets", "B_dprime_subset"]),
         # 7 is not in A: the core replay reads its degree as 0
         (replace(tr, B_dprime=tr.B_dprime.union(RatSet([7]))),
          ["core_set", "core_sandwich", "B_dprime_subset"]),
-        # one step keeps all of A, so |B| = |B''| < |A| breaks the size chain
-        (replace(tr, B=tr.B_dprime, B_prime=tr.B_dprime), ["final_sets", "size_chain"]),
-        # ceil(1/eps) = -1 is below the one recorded step
-        (replace(tr, epsilon=Fraction(-1)), ["epsilon", "step_cap"]),
+        # B = B' = B'' is a chain, but B is not A
+        (replace(tr, B=tr.B_dprime, B_prime=tr.B_dprime), ["final_sets"]),
+        # eps = -1 keeps every vertex, as the right eps does here
+        (replace(tr, epsilon=Fraction(-1)), ["epsilon"]),
         (replace(tr, B_prime=tr.B_dprime), ["final_sets"]),
         (replace(tr, B_dprime=tr.B_dprime.difference(RatSet([some]))), ["core_set"]),
         (replace(tr, B_dprime=tr.B_prime), ["core_set", "core_sandwich"]),
         (replace(tr, final_t=2 * tr.final_t), ["final_band"]),
         (replace(tr, final_P=tr.final_P.difference(RatSet([next(iter(tr.final_P))]))),
          ["final_band"]),
-        # no steps: the size chain asks for |B| >= |A| / (1 - eps)
-        (replace(tr, steps=()), ["no_terminating_step", "size_chain"]),
-        (replace(tr, steps=tr.steps + tr.steps[-1:]), ["trailing_steps"]),
+        (replace(tr, steps=()), ["step_count"]),
+        (replace(tr, steps=tr.steps + tr.steps), ["step_count"]),
     ]
     assert recheck_reg_trace(a, tr) == []
     for tampered, expected in cases:
@@ -494,37 +521,35 @@ def test_recheck_reg_trace_names_each_tampered_claim():
 
 
 def _trace_at(a, k, eps):
-    # the trace of the regularization loop on a at the given eps, which
-    # regularize would not pick, each step built here
-    steps, cur = [], a
-    while True:
-        diff = rep_histogram(cur, cur, "diff")
-        band = dyadic_band(diff, k)
-        g_size = sum(diff.counts_on(band.P))
-        degs = rep_histogram(band.P, cur, "sum").counts_on(cur)
-        keep = [d * eps.numerator * len(cur) <= g_size * eps.denominator for d in degs]
-        g_kept = sum(d for d, kept in zip(degs, keep) if kept)
-        steps.append(RegStep(len(cur), band.t, len(band.P), g_size, g_kept,
-                             g_kept * 2**k >= g_size))
-        if steps[-1].kept:
-            break
-        cur = cur.select(keep)
-    core = [kept and d * 2 ** (k + 1) * len(cur) >= g_size for kept, d in zip(keep, degs)]
-    return RegTrace(k=k, epsilon=eps, steps=tuple(steps), B=cur, B_prime=cur.select(keep),
-                    B_dprime=cur.select(core), final_t=band.t, final_P=band.P)
+    # the one regularization step on a at the given eps, which regularize
+    # would not pick, built here
+    diff = rep_histogram(a, a, "diff")
+    band = dyadic_band(diff, k)
+    g_size = sum(diff.counts_on(band.P))
+    degs = rep_histogram(band.P, a, "sum").counts_on(a)
+    keep = [d * eps.numerator * len(a) <= g_size * eps.denominator for d in degs]
+    g_kept = sum(d for d, kept in zip(degs, keep) if kept)
+    step = RegStep(len(a), band.t, len(band.P), g_size, g_kept, g_kept * 2**k >= g_size)
+    core = [kept and d * 2 ** (k + 1) * len(a) >= g_size for kept, d in zip(keep, degs)]
+    return RegTrace(k=k, epsilon=eps, steps=(step,), B=a, B_prime=a.select(keep),
+                    B_dprime=a.select(core), final_t=band.t, final_P=band.P)
 
 
-def test_recheck_reg_trace_replays_a_shrinking_step():
-    # regularize cannot shrink below |A| = 1146, so this trace is built
-    # step by step at eps = 1: GridExample(4, 4) keeps 6 of 16, then
-    # stops.  The replay walks both steps, and the claims that fail are
-    # the eps of k = 2 and |A| = 16 and the cap ceil(1/eps) = 1
+def test_recheck_reg_trace_refuses_a_shrinking_step():
+    # the lemma of regularize leaves no shrinking step below |A| = 4,002,154
+    # at k = 2, so these traces are built at eps = 1: GridExample(4, 4)
+    # keeps 6 of 16 and goes on, and a step on those 6 stops.  Beside the
+    # eps of k = 2 and |A| = 16, the two-step trace fails by its count, and
+    # the first step alone by its stop flag, however it is recorded
     a = generate(grid_example(4, 4))
-    tr = _trace_at(a, 2, Fraction(1))
-    assert [st.size for st in tr.steps] == [16, 6]
-    assert recheck_reg_trace(a, tr) == ["epsilon", "step_cap"]
-    assert recheck_reg_trace(a, _tamper_step(tr, kept=True)) == [
-        "epsilon", "step0_stop_flag", "step_cap"]
+    first = _trace_at(a, 2, Fraction(1))
+    second = _trace_at(first.B_prime, 2, Fraction(1))
+    tr = replace(second, steps=first.steps + second.steps)
+    assert [(st.size, st.kept) for st in tr.steps] == [(16, False), (6, True)]
+    assert recheck_reg_trace(a, tr) == ["epsilon", "step_count"]
+    assert recheck_reg_trace(a, first) == ["epsilon", "step0_stop_flag"]
+    assert recheck_reg_trace(a, _tamper_step(first, kept=True)) == [
+        "epsilon", "step0_stop_flag"]
 
 
 def test_recheck_reg_trace_refuses_an_epsilon_regularize_would_not_pick():

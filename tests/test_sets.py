@@ -159,6 +159,12 @@ def test_generator_labels():
     assert random_set(16, 100, 1).label() == "Random(size=16,range=100,seed=1)"
 
 
+def test_literal_label_names_the_size_of_its_set():
+    # repeated values are taken, and the label counts them once, as the set does
+    cfg = GeneratorConfig(kind="Literal", values=["1", "1", "2/2", "2"])
+    assert cfg.label() == "Literal(n=2)" and len(generate(cfg)) == 2
+
+
 def test_generator_config_json_roundtrip():
     for cfg in (ap(Fraction(1, 2), Fraction(1, 3), 12), gp(1, 2, 8),
                 grid_example(3, 3), random_set(16, 100, 1),
