@@ -102,6 +102,10 @@ def cells() -> list:
                     f"gp(1, Fraction(1, 10**6), {n})", "ratios.popular_ratios(A, A)"))
     # a regularize band that leaves the zero difference: t = 512, |P| = 1024
     out.append(("regularize(k=2) AP(1,1,1200)", "ap(1, 1, 1200)", "decompose.regularize(A, 2)"))
+    # difference tallies packed into one product, past the sizes above
+    out.append(("energy(k=3) AP(1,1,2000)", "ap(1, 1, 2000)", "energy.energy(A, A, 3)"))
+    out.append(("energy(k=3) Random(1000,8000,1)", "random_set(1000, 8000, 1)",
+                "energy.energy(A, A, 3)"))
     return out
 
 

@@ -9,23 +9,29 @@ C(n, 3) keys at most instead of about n**3.  _spanned_lines hashes every
 spanned line and so is its independent check; incidence's _line_census
 counts the same _canonical_span keys over point pairs.  Both
 mul_pairs kernels count a*d == b*c as the sum over products p of
-r(p) r'(p), from one histogram of the products a*d and one of b*c (one in
-all on the diagonal).  t_o_linehash keys a ratio v/u by the exact int floor
-key v*m // u, with one m >= D**2 per call for D a bound on |u| (its orbit
-invariants with m = D**4), and no gcd is taken.
+r(p) r'(p), from one histogram of the products a*d and one of b*c (one
+when the two rectangles hold the same products; with one list on all four
+sides, one of the products a*d with a before d and one of the squares).
+t_o_linehash keys a ratio v/u by the exact int floor key v*m // u, with
+one m >= D**2 per call for D a bound on |u| (its orbit invariants with
+m = D**4), and no gcd is taken.
 count_incidences packs all points into fixed-width slots of two bigints and
 tests every point against a line with one linear form on those ints; its
 checks are the Fraction recount `LineKey.contains` and a direct double loop
-in the tests.  Callers are responsible for clearing denominators first;
-every routine here assumes integer inputs.
+in the tests.  packed_pair_counts packs the indicators of two sets the
+same way and reads every sum or difference count off their one product;
+its check is a Counter over the pair keys of `sets.int_keys` in the tests.
+Callers are responsible for clearing denominators first; every routine
+here assumes integer inputs.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from itertools import product, starmap
+from itertools import combinations, compress, count, product, starmap
 from math import gcd
-from operator import floordiv
+from operator import floordiv, mul
 from typing import Sequence
 
 
@@ -297,13 +303,61 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
     return n * len(las) - off
 
 
+def packed_pair_counts(xs: Sequence[int], ys: Sequence[int], diff: bool) -> Counter:
+    """Counter of x - y (diff) or x + y (sum) over xs * ys, by one product.
+
+    xs and ys are nonempty lists of distinct ints.  Kronecker substitution:
+    with lo = min(xs), the indicator of xs is the int PX = sum of
+    2**(8 w (x - lo)), one w-byte slot per value of its span, and PY is
+    that of ys, or of the reflection y -> max(ys) - y for diff.  Slot i of
+    PX * PY then holds the number of pairs whose offsets add to i: x + y =
+    i + min(xs) + min(ys), or x - y = i + min(xs) - max(ys).  Each key is
+    met by at most one y per x, so no count exceeds min(|xs|, |ys|), and
+    w = 1, 2 or 4 bytes, the least with that count under 2**(8 w), keeps
+    every slot from carrying into the next.  The slots are read back as
+    one memoryview of w-byte ints; the keys of the nonzero slots come from
+    compress, their counts from filter, with no loop over pairs.
+    """
+    top = min(len(xs), len(ys))  # the largest count a slot can hold
+    w, code = (1, "B") if top < 1 << 8 else (2, "H") if top < 1 << 16 else (4, "I")
+
+    def indicator(offsets, span):
+        buf = bytearray(span * w)
+        for i in offsets:
+            buf[i * w] = 1
+        return int.from_bytes(buf, "little")
+
+    lx, hx, ly, hy = min(xs), max(xs), min(ys), max(ys)
+    px = indicator([x - lx for x in xs], hx - lx + 1)
+    if diff:
+        py, off = indicator([hy - y for y in ys], hy - ly + 1), lx - hy
+    else:
+        py, off = indicator([y - ly for y in ys], hy - ly + 1), lx + ly
+    slots = hx - lx + hy - ly + 1
+    view = memoryview((px * py).to_bytes(slots * w, sys.byteorder)).cast(code)
+    if sys.byteorder == "big":  # slot 0 came last
+        view = view[::-1]
+    counts = Counter()
+    # dict.update takes the (key, count) pairs at C speed
+    dict.update(counts, zip(compress(count(off), view), filter(None, view)))
+    return counts
+
+
 def _product_pairs(x1, x2, y1, y2) -> int:
     # #{(a,b,c,d) in x1 * x2 * y1 * y2 : a*d == b*c} = the sum over
     # products p of r(p) r'(p), with r counting the pairs (a, d) in
     # x1 * y2 of product p and r' the pairs (b, c) in x2 * y1; zeros need no
     # case of their own, since every pair holding one has product 0.  When
-    # both rectangles are the same, as for every multiplicative energy
-    # E(A, A), one histogram serves both sides
+    # all four are one list xs, as for every multiplicative energy E(A, A),
+    # a*d == d*a: with c(p) the pairs i < j of xs[i]*xs[j] == p and s(p)
+    # the squares equal to p, r(p) = 2 c(p) + s(p), so the sum is that of
+    # (2c + s)**2 and only the C(|xs|, 2) products i < j are tallied.  When
+    # the two rectangles are otherwise the same, one histogram serves both
+    if x1 == x2 == y1 == y2:
+        upper = Counter(starmap(mul, combinations(x1, 2)))
+        get = upper.get
+        return (4 * sum(c * c for c in upper.values())
+                + sum((4 * get(p, 0) + s) * s for p, s in Counter(map(mul, x1, x1)).items()))
     left = Counter([a * d for a in x1 for d in y2])
     if (x2, y1) in ((x1, y2), (y2, x1)):
         return sum(c * c for c in left.values())
@@ -318,7 +372,9 @@ def mul_pairs_count(x: Sequence[int], y: Sequence[int]) -> int:
     """#{(x1,x2,y1,y2) in x^2 * y^2 : x1*y2 == x2*y1}, zeros allowed.
 
     Both sides range over the same products x * y, so this is the sum of
-    r(p)**2 over one histogram of them (`_product_pairs`).
+    r(p)**2 over one histogram of them (`_product_pairs`); when y equals
+    x, that histogram holds only the products x[i]*x[j] with i < j, and
+    the squares are tallied apart.
     """
     return _product_pairs(x, x, y, y)
 

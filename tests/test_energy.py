@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from mpmath import iv, mp, workdps
 
 import addcomb
+from addcomb._kernels_py import packed_pair_counts
 from addcomb.energy import (
     L4_BASE_BITS,
     L4_MAX_BITS,
+    _packed_histogram,
     energy,
     energy_mul_product_form,
     l4_union_check,
@@ -21,7 +23,17 @@ from addcomb.energy import (
 )
 from addcomb.errors import DivisionByZero, InvalidConfig
 from addcomb.intervals import BASE_PREC, MAX_PREC, decide_leq
-from addcomb.sets import RatSet, set_op, unordered_keys
+from addcomb.sets import (
+    RatSet,
+    ap,
+    generate,
+    gp,
+    int_keys,
+    integerize,
+    random_set,
+    set_op,
+    unordered_keys,
+)
 from source_rules import call_sites, findings, nodes
 
 small_sets = st.builds(
@@ -202,6 +214,90 @@ def test_energy_mul_product_form_allows_zero():
     x, y = RatSet([0, 1]), RatSet([1, 2])
     # products: 0,0,1,2 -> r(0)=2, r(1)=1, r(2)=1 -> sum of squares 6
     assert energy_mul_product_form(x, y) == 6
+
+
+# The packed sum and difference tallies against the definitional route, a
+# Counter over the `int_keys` keys.  `energy` and `rep_histogram(...).moment`
+# both take the packed route on a narrow set, so neither checks the other
+# there.  Values k/d, with |k| <= m for one m per pair of sets and d from a
+# set of denominators per set, mix denominators and signs; up to 30 values
+# within [-m, m] reach both sides of the route rule (about one example in 6
+# packs the sum tally)
+@st.composite
+def packable_pairs(draw):
+    m = draw(st.integers(1, 30))
+
+    def one():
+        dens = draw(st.sampled_from([(1,), (2,), (1, 2), (1, 3), (2, 3)]))
+        size = draw(st.integers(0, 30))
+        value = st.builds(Fraction, st.integers(-m, m), st.sampled_from(dens))
+        return RatSet(draw(st.lists(value, min_size=size, max_size=size)))
+
+    return one(), one()
+
+
+def _pair_counter(A, B, op):
+    keys, den = int_keys(A, B, op)
+    return Counter(keys), den
+
+
+def _packs(A, B, op):
+    return _packed_histogram(A, B, op, len(A) * len(B)) is not None
+
+
+@given(st.sampled_from(["sum", "diff"]), packable_pairs())
+@example("diff", (RatSet([]), RatSet([1])))
+@example("sum", (RatSet([Fraction(1, 2)]), RatSet([Fraction(-2, 3)])))
+@example("diff", (RatSet(range(-12, 12)), RatSet(Fraction(k, 2) for k in range(-12, 12))))
+@settings(max_examples=200, deadline=None)
+def test_packed_tally_matches_the_pair_counter(op, sets):
+    A, B = sets
+    h = rep_histogram(A, B, op)
+    assert (h.counts, h.den) == _pair_counter(A, B, op)
+    assert isinstance(h.counts, Counter)
+    if len(A) and len(B):
+        # the kernel itself, whichever way the rule goes
+        _, (xs, ys) = integerize(A, B)
+        assert packed_pair_counts(xs, ys, op == "diff") == h.counts
+    diffs = _pair_counter(A, A, "diff")[0].values()
+    for k in (2, 3, 8):
+        assert energy(A, A, k) == sum(r**k for r in diffs), k
+
+
+@pytest.mark.parametrize("config, self_packs, packs", [
+    (ap(1, 1, 255), True, True),  # r(0) = 255, the last one-byte count
+    (ap(1, 1, 256), True, True),  # r(0) = 256, two-byte slots
+    (ap(Fraction(1, 2), Fraction(1, 3), 40), True, True),
+    (random_set(60, 240, 1), True, True),
+    (gp(1, 2, 40), False, False),  # 2**39 slots: the Counter route
+    (random_set(16, 10**6, 1), False, False),
+    # 16 slots: more than C(8, 2) / 2 unordered pairs, at most 8**2 / 2 ordered
+    (ap(1, 1, 8), False, True),
+], ids=str)
+def test_both_routes_match_the_pair_counter(config, self_packs, packs):
+    A = generate(config)
+    n = len(A)
+    assert (_packed_histogram(A, A, "diff", n * (n - 1) // 2) is not None) is self_packs
+    for op in ("sum", "diff"):
+        assert _packs(A, A, op) is packs
+        h = rep_histogram(A, A, op)
+        assert (h.counts, h.den) == _pair_counter(A, A, op), op
+    assert h.count(0) == n
+    diffs = _pair_counter(A, A, "diff")[0].values()
+    for k in (2, 3):
+        # on GP the unordered Counter tally against the ordered one
+        assert energy(A, A, k) == sum(r**k for r in diffs) == h.moment(k), k
+
+
+@pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+def test_packed_slots_hold_the_largest_count(n):
+    # AP(0, 1, n) - AP(0, 1, n): r(x) = n - |x|, so r(0) = n fills one
+    # slot of the narrowest width that holds it (1, 2, 2 and 4 bytes)
+    xs = list(range(n))
+    counts = packed_pair_counts(xs, xs, True)
+    assert len(counts) == 2 * n - 1
+    assert all(r == n - abs(x) for x, r in counts.items())
+    assert packed_pair_counts(xs, xs, False)[n - 1] == n
 
 
 def test_l4_union_single_and_pair():

@@ -16,7 +16,9 @@ No kernel is checked against a second copy of itself:
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop, and
   when the rectangles x1 * y2 and x2 * y1 hold the same products, as for
   every mul_pairs_count and on the diagonal (y1, y2) == (x1, x2), build
-  one product histogram, not two.
+  one product histogram, not two; with one list on all four sides, that
+  histogram holds only the C(n, 2) products i < j, and the n squares are
+  tallied apart.
   mul_pairs_count tallies products, while the ratio histogram of
   `sets.int_keys` keys a/b by the exact int a*(lcm(b)/b), so the "E_mul
   hist vs product form" check of the benchmark compares two different
@@ -330,23 +332,29 @@ def test_count_incidences_at_slot_width_boundaries():
 @settings(max_examples=60, deadline=None)
 def test_mul_pairs_count_equivalent(x, y, s):
     # the diagonal mul_pairs_count shares the cross variant's matching
-    # step and must match a direct quadruple loop as well
+    # step and must match a direct quadruple loop as well, also with one
+    # list on all four sides, where it tallies the products i < j and the
+    # squares apart
     x, y = [s * v for v in x], [s * v for v in y]
-    direct = sum(
-        1
-        for a in x for b in x for c in y for d in y
-        if a * d == b * c
-    )
-    assert _kernels.mul_pairs_count(x, y) == direct
+    for y in (y, list(x)):
+        direct = sum(
+            1
+            for a in x for b in x for c in y for d in y
+            if a * d == b * c
+        )
+        assert _kernels.mul_pairs_count(x, y) == direct
 
 
 def test_product_pairs_builds_one_counter_on_the_diagonal(monkeypatch):
     # both sides of a*d == b*c tally one product Counter each, x1 * y2 and
-    # x2 * y1; when those rectangles match, one Counter serves both
+    # x2 * y1; when those rectangles match, one Counter serves both, and
+    # when one list is on all four sides, it tallies the products i < j
+    # and a second Counter the squares
     calls = []
 
     class Spy(Counter):
         def __init__(self, products):
+            products = list(products)
             calls.append(sorted(products))
             super().__init__(products)
 
@@ -361,7 +369,9 @@ def test_product_pairs_builds_one_counter_on_the_diagonal(monkeypatch):
     a = [-3, 0, 1, 2, 4, 6]
     b = [0, 2, 3, 5]
     assert _kernels_py.mul_pairs_count(a, list(a)) == direct(a, a, a, a)
-    assert calls == [products(a, a)]
+    # C(6, 2) = 15 products i < j, then the 6 squares
+    assert calls == [sorted(x * y for i, x in enumerate(a) for y in a[i + 1:]),
+                     sorted(x * x for x in a)]
     calls.clear()
     # x1 * y2 and x2 * y1 are both a * b
     assert _kernels_py.mul_pairs_count(a, b) == direct(a, a, b, b)
@@ -376,4 +386,4 @@ def test_product_pairs_builds_one_counter_on_the_diagonal(monkeypatch):
     # the multiplicative energy E(A, A) of the energy-sweep benchmark
     A = RatSet([Fraction(-5, 3), Fraction(1, 2), 2, 3, 6])
     assert energy_mul_product_form(A, A) == energy(A, A, 2, "multiplicative")
-    assert len(calls) == 1
+    assert [len(c) for c in calls] == [10, 5]
