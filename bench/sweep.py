@@ -1,13 +1,13 @@
 """Size sweep of the paper's workloads, written to BENCH_sweep.json.
 
-Each cell is one call on one input, timed in fresh processes: a child
-imports the library from the given source tree, builds the input and
-runs a full garbage collection, so that no collection left due by
-the imports lands in the timed call (one cost a 0.2 ms call 0.8 ms).
-Then it times the call and reads the growth of its peak RSS (ru_maxrss)
-across it.  A cell records the median, min and max of the runs.  Every
-child runs under an address-space limit (`ulimit -v`), so a runaway input
-fails its cell instead of the machine.
+Each cell is one call on one input (or on three), timed in fresh
+processes: a child imports the library from the given source tree,
+builds the input and runs a full garbage collection, so that no
+collection left due by the imports lands in the timed call (one cost a
+0.2 ms call 0.8 ms).  Then it times the call and reads the growth of its
+peak RSS (ru_maxrss) across it.  A cell records the median, min and max
+of the runs.  Every child runs under an address-space limit
+(`ulimit -v`), so a runaway input fails its cell instead of the machine.
 
 Several source trees are measured in one session, each a row: for every
 cell the runs alternate between the trees, so a drift of the machine's
@@ -65,12 +65,15 @@ CALLS = {
 CHILD = """
 import gc, importlib, json, resource, time
 from fractions import Fraction
-from addcomb.sets import ap, generate, gp, random_set
+from addcomb.sets import ap, generate, gp, grid_example, random_set
 energy = importlib.import_module("addcomb.energy")
 ratios = importlib.import_module("addcomb.ratios")
 collinear = importlib.import_module("addcomb.collinear")
 decompose = importlib.import_module("addcomb.decompose")
-A = generate({config})
+incidence = importlib.import_module("addcomb.incidence")
+# one input config, or several separated by commas
+inputs = [generate(c) for c in ({config},)]
+A = inputs[0]
 gc.collect()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t = time.perf_counter()
@@ -106,6 +109,16 @@ def cells() -> list:
     out.append(("energy(k=3) AP(1,1,2000)", "ap(1, 1, 2000)", "energy.energy(A, A, 3)"))
     out.append(("energy(k=3) Random(1000,8000,1)", "random_set(1000, 8000, 1)",
                 "energy.energy(A, A, 3)"))
+    # the triple family of line moments: the line census on equal grids,
+    # and the cross-pair lines of one unequal triple, sorted by size
+    for label, config in FAMILIES.items():
+        for n in (8, 12, 16):
+            fmt = {"n": n, "r": 8 * n}
+            out.append((f'line_moment_sums(A,A,A,2,"triple") {label.format(**fmt)}',
+                        config.format(**fmt), 'incidence.line_moment_sums(A, A, A, 2, "triple")'))
+    out.append(('line_moment_sums(A1,A2,A3,2,"triple") AP(1,1,8) GridExample(2,4) '
+                'Random(10,40,1)', "ap(1, 1, 8), grid_example(2, 4), random_set(10, 40, 1)",
+                'incidence.line_moment_sums(*inputs, 2, "triple")'))
     return out
 
 

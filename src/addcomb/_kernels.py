@@ -1,15 +1,12 @@
-"""Four of the counting kernels: one integer route per kernel.
+"""The benchmark tracer's binding of four kernels, and the route name.
 
-Each name is the pure-Python kernel from _kernels_py, over arbitrary-precision
-ints, so no input magnitude changes the route or the result.  Other callers
-import from _kernels_py directly: `collinear` takes `mul_pairs_cross`,
-`incidence` takes `_canonical_span` and `_spanned_lines`, and `energy`
-takes `packed_pair_counts`.  The kernels
-are checked against independent algorithms in the tests (the line census
-`_kernels_py._spanned_lines`, the shift identity, brute recounts; for the
-packed-slot `count_incidences`, a direct double loop and the Fraction
-recount `LineKey.contains`; for `packed_pair_counts`, a Counter over the
-pair keys), never against a second copy of themselves.
+Every caller in the package imports its kernels by name from `_kernels_py`,
+the one integer route of each, over arbitrary-precision ints.  This module
+re-exports four of them because the benchmark's tracer finds them here,
+and defines `backend_name` for the report environments.  Only `harness`
+imports it, and the package's `__getattr__` when `addcomb.backend_name`
+is first read.  It goes when the tracer binds `_kernels_py` (ROADMAP
+item 1, part B).
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Pure-Python integer kernels.
 
 These are the hot inner loops, expressed over plain Python ints, so they
-are exact at any magnitude; _kernels re-exports the ones callers use.
+are exact at any magnitude; every caller in the package imports them from
+here by name, and _kernels re-exports four for the benchmark's tracer.
 t_o_linehash counts by one histogram of ratios of differences plus a
 closed form over membership classes; on three equal grids of n values it
 keys each 3-set once by the invariant of its anharmonic orbit of ratios,
 C(n, 3) keys at most instead of about n**3.  _spanned_lines hashes every
-spanned line and so is its independent check; incidence's _line_census
-counts the same _canonical_span keys over point pairs.  Both
+spanned line and so is its independent check.  _line_census, the one
+integer line census, counts the _canonical_span key of every pair of
+distinct points; incidence reads it for spanned-line multiplicities and
+_spanned_lines for three equal grids.  Both
 mul_pairs kernels count a*d == b*c as the sum over products p of
 r(p) r'(p), from one histogram of the products a*d and one of b*c (one
 when the two rectangles hold the same products; with one list on all four
@@ -30,9 +33,11 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from itertools import combinations, compress, count, product, starmap
-from math import gcd
+from math import gcd, isqrt
 from operator import floordiv, mul
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .errors import PostconditionFailed
 
 
 def collinear_six_counts(a: Sequence[int], b: Sequence[int], c: Sequence[int]):
@@ -65,20 +70,6 @@ def collinear_six_counts(a: Sequence[int], b: Sequence[int], c: Sequence[int]):
     return total, distinct
 
 
-def _count_on_line(a: int, b: int, c: int, vals, members) -> int:
-    # points (x, y) of the grid vals x vals on the line a*x + b*y == c
-    if b == 0:
-        # vertical line x = c/a; every y in the set works
-        q, r = divmod(c, a)
-        return len(vals) if r == 0 and q in members else 0
-    n = 0
-    for x in vals:
-        q, r = divmod(c - a * x, b)
-        if r == 0 and q in members:
-            n += 1
-    return n
-
-
 def _canonical_span(px: int, py: int, qx: int, qy: int):
     # line through two distinct integer points, gcd-reduced,
     # first nonzero of (a, b) positive
@@ -91,57 +82,64 @@ def _canonical_span(px: int, py: int, qx: int, qy: int):
     return a // g, b // g, c // g
 
 
+def _multiplicity_from_pairs(pair_count: int) -> int:
+    # m points on a line yield m(m-1)/2 unordered pairs; invert exactly
+    m = (1 + isqrt(1 + 8 * pair_count)) // 2
+    if m * (m - 1) // 2 != pair_count:
+        raise PostconditionFailed(f"{pair_count} is not m(m-1)/2 for any m")
+    return m
+
+
+def _line_census(int_points: Iterable[tuple]) -> dict:
+    # (a, b, c) -> m for each line aX + bY = c spanned by the distinct int
+    # points: one Counter of _canonical_span keys over all pairs
+    pairs = Counter(_canonical_span(*p, *q) for p, q in combinations(int_points, 2))
+    return {key: _multiplicity_from_pairs(c) for key, c in pairs.items()}
+
+
+def _points_on_line(a: int, b: int, c: int, vals: set) -> set:
+    # the points of vals x vals on a*x + b*y == c, each named by its x, or
+    # on a vertical line (b == 0), where x = c/a, by its y
+    if b == 0:
+        return vals if c % a == 0 and c // a in vals else set()
+    return {x for x in vals if (c - a * x) % b == 0 and (c - a * x) // b in vals}
+
+
 def _spanned_lines(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]):
     """Yield (a, b, c, n1, n2, n3, distinct) for every line a*x + b*y == c
     that carries distinct > 0 ordered pairwise-distinct triples (u1,u2,u3),
     ui in gi x gi; ni counts the points of gi x gi on the line.
 
-    Candidate lines are spanned by all distinct point pairs from the first
-    two grids (every contributing line contains such a pair) and deduped by
-    canonical key, so the line set alone holds O(|g1|^2 |g2|^2) keys.  The
-    per-line count is assembled by inclusion-exclusion over coincident
-    points shared between grids; equal grids skip it.  Only the triple
-    family of incidence reads the lines' grid counts; t_o_linehash counts
-    without them, and the sum of distinct over this generator is its test
-    oracle.
+    The grids are read as sets.  Equal grids read `_line_census` of the
+    one grid: each line of m >= 3 points carries m (m - 1)(m - 2) triples.
+    Otherwise the candidate lines are spanned by all distinct point pairs
+    from the first two grids (every contributing line contains such a
+    pair), deduped by canonical key, so the line set alone holds
+    O(|g1|^2 |g2|^2) keys.  One scan per grid finds each line's points, g3
+    first, since a line that misses g3 carries no triple; the count is
+    assembled by inclusion-exclusion over the points that the grids share,
+    n1 n2 n3 - n12 n3 - n13 n2 - n23 n1 + 2 n123.  Only the triple family
+    of incidence reads the lines' grid counts; t_o_linehash counts without
+    them, and the sum of distinct over this generator is its test oracle.
     """
-    l1, l2, l3 = list(g1), list(g2), list(g3)
-    s1, s2, s3 = set(l1), set(l2), set(l3)
-
-    lines = set()
-    add = lines.add
-    for px in l1:
-        for py in l1:
-            for qx in l2:
-                for qy in l2:
-                    if px == qx and py == qy:
-                        continue
-                    add(_canonical_span(px, py, qx, qy))
-
+    s1, s2, s3 = set(g1), set(g2), set(g3)
     if s1 == s2 == s3:
-        # all grids identical: ordered distinct triples from n1 points
-        for a, b, c in lines:
-            n1 = _count_on_line(a, b, c, l1, s1)
-            if n1 > 2:
-                yield a, b, c, n1, n1, n1, n1 * (n1 - 1) * (n1 - 2)
+        for (a, b, c), m in _line_census(product(s1, s1)).items():
+            if m > 2:
+                yield a, b, c, m, m, m, m * (m - 1) * (m - 2)
         return
 
-    i12 = sorted(s1 & s2)
-    i13 = sorted(s1 & s3)
-    i23 = sorted(s2 & s3)
-    i123 = sorted(set(i12) & s3)
-    m12, m13, m23, m123 = set(i12), set(i13), set(i23), set(i123)
+    lines = {_canonical_span(px, py, qx, qy) for px in s1 for py in s1
+             for qx in s2 for qy in s2 if px != qx or py != qy}
     for a, b, c in lines:
-        n1 = _count_on_line(a, b, c, l1, s1)
-        n2 = _count_on_line(a, b, c, l2, s2)
-        n3 = _count_on_line(a, b, c, l3, s3)
-        if n1 == 0 or n2 == 0 or n3 == 0:
+        p3 = _points_on_line(a, b, c, s3)
+        if not p3:
             continue
-        n12 = _count_on_line(a, b, c, i12, m12) if i12 else 0
-        n13 = _count_on_line(a, b, c, i13, m13) if i13 else 0
-        n23 = _count_on_line(a, b, c, i23, m23) if i23 else 0
-        n123 = _count_on_line(a, b, c, i123, m123) if i123 else 0
-        distinct = n1 * n2 * n3 - n12 * n3 - n13 * n2 - n23 * n1 + 2 * n123
+        p1 = _points_on_line(a, b, c, s1)
+        p2 = _points_on_line(a, b, c, s2)
+        n1, n2, n3 = len(p1), len(p2), len(p3)
+        distinct = (n1 * n2 * n3 - len(p1 & p2) * n3 - len(p1 & p3) * n2
+                    - len(p2 & p3) * n1 + 2 * len(p1 & p2 & p3))
         if distinct > 0:
             yield a, b, c, n1, n2, n3, distinct
 

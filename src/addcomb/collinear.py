@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
-from ._kernels_py import mul_pairs_cross
+from ._kernels_py import collinear_six_counts, mul_pairs_cross, t_o_linehash
 from .core import DEFAULT_BUDGET, charge
 from .errors import InvalidConfig
 from .intervals import power_sum_ratio_decimal
@@ -34,7 +33,7 @@ from .sets import RatSet, Record, integerize
 
 def _six_counts(A: RatSet, B: RatSet, C: RatSet):
     _, ints = integerize(A, B, C)
-    return _kernels.collinear_six_counts(*ints)
+    return collinear_six_counts(*ints)
 
 
 def _check_tuple_budget(A, B, C, budget):
@@ -85,7 +84,7 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
         raise InvalidConfig(f"unknown mode {mode!r}")
     charge(len(A1) * len(A2) * len(A3), budget, "ratio keys")
     _, ints = integerize(A1, A2, A3)
-    return _kernels.t_o_linehash(*ints)
+    return t_o_linehash(*ints)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,7 @@ from itertools import repeat
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from ._kernels import mul_pairs_count
-from ._kernels_py import packed_pair_counts
+from ._kernels_py import mul_pairs_count, packed_pair_counts
 from .errors import InvalidConfig
 from .sets import RatSet, as_int, from_keys, int_keys, integerize, unordered_keys
 

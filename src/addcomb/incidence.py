@@ -2,7 +2,7 @@
 
 Incidences are counted on integers: the point coordinates are scaled by a
 common denominator m, each line constant c becomes m*c, and the integer
-kernel `_kernels.count_incidences` tests aX + bY = C for all points at once,
+kernel `_kernels_py.count_incidences` tests aX + bY = C for all points at once,
 with one linear form per line on bigints that pack every point into a
 fixed-width slot.  `incidences` clears the denominators of an
 `Arrangement`; `scaled_incidences` takes points and lines that are already
@@ -12,11 +12,13 @@ Fraction arrangement, which cross-multiplies each point's own denominators
 instead of clearing one common scale; the tests also check the kernel
 against a direct double loop over point-line pairs.
 
-Spanned lines are counted on the scaled ints too: `_line_census` counts
-the `_canonical_span` key of every point pair, and a line of m points has
-m(m-1)/2 of them.  It serves `spanned_line_multiplicities`, `rich_lines`
-and the pairs family; its check is `line_through` on each pair, with
-`LineKey.contains` recounting the points, in the harness and the tests.
+Spanned lines are counted on the scaled ints too, by the one integer line
+census `_kernels_py._line_census`: it counts the `_canonical_span` key of
+every point pair, and a line of m points has m(m-1)/2 of them.  It serves
+`spanned_line_multiplicities`, `rich_lines` and the pairs family, and the
+triple family through `_kernels_py._spanned_lines`; its check is
+`line_through` on each pair, with `LineKey.contains` recounting the
+points, in the harness and the tests.
 
 The incidence bound I <= 4 |P|^(2/3) |L|^(2/3) + 4 |P| + |L| is checked in
 an exact integer form by `st_bound_holds` (cube the surplus, compare against
@@ -27,17 +29,14 @@ rounded to nearest, and are purely cosmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import isqrt
+from itertools import product
 from typing import Iterable
 
-from . import _kernels
-from ._kernels_py import _canonical_span, _spanned_lines
+from ._kernels_py import _line_census, _spanned_lines, count_incidences
 from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_line, charge, point
-from .errors import InvalidConfig, PostconditionFailed
+from .errors import InvalidConfig
 from .intervals import power_sum_decimal
 from .sets import (RatSet, Record, _format_ints, as_int, canonical_json, format_rational,
                    integerize, parse_int, read_json_file)
@@ -121,7 +120,7 @@ def scaled_incidences(points, lines) -> int:
         return 0
     xs, ys = zip(*points)
     las, lbs, lcs = zip(*lines)
-    return _kernels.count_incidences(xs, ys, las, lbs, lcs)
+    return count_incidences(xs, ys, las, lbs, lcs)
 
 
 def st_bound_holds(count: int, n_points: int, n_lines: int) -> bool:
@@ -144,21 +143,6 @@ def st_bound_check(arr: Arrangement) -> STReport:
     lo, hi = power_sum_decimal([[(64 * np_ * np_ * nl * nl, Fraction(1, 3))],
                                 [(4 * np_ + nl, Fraction(1))]])
     return STReport(count=count, n_points=np_, n_lines=nl, bound_lo=lo, bound_hi=hi, ok=ok)
-
-
-def _multiplicity_from_pairs(pair_count: int) -> int:
-    # m points on a line yield m(m-1)/2 unordered pairs; invert exactly
-    m = (1 + isqrt(1 + 8 * pair_count)) // 2
-    if m * (m - 1) // 2 != pair_count:
-        raise PostconditionFailed(f"{pair_count} is not m(m-1)/2 for any m")
-    return m
-
-
-def _line_census(int_points: Iterable[tuple]) -> dict:
-    # (a, b, c) -> m for each line aX + bY = c spanned by the distinct int
-    # points: one Counter of _canonical_span keys over all pairs
-    pairs = Counter(_canonical_span(*p, *q) for p, q in combinations(int_points, 2))
-    return {key: _multiplicity_from_pairs(c) for key, c in pairs.items()}
 
 
 def spanned_line_multiplicities(points: Iterable[PlanePoint]) -> dict:

@@ -3,14 +3,16 @@
 `PACKAGE` lists the modules of `src/addcomb`; `TOOLING` lists the test
 modules, the root `conftest.py` and the scripts of `bench/`.  `scan(path)` parses and walks a file
 once per session, giving each node with its enclosing function, and
-`nodes(source)` walks a snippet the same way.  The ten rules below read
+`nodes(source)` walks a snippet the same way.  The rules below read
 such a walk.  Each rule's test over the files and its self-test on a
 breaking snippet sit in the test module of its guarantee: test_budget
 (BudgetExceeded, the error rule, no `assert`), test_cli (only `cli.main`
 calls `_emit`), test_decompose (no `recheck_*` calls a producer step:
 `dyadic_band`, `_level`, `_reg_step` or `_two_sided_core`), test_energy
 (no package module calls `decide_leq`), test_key_format,
-test_lean_import, test_line_census, test_one_mixer, test_rational_rule
+test_lean_import (no package module but `harness` imports `_kernels`),
+test_line_census (only `harness` calls `line_through`, and only
+`_kernels_py` calls `_canonical_span`), test_one_mixer, test_rational_rule
 (one-argument `Fraction` calls), test_sets (`raise_sites` finds none in
 `sets.generate` or a kind's builder), test_unused_imports.
 """
@@ -137,6 +139,26 @@ def call_sites(walk, name: str) -> list:
     attribute, in source order."""
     return _in_order((node, fn) for node, fn in walk
                      if isinstance(node, ast.Call) and _name(node.func) == name)
+
+
+def module_imports(walk, module: str) -> list:
+    """Line numbers of the import statements that load the package module
+    `module`: `from . import module`, `from .module import ...`, and their
+    absolute forms through `addcomb`, in source order."""
+    full = f"addcomb.{module}"
+    found = []
+    for node, _ in walk:
+        if isinstance(node, ast.Import):
+            hit = any(a.name == full for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import names a module of the package itself
+            base = ".".join(filter(None, ["addcomb" if node.level else None, node.module]))
+            hit = base == full or (base == "addcomb" and any(a.name == module for a in node.names))
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def one_arg_calls(walk, name: str) -> list:

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomb._kernels_py import _multiplicity_from_pairs
 from addcomb.core import canonical_line, line_through, point
 from addcomb.errors import InvalidConfig
 from addcomb.incidence import (
     Arrangement,
-    _multiplicity_from_pairs,
     line_moment_sums,
     incidences,
     read_arrangement,

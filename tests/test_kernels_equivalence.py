@@ -6,10 +6,12 @@ No kernel is checked against a second copy of itself:
   pivots (a1, a2) of mul_pairs_cross on shifted lists, and its distinct
   count equals the ratio-histogram t_o_linehash;
 - t_o_linehash: equals the line census `_spanned_lines`, on random small
-  lists, on first grids with points of all four membership classes
-  (x in A2?, x in A3?) that its closed form sums over, and at sizes where
-  the n^6 brute force is too slow; Farey neighbours among the ratio
-  denominators pin its m >= D**2.  Its orbit route for three equal grids
+  lists (and on three copies of one, where `_spanned_lines` reads
+  `_line_census`: the scan of its unequal route recounts each line, and
+  at n <= 5 the brute 6-tuple count its total), on first grids with
+  points of all four membership classes (x in A2?, x in A3?) that its
+  closed form sums over, and at sizes where the n^6 brute force is too
+  slow; Farey neighbours among the ratio denominators pin its m >= D**2.  Its orbit route for three equal grids
   also equals the ratio tally of every (x, a2, a3) on the same grids, on
   signed sets, APs and their affine images in any order, and the nearest
   pairs of orbit invariants show that its m = D**4 cannot drop to D**2;
@@ -84,6 +86,15 @@ def _census_t_o(g1, g2, g3):
 def test_t_o_linehash_equivalent(a, b, c, m):
     a, b, c = _affine(a, m), _affine(b, m), _affine(c, m)
     assert _kernels.t_o_linehash(a, b, c) == _census_t_o(a, b, c)
+    # equal grids read the line census of one grid: the unequal route's
+    # scan recounts each line's points, and the brute count the total
+    lines, g = list(_kernels_py._spanned_lines(a, a, a)), set(a)
+    for x, y, z, n1, *_ in lines:
+        assert n1 == len(_kernels_py._points_on_line(x, y, z, g))
+    census = sum(d for *_, d in lines)
+    assert census == _kernels.t_o_linehash(a, a, a)
+    if len(a) <= 5:
+        assert census == _kernels.collinear_six_counts(a, a, a)[1]
 
 
 @st.composite

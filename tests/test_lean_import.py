@@ -36,7 +36,7 @@ import addcomb
 from addcomb import intervals
 from addcomb.core import canonical_line, point
 from addcomb.incidence import Arrangement, write_arrangement
-from source_rules import PACKAGE, ROOT, eager_imports, nodes, scan
+from source_rules import PACKAGE, ROOT, eager_imports, findings, module_imports, nodes, scan
 
 _CHILD = """
 import json, sys
@@ -121,8 +121,8 @@ def test_import_leaves_mpmath_platform_statistics_unloaded():
 
 def test_import_loads_energy_and_what_it_imports():
     got = _child(_PACKAGE_NAMES)
-    assert got["loaded"] == ["addcomb", "addcomb._kernels", "addcomb._kernels_py",
-                             "addcomb.energy", "addcomb.errors", "addcomb.sets"]
+    assert got["loaded"] == ["addcomb", "addcomb._kernels_py", "addcomb.energy",
+                             "addcomb.errors", "addcomb.sets"]
     assert got == {**got, "cli": "addcomb.cli", "energy": True, "unknown": False}
 
 
@@ -191,6 +191,30 @@ def test_scanner_finds_every_form_of_an_eager_import():
                                          (4, "importlib.resources"),
                                          (5, "importlib.resources"), (8, "statistics"),
                                          (12, "platform")]
+
+
+def test_scanner_finds_every_form_of_a_kernels_import():
+    src = (
+        "from . import _kernels\n"
+        "from ._kernels import backend_name\n"
+        "from ._kernels_py import t_o_linehash\n"
+        "from . import _kernels_py, errors\n"
+        "import addcomb._kernels\n"
+        "from addcomb import _kernels as k\n"
+        "from addcomb._kernels import t_o_linehash\n"
+        "def f():\n"
+        "    from . import _kernels\n"
+        "import addcomb._kernelsx\n"
+    )
+    # `_kernels_py` and a longer name are other modules
+    assert module_imports(nodes(src), "_kernels") == [1, 2, 5, 6, 7, 9]
+
+
+def test_only_the_harness_imports_the_kernels_shim():
+    # every caller takes its kernels from `_kernels_py`; `_kernels` is the
+    # benchmark tracer's binding of four of them, with `backend_name`
+    assert findings(lambda walk: len(module_imports(walk, "_kernels"))) == {
+        "src/addcomb/harness.py": 1}
 
 
 def test_scan_covers_the_package():
