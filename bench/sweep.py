@@ -103,6 +103,14 @@ def cells() -> list:
     for n in WIDE_SIZES:
         out.append((f"popular_ratios GP(1,1/10^6,{n})",
                     f"gp(1, Fraction(1, 10**6), {n})", "ratios.popular_ratios(A, A)"))
+    # and the orbit keys of T_o, whose span D is about 20n bits wide
+    for n in WIDE_SIZES:
+        out.append((f"t_o_count(A,A,A) GP(1,1/10^6,{n})",
+                    f"gp(1, Fraction(1, 10**6), {n})", "collinear.t_o_count(A, A, A)"))
+    # the brute 6-tuple oracle, at the sizes the oracle suite reaches and past them
+    for n in (4, 6, 8):
+        out.append((f"t_split_brute(A,A,A) Random({n},{8 * n},1)",
+                    f"random_set({n}, {8 * n}, 1)", "collinear.t_split_brute(A, A, A)"))
     # a regularize band that leaves the zero difference: t = 512, |P| = 1024
     out.append(("regularize(k=2) AP(1,1,1200)", "ap(1, 1, 1200)", "decompose.regularize(A, 2)"))
     # difference tallies packed into one product, past the sizes above

@@ -5,8 +5,10 @@ are exact at any magnitude; every caller in the package imports them from
 here by name, and _kernels re-exports four for the benchmark's tracer.
 t_o_linehash counts by one histogram of ratios of differences plus a
 closed form over membership classes; on three equal grids of n values it
-keys each 3-set once by the invariant of its anharmonic orbit of ratios,
-C(n, 3) keys at most instead of about n**3.  _spanned_lines hashes every
+keys each 3-set once by a ratio that names its anharmonic orbit of ratios,
+C(n, 3) keys at most instead of about n**3.  collinear_six_counts is the
+brute oracle: it solves for the last coordinate and hashes nothing but the
+values of its third list.  _spanned_lines hashes every
 spanned line and so is its independent check.  _line_census, the one
 integer line census, counts the _canonical_span key of every pair of
 distinct points; incidence reads it for spanned-line multiplicities and
@@ -16,8 +18,8 @@ r(p) r'(p), from one histogram of the products a*d and one of b*c (one
 when the two rectangles hold the same products; with one list on all four
 sides, one of the products a*d with a before d and one of the squares).
 t_o_linehash keys a ratio v/u by the exact int floor key v*m // u, with
-one m >= D**2 per call for D a bound on |u| (its orbit invariants with
-m = D**4), and no gcd is taken.
+one m >= D**2 per call for D a bound on |u| (its orbit ratios too, whose
+denominators are at most the span D), and no gcd is taken.
 count_incidences packs all points into fixed-width slots of two bigints and
 tests every point against a line with one linear form on those ints; its
 checks are the Fraction recount `LineKey.contains` and a direct double loop
@@ -44,29 +46,42 @@ def collinear_six_counts(a: Sequence[int], b: Sequence[int], c: Sequence[int]):
     """Count 6-tuples (a1,a2,b1,b2,c1,c2) with (b1-a1)(c2-a2) == (c1-a1)(b2-a2).
 
     Returns (total, distinct) where distinct counts only solutions whose
-    three points (a1,a2), (b1,b2), (c1,c2) are pairwise distinct.
-    Brute force by design: this is the oracle the fast path is checked against.
+    three points (a1,a2), (b1,b2), (c1,c2) are pairwise distinct.  The
+    inputs are sequences, and a value listed twice counts twice.
+    Brute force by design: this is the oracle the fast path is checked
+    against, so it hashes no line and no ratio.  It enumerates
+    (a1, a2, b1, b2, c1) and solves for c2, in |a|^2 |b|^2 |c| steps.
+    When b1 != a1, c2 = a2 + (c1 - a1)(b2 - a2)/(b1 - a1) if that division
+    is exact, and each entry of c equal to it is a solution; the points
+    a and c meet iff c1 == a1, b and c iff c1 == b1, so distinct keeps the
+    other c1.  When b1 == a1 the equation reads 0 == (c1 - a1)(b2 - a2):
+    every c2 solves it when b2 == a2 (then a == b) or c1 == a1, and none
+    does otherwise; distinct then drops c2 in {a2, b2}.
     """
-    total = 0
-    distinct = 0
+    mult = Counter(c)
+    get = mult.get
+    nc = len(c)
+    pairs = [(a2, b2 - a2) for a2 in a for b2 in b]
+    total = distinct = 0
     for a1 in a:
-        for a2 in a:
-            for b1 in b:
-                db1 = b1 - a1
-                for b2 in b:
-                    db2 = b2 - a2
-                    u12 = db1 != 0 or db2 != 0
-                    for c1 in c:
-                        dc1 = c1 - a1
-                        for c2 in c:
-                            if db1 * (c2 - a2) == dc1 * db2:
-                                total += 1
-                                if (
-                                    u12
-                                    and (dc1 != 0 or c2 != a2)
-                                    and (b1 != c1 or b2 != c2)
-                                ):
-                                    distinct += 1
+        dcs = [c1 - a1 for c1 in c]
+        for b1 in b:
+            db1 = b1 - a1
+            if db1:
+                for dc1 in dcs:
+                    t = sum([get(a2 + n // db1, 0) for a2, db2 in pairs
+                             if not (n := dc1 * db2) % db1])
+                    total += t
+                    if dc1 and dc1 != db1:
+                        distinct += t
+                continue
+            on_a1 = get(a1, 0)  # the entries c1 == a1
+            for a2, db2 in pairs:
+                if db2:
+                    total += on_a1 * nc
+                    distinct += on_a1 * (nc - get(a2, 0) - get(a2 + db2, 0))
+                else:
+                    total += nc * nc
     return total, distinct
 
 
@@ -177,13 +192,14 @@ def t_o_linehash(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
     so S(1) = n (n - 1).  The 6 orders (x, a2, a3) of any 3-set
     {u < v < w} map t onto the anharmonic orbit of t0 = (v - u)/(w - u),
     {t0, 1 - t0, 1/t0, 1/(1 - t0), t0/(t0 - 1), (t0 - 1)/t0}, whose only
-    members in (0, 1) are t0 and 1 - t0.  So
-    lambda = t0 (1 - t0) = (v - u)(w - v)/(w - u)**2 in (0, 1/4] names the
-    orbit, and with N(lambda) the number of 3-sets of invariant lambda,
-    S(t) = N(lambda) on each of its 6 members.  The one exception is
-    lambda = 1/4, the 3-term APs, whose orbit {-1, 2, 1/2} has 3 members
-    each hit twice per set, so S = 2 N(1/4) there.  Hence
-    sum_t S(t)**2 = 6 sum_{lambda < 1/4} N**2 + 12 N(1/4)**2
+    members in (0, 1) are t0 and 1 - t0.  So the smaller of them,
+    s = min(v - u, w - v)/(w - u) in (0, 1/2], names the orbit: its
+    invariant lambda = t0 (1 - t0) = s (1 - s) maps (0, 1/2] one-to-one
+    onto (0, 1/4].  With N(s) the number of 3-sets of that s,
+    S(t) = N(s) on each of the orbit's 6 members.  The one exception is
+    s = 1/2, the 3-term APs, whose orbit {-1, 2, 1/2} has 3 members each
+    hit twice per set, so S = 2 N(1/2) there.  Hence
+    sum_t S(t)**2 = 6 sum_{s < 1/2} N**2 + 12 N(1/2)**2
     + (n (n - 1))**2, in time O(n**3 / 6) with C(n, 3) keys at most.
 
     The name matches the "linehash" mode of collinear.t_o_count.
@@ -224,23 +240,21 @@ def _ratio_tally(g1: Sequence[int], g2: Sequence[int], g3: Sequence[int]) -> int
 
 def _orbit_tally(g) -> int:
     # t_o_linehash on g1 = g2 = g3 = g: N is tallied on the int key
-    # ((v - u)(w - v) m) // (w - u)**2 with m = D**4 for D the span of g.
-    # Distinct lambdas have denominators at most D**2, so they differ by at
-    # least 1/D**4 and their keys differ; lambda = 1/4 has the key m // 4.
-    # Each least element u tallies the 3-sets of its suffix at once, so no
-    # list of all C(n, 3) keys is held
+    # min(v - u, w - v) m // (w - u) of s with m = D**2 for D the span of g.
+    # Distinct values of s have denominators at most D, so they differ by
+    # at least 1/D**2 and their keys differ; s = 1/2 has the key m // 2.
+    # Each least element u tallies the 3-sets of its suffix at once, by the
+    # gaps v - u < w - u, so no list of all C(n, 3) keys is held
     vals = sorted(g)
     n = len(vals)
-    m = (vals[-1] - vals[0]) ** 4 if vals else 0
-    lambdas = Counter()
+    m = (vals[-1] - vals[0]) ** 2 if vals else 0
+    keys = Counter()
     for i, u in enumerate(vals):
-        suffix = vals[i + 1:]
-        dens = [(w - u) ** 2 for w in suffix]
-        lambdas.update([(v - u) * (w - v) * m // den
-                        for j, (w, den) in enumerate(zip(suffix, dens))
-                        for v in suffix[:j]])
-    aps = lambdas.pop(m // 4, 0)
-    return (6 * sum(c * c for c in lambdas.values()) + 12 * aps * aps
+        gaps = [w - u for w in vals[i + 1:]]
+        keys.update([(d - e if e + e > d else e) * m // d
+                     for j, d in enumerate(gaps) for e in gaps[:j]])
+    aps = keys.pop(m // 2, 0)
+    return (6 * sum(c * c for c in keys.values()) + 12 * aps * aps
             + (n * (n - 1)) ** 2 + n * n * (n - 1) * (n - 3))
 
 

@@ -6,14 +6,19 @@ collinear, coincidences included.  T_o(A1,A2,A3) is the ordered count over
 the grids A_i x A_i with the three points pairwise distinct; order matters,
 so a line meeting each grid in the same 3 points contributes 3! = 6.
 Both a brute-force oracle and a fast path are provided and must agree
-exactly; the fast path is never trusted on its own.  The fast path (mode
+exactly; the fast path is never trusted on its own.  The oracle,
+`_kernels_py.collinear_six_counts`, enumerates (a1, a2, b1, b2, c1) and
+solves the equation for c2, |A|^2 |B|^2 |C| steps; it is charged
+(|A| |B| |C|)^2 tuple checks, the size of the full enumeration, which
+bounds that work from above.  The fast path (mode
 "linehash") tallies one histogram of the ratios (a2 - x)/(a3 - x) over
 A1 x A2 x A3 on exact int keys, sums its squared counts and adds a closed
 form for the solutions with a zero difference, in O(|A1| |A2| |A3|) time
 and memory.
 When A1 = A2 = A3 = A the 6 orders of a 3-set of A share one anharmonic
-orbit of ratios, so it keys each 3-set once by the orbit's invariant,
-C(|A|, 3) keys at most.
+orbit of ratios, so it keys each 3-set {u < v < w} once by the ratio
+min(v - u, w - v)/(w - u) in (0, 1/2] that names the orbit, C(|A|, 3) keys
+at most.
 `triple_count_report` takes T_o from it and T as T_o plus the closed-form
 `coincident_tuples`; the oracle suite checks that sum against the brute
 6-tuple count.
@@ -37,19 +42,24 @@ def _six_counts(A: RatSet, B: RatSet, C: RatSet):
 
 
 def _check_tuple_budget(A, B, C, budget):
+    # the size of the full 6-tuple enumeration, an upper bound on the
+    # |A|^2 |B|^2 |C| steps of the brute count and on the identity check
     charge((len(A) * len(B) * len(C)) ** 2, budget, "tuple checks")
 
 
 def t_count_brute(A: RatSet, B: RatSet, C: RatSet,
                   budget: int = DEFAULT_BUDGET) -> int:
-    """Exact T(A,B,C) by enumerating all |A|^2 |B|^2 |C|^2 tuples."""
+    """Exact T(A,B,C) by brute force: every (a1, a2, b1, b2, c1) with the
+    c2 that the equation fixes, |A|^2 |B|^2 |C| steps, charged as the
+    |A|^2 |B|^2 |C|^2 tuples it stands for."""
     _check_tuple_budget(A, B, C, budget)
     return _six_counts(A, B, C)[0]
 
 
 def t_split_brute(A: RatSet, B: RatSet, C: RatSet,
                   budget: int = DEFAULT_BUDGET):
-    """(total, distinct) where distinct keeps only pairwise distinct points."""
+    """(total, distinct) where distinct keeps only pairwise distinct points,
+    by the brute count of `t_count_brute` and at its charge."""
     _check_tuple_budget(A, B, C, budget)
     return _six_counts(A, B, C)
 
@@ -74,8 +84,9 @@ def t_o_count(A1: RatSet, A2: RatSet, A3: RatSet, mode: str = "linehash",
     The fast path keys one ratio per (x, a2, a3) in A1 x A2 x A3, so it
     charges |A1| |A2| |A3| ratio keys against the budget; that bounds both
     its work and the entries of its histogram, and it does not depend on
-    the argument order.  On A1 = A2 = A3 it keys one orbit invariant per
+    the argument order.  On A1 = A2 = A3 it keys one orbit ratio per
     3-set instead, C(|A1|, 3) keys, and the same charge bounds those.
+    Mode "brute" takes the oracle's distinct count, at its charge.
     """
     if mode == "brute":
         _check_tuple_budget(A1, A2, A3, budget)

@@ -188,7 +188,7 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
     family "triple": lines meeting all three grids in pairwise distinct
     points (the family behind the ordered collinear triple count).
     family "pairs": for each grid independently, all lines spanned by a
-    distinct point pair of that grid.
+    distinct point pair of that grid, by one line census per distinct grid.
     """
     if not (len(A1) <= len(A2) <= len(A3)):
         raise InvalidConfig("pass the sets sorted by size: |A1| <= |A2| <= |A3|")
@@ -205,9 +205,12 @@ def line_moment_sums(A1: RatSet, A2: RatSet, A3: RatSet, p: int,
     elif family == "pairs":
         charge(sum(n * n * (n * n - 1) // 2 for n in map(len, sets)), budget,
                "grid point pairs")
-        # multiplicities do not depend on the scale: one integerize serves all three
-        sums = tuple(sum(m ** p for m in _line_census(product(v, v)).values())
-                     for v in integerize(*sets)[1])
+        # multiplicities do not depend on the scale: one integerize serves all
+        # three, and equal grids (their scaled ints are sorted) share one census
+        grids = [tuple(v) for v in integerize(*sets)[1]]
+        by_grid = {v: sum(m ** p for m in _line_census(product(v, v)).values())
+                   for v in set(grids)}
+        sums = tuple(by_grid[v] for v in grids)
     else:
         raise InvalidConfig(f"unknown family {family!r}")
     ratios = tuple(

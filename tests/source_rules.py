@@ -10,7 +10,9 @@ breaking snippet sit in the test module of its guarantee: test_budget
 calls `_emit`), test_decompose (no `recheck_*` calls a producer step:
 `dyadic_band`, `_level`, `_reg_step` or `_two_sided_core`), test_energy
 (no package module calls `decide_leq`), test_key_format,
-test_lean_import (no package module but `harness` imports `_kernels`),
+test_kernels_equivalence (`collinear_six_counts` calls no fast T_o route
+and no line census), test_lean_import (no package module but `harness`
+imports `_kernels`),
 test_line_census (only `harness` calls `line_through`, and only
 `_kernels_py` calls `_canonical_span`), test_one_mixer, test_rational_rule
 (one-argument `Fraction` calls), test_sets (`raise_sites` finds none in

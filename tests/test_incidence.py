@@ -2,13 +2,14 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb._kernels_py import _multiplicity_from_pairs
+from addcomb import incidence
+from addcomb._kernels_py import _line_census, _multiplicity_from_pairs
 from addcomb.core import canonical_line, line_through, point
 from addcomb.errors import InvalidConfig
 from addcomb.incidence import (
@@ -23,7 +24,7 @@ from addcomb.incidence import (
     st_bound_holds,
     write_arrangement,
 )
-from addcomb.sets import RatSet, SplitMix64
+from addcomb.sets import RatSet, SplitMix64, integerize
 
 
 def _grid_arrangement(n: int, slopes) -> Arrangement:
@@ -261,3 +262,27 @@ def test_line_moment_sums_pairs_brute_recount(sets, p):
         lines = {line_through(u, v) for u, v in combinations(grid, 2)}
         expected.append(sum(sum(1 for u in grid if li.contains(u)) ** p for li in lines))
     assert line_moment_sums(*sets, p, "pairs").sums == tuple(expected)
+
+
+def test_line_moment_sums_pairs_builds_one_census_per_distinct_grid(monkeypatch):
+    # equal sets integerize to equal grids, and each distinct grid takes
+    # one census; the sums equal one census per grid, grid by grid
+    calls = []
+
+    def spy(points):
+        calls.append(1)
+        return _line_census(points)
+
+    monkeypatch.setattr(incidence, "_line_census", spy)
+    a = RatSet([Fraction(-1, 2), 0, 1, 2])
+    b = RatSet([0, 1, Fraction(3, 2), 2, 5])
+    c = RatSet([-3, -1, 0, 1, 2, 4])
+    cases = [((a, a, a), 1), ((a, RatSet(list(a)), a), 1), ((a, b, b), 2), ((a, a, c), 2),
+             ((a, b, c), 3)]
+    for sets, censuses in cases:
+        for p in (1, 2, 3):
+            calls.clear()
+            sums = line_moment_sums(*sets, p, "pairs").sums
+            assert len(calls) == censuses
+            assert sums == tuple(sum(m ** p for m in _line_census(product(v, v)).values())
+                                 for v in integerize(*sets)[1])

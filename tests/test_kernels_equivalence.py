@@ -2,9 +2,12 @@
 
 No kernel is checked against a second copy of itself:
 
-- collinear_six_counts: its total equals the shift identity, a sum over
-  pivots (a1, a2) of mul_pairs_cross on shifted lists, and its distinct
-  count equals the ratio-histogram t_o_linehash;
+- collinear_six_counts: it solves for c2, and equals the literal loop over
+  every 6-tuple on lists with duplicates, 0, negatives and empty sides;
+  its total equals the shift identity, a sum over pivots (a1, a2) of
+  mul_pairs_cross on shifted lists, and its distinct count equals the
+  ratio-histogram t_o_linehash.  A source rule (`source_rules.call_sites`)
+  keeps it from calling t_o_linehash, either tally or the line census;
 - t_o_linehash: equals the line census `_spanned_lines`, on random small
   lists (and on three copies of one, where `_spanned_lines` reads
   `_line_census`: the scan of its unequal route recounts each line, and
@@ -14,7 +17,8 @@ No kernel is checked against a second copy of itself:
   slow; Farey neighbours among the ratio denominators pin its m >= D**2.  Its orbit route for three equal grids
   also equals the ratio tally of every (x, a2, a3) on the same grids, on
   signed sets, APs and their affine images in any order, and the nearest
-  pairs of orbit invariants show that its m = D**4 cannot drop to D**2;
+  pairs of its orbit ratios s show that its m = D**2 cannot drop to
+  D**2 // 4;
 - mul_pairs_count and mul_pairs_cross: equal a direct quadruple loop, and
   when the rectangles x1 * y2 and x2 * y1 hold the same products, as for
   every mul_pairs_count and on the diagonal (y1, y2) == (x1, x2), build
@@ -40,7 +44,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import _kernels, _kernels_py
@@ -48,6 +52,7 @@ from addcomb.core import canonical_line, line_through, point
 from addcomb.energy import energy, energy_mul_product_form
 from addcomb.incidence import Arrangement, incidences
 from addcomb.sets import RatSet
+from source_rules import ROOT, call_sites, findings, nodes, scan
 
 ints = st.integers(-300, 300)
 int_lists = st.lists(ints, min_size=1, max_size=6, unique=True)
@@ -75,6 +80,67 @@ def test_collinear_six_counts_equivalent(a, b, c, m):
                                     [x - a1 for x in c], [x - a2 for x in c])
         for a1 in a for a2 in a)
     assert distinct == _kernels.t_o_linehash(a, b, c)
+
+
+def _six_loop(a, b, c):
+    # every 6-tuple in turn, |a|^2 |b|^2 |c|^2 steps: the oracle of
+    # collinear_six_counts, which solves for c2 instead
+    total = 0
+    distinct = 0
+    for a1 in a:
+        for a2 in a:
+            for b1 in b:
+                db1 = b1 - a1
+                for b2 in b:
+                    db2 = b2 - a2
+                    u12 = db1 != 0 or db2 != 0
+                    for c1 in c:
+                        dc1 = c1 - a1
+                        for c2 in c:
+                            if db1 * (c2 - a2) == dc1 * db2:
+                                total += 1
+                                if (
+                                    u12
+                                    and (dc1 != 0 or c2 != a2)
+                                    and (b1 != c1 or b2 != c2)
+                                ):
+                                    distinct += 1
+    return total, distinct
+
+
+# up to 5 entries of a few values: duplicates, 0, negatives, empty sides
+small_seqs = st.lists(st.integers(-4, 4), max_size=5)
+
+
+@given(small_seqs, small_seqs, small_seqs, affine_maps)
+@example([0, 0, -1], [], [2], (1, 0))
+@example([0, -2, 0, 3, 3], [1, 1, 0, -1, 4], [0, -2, 4, 4, 1], (1, 0))
+@example([2, 2], [2, 2], [2, -2], (2**61 - 1, -2**70))
+@settings(max_examples=200, deadline=None)
+def test_collinear_six_counts_matches_six_loop(a, b, c, m):
+    a, b, c = _affine(a, m), _affine(b, m), _affine(c, m)
+    assert _kernels_py.collinear_six_counts(a, b, c) == _six_loop(a, b, c)
+
+
+# the fast routes and the line census, none of which the oracle may reach
+FAST_ROUTES = ("t_o_linehash", "_ratio_tally", "_orbit_tally", "_line_census",
+               "_spanned_lines", "_canonical_span")
+
+
+def _oracle_calls(walk, names):
+    return [name for name in names if "collinear_six_counts" in call_sites(walk, name)]
+
+
+def test_the_six_count_oracle_calls_no_fast_route():
+    src = (
+        "def collinear_six_counts(a, b, c):\n"
+        "    return _kernels_py._orbit_tally(a), sum(map(len, (a, b, c)))\n"
+    )
+    assert _oracle_calls(nodes(src), FAST_ROUTES) == ["_orbit_tally"]
+    assert findings(lambda walk: _oracle_calls(walk, FAST_ROUTES)) == {}
+    # the rule reads the oracle itself, not a name that no longer exists
+    kernels = scan(ROOT / "src/addcomb/_kernels_py.py")
+    assert _oracle_calls(kernels, ["Counter"]) == ["Counter"]
 
 
 def _census_t_o(g1, g2, g3):
@@ -225,34 +291,32 @@ def test_ratio_keys_need_m_at_least_d_squared():
 
 
 def _closest_orbit_pair(d):
-    # gap pairs (a, b) and (a2, b2), a + b <= d, of 3-sets {u, u + a,
-    # u + a + b} whose invariants lambda = a b/(a + b)**2 are the two
-    # nearest distinct ones at span d
-    lams = {Fraction(a * b, (a + b) ** 2): (a, b)
-            for b in range(1, d) for a in range(1, min(b, d - b) + 1)}
-    ls = sorted(lams)
-    l1, l2 = min(zip(ls, ls[1:]), key=lambda pair: pair[1] - pair[0])
-    return lams[l1], lams[l2]
+    # gap pairs (a, b) and (a2, b2), a <= b and a + b <= d, of 3-sets
+    # {u, u + a, u + a + b} whose ratios s = a/(a + b) are the two nearest
+    # distinct ones at span d
+    ss = {Fraction(a, a + b): (a, b)
+          for b in range(1, d) for a in range(1, min(b, d - b) + 1)}
+    ls = sorted(ss)
+    s1, s2 = min(zip(ls, ls[1:]), key=lambda pair: pair[1] - pair[0])
+    return ss[s1], ss[s2]
 
 
-def test_orbit_keys_need_m_at_least_d_to_the_fourth():
-    # the orbit route keys lambda = (v - u)(w - v)/(w - u)**2 by
-    # ((v - u)(w - v) m) // (w - u)**2.  The grid below spans d and holds
-    # both 3-sets of the nearest pair of invariants: m = D**4 keeps their
-    # keys apart, while m = D**2 merges them at d = 5 and every even d >= 8
-    merged = 0
+def test_orbit_keys_need_m_at_least_d_squared():
+    # the orbit route keys s = min(v - u, w - v)/(w - u) by
+    # (min(v - u, w - v) m) // (w - u).  The grid below spans d and holds
+    # both 3-sets of the nearest pair of ratios s: m = D**2 keeps their
+    # keys apart, while m = D**2 // 4 merges them at every d % 4 != 3
     for d in range(5, 31):
         (a, b), (a2, b2) = _closest_orbit_pair(d)
 
         def keys(m):
-            return [x * y * m // (x + y) ** 2 for x, y in ((a, b), (a2, b2))]
+            return [min(x, y) * m // (x + y) for x, y in ((a, b), (a2, b2))]
 
-        assert len(set(keys(d**4))) == 2
-        merged += len(set(keys(d**2))) == 1
+        assert len(set(keys(d**2))) == 2
+        assert (len(set(keys(d**2 // 4))) == 1) == (d % 4 != 3)
         g = sorted({0, a, a + b, d - a2 - b2, d - b2, d})
-        t_o = _kernels.t_o_linehash(g, g, g)
-        assert t_o == _kernels_py._ratio_tally(g, g, g) == _census_t_o(g, g, g)
-    assert merged
+        assert (_kernels_py._orbit_tally(g) == _kernels_py._ratio_tally(g, g, g)
+                == _census_t_o(g, g, g))
 
 
 @given(signed_lists, signed_lists, signed_lists, signed_lists, scales)
