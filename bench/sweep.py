@@ -71,6 +71,7 @@ ratios = importlib.import_module("addcomb.ratios")
 collinear = importlib.import_module("addcomb.collinear")
 decompose = importlib.import_module("addcomb.decompose")
 incidence = importlib.import_module("addcomb.incidence")
+harness = importlib.import_module("addcomb.harness")
 # one input config, or several separated by commas
 inputs = [generate(c) for c in ({config},)]
 A = inputs[0]
@@ -127,6 +128,10 @@ def cells() -> list:
     out.append(('line_moment_sums(A1,A2,A3,2,"triple") AP(1,1,8) GridExample(2,4) '
                 'Random(10,40,1)', "ap(1, 1, 8), grid_example(2, 4), random_set(10, 40, 1)",
                 'incidence.line_moment_sums(*inputs, 2, "triple")'))
+    # the incidence suite of verify: 1000 pinned arrangements drawn and
+    # counted, 20 recounted and the rich-line check; its input is pinned,
+    # so the config is a placeholder
+    out.append(('run_suite("incidence")', "ap(1, 1, 1)", 'harness.run_suite("incidence")'))
     return out
 
 

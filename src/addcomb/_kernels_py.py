@@ -20,10 +20,11 @@ sides, one of the products a*d with a before d and one of the squares).
 t_o_linehash keys a ratio v/u by the exact int floor key v*m // u, with
 one m >= D**2 per call for D a bound on |u| (its orbit ratios too, whose
 denominators are at most the span D), and no gcd is taken.
-count_incidences packs all points into fixed-width slots of two bigints and
-tests every point against a line with one linear form on those ints; its
-checks are the Fraction recount `LineKey.contains` and a direct double loop
-in the tests.  packed_pair_counts packs the indicators of two sets the
+count_incidences packs all lines into fixed-width slots of three bigints,
+loops over the points and tests each point against every line with one
+linear form on those ints, its slot width taken from C-level maxima of the
+coefficients and coordinates; its checks are the incidence suite's recount
+by per-point cross-multiplication and a direct double loop in the tests.  packed_pair_counts packs the indicators of two sets the
 same way and reads every sum or difference count off their one product;
 its check is a Counter over the pair keys of `sets.int_keys` in the tests.
 Callers are responsible for clearing denominators first; every routine
@@ -263,38 +264,46 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
 
     The points are parallel arrays (pxs, pys), the lines parallel arrays
     (las, lbs, lcs); duplicates, non-reduced lines and any magnitudes are
-    counted as given.  Each line costs a few bigint operations instead of
-    |P| comparisons.
+    counted as given.  Each point costs a few bigint operations instead of
+    |L| comparisons.
 
-    Packing: with mx = max |X| and my = max |Y|, the offset values
-    X + mx in [0, 2 mx] and Y + my in [0, 2 my] go into one W-bit slot per
-    point of two ints PX and PY; ONES has a 1 at the bottom of every slot.
-    For a line (a, b, c), by linearity the int
+    Packing: the lines sit in the slots.  With ma, mb, mc the largest
+    |a|, |b|, |c| of the lines, the offset coefficients a + ma in [0, 2 ma],
+    b + mb and c + mc go into one W-bit slot per line of three ints PA, PB
+    and PC; ONES has a 1 at the bottom of every slot, and LA = PA - ma*ONES,
+    LB = PB - mb*ONES, LC = PC - mc*ONES.  The loop runs over the points:
+    for a point (x, y), by linearity the int
 
-        F = a*PX + b*PY + (B - c - a*mx - b*my)*ONES,   B = 2**(w-1),
+        F = x*LA + y*LB + (B*ONES - LC),   B = 2**(w-1),
 
-    equals the sum over i of f_i * 2**(W i) with f_i = a X_i + b Y_i - c + B.
-    The width rule below makes every |a X_i + b Y_i - c| < B, so every f_i
+    equals the sum over j of f_j * 2**(W j) with f_j = a_j x + b_j y - c_j + B.
+    The width rule below makes every |a_j x + b_j y - c_j| < B, so every f_j
     lies in (0, 2**w) with w < W: the sum is the base-2**W expansion of F,
-    and slot i of F holds exactly f_i.  Point i is on the line iff f_i == B,
-    iff slot i of F ^ B*ONES is zero; adding 2**w - 1 to every slot sets
+    and slot j of F holds exactly f_j.  The point is on line j iff f_j == B,
+    iff slot j of F ^ B*ONES is zero; adding 2**w - 1 to every slot sets
     bit w of the slot (its spare top bit) iff the slot is nonzero, and no
-    slot carries into the next.  So the bits left by & (ONES << w) count
-    the points off the line.
+    slot carries into the next.  So the bits left by & (ONES << w) flag
+    the lines off the point; when they are all set, as for most points,
+    no line passes through it and no bit is counted.
 
-    Width rule: w = max(max over lines of |a| mx + |b| my + |c|, 2 mx,
-    2 my).bit_length() + 1 and W = 8 ceil((w + 1) / 8).  The first term
-    bounds |f_i - B|; the 2 mx and 2 my terms make the offset coordinates
-    fit a slot, which the line bound alone does not when, say, every line
-    is horizontal and |X| is large.
+    Width rule: w = max(ma mx + mb my + mc, 2 ma, 2 mb).bit_length() + 1
+    with mx = max |x| and my = max |y| over the points, and
+    W = 8 ceil((w + 1) / 8).  The first term bounds every
+    |a_j x + b_j y - c_j| <= |a_j| |x| + |b_j| |y| + |c_j|, and is at least
+    the largest of those per-line bounds, so no slot carries.  The offset
+    coefficients must fit a slot too: c + mc <= 2 mc is below 2**w because
+    mc is at most the first term, but a + ma <= 2 ma is not when, say,
+    every x is 0, hence the 2 ma and 2 mb terms.  All five maxima are taken
+    by C-level `max(map(abs, ...))`, with no loop over pairs.
     """
-    n = len(pxs)
-    if not n or not las:
+    n = len(las)
+    if not n or not pxs:
         return 0
-    mx = max(map(abs, pxs))
-    my = max(map(abs, pys))
-    bound = max(abs(a) * mx + abs(b) * my + abs(c) for a, b, c in zip(las, lbs, lcs))
-    w = max(bound, 2 * mx, 2 * my).bit_length() + 1
+    ma = max(map(abs, las))
+    mb = max(map(abs, lbs))
+    mc = max(map(abs, lcs))
+    bound = ma * max(map(abs, pxs)) + mb * max(map(abs, pys)) + mc
+    w = max(bound, 2 * ma, 2 * mb).bit_length() + 1
     nbytes = (w + 8) // 8
 
     def pack(vs, m):
@@ -306,13 +315,15 @@ def count_incidences(pxs, pys, las, lbs, lcs) -> int:
     flip = half * ones
     fill = ((1 << w) - 1) * ones
     top = ones << w
-    # PX - mx*ONES, so a*sx + b*sy + (B - c)*ONES is F
-    sx = pack(pxs, mx) - mx * ones
-    sy = pack(pys, my) - my * ones
-    off = 0
-    for a, b, c in zip(las, lbs, lcs):
-        off += ((((a * sx + b * sy + (half - c) * ones) ^ flip) + fill) & top).bit_count()
-    return n * len(las) - off
+    la = pack(las, ma) - ma * ones
+    lb = pack(lbs, mb) - mb * ones
+    shift = (half + mc) * ones - pack(lcs, mc)  # B*ONES - LC
+    on = 0
+    for x, y in zip(pxs, pys):
+        flags = (((x * la + y * lb + shift) ^ flip) + fill) & top
+        if flags != top:  # some line through the point
+            on += n - flags.bit_count()
+    return on
 
 
 def packed_pair_counts(xs: Sequence[int], ys: Sequence[int], diff: bool) -> Counter:

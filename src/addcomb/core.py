@@ -61,15 +61,22 @@ class LineKey(NamedTuple):
         return self.a * x.numerator * yd + self.b * y.numerator * xd == self.c * xd * yd
 
 
-def canonical_line(a: int, b: int, c: int) -> LineKey:
-    """Reduce an integer triple to the canonical LineKey. (a, b) must be nonzero."""
+def canonical_triple(a: int, b: int, c: int) -> tuple:
+    """The canonical form of the integer triple (a, b, c) as a plain tuple:
+    divided by gcd(a, b, c) and signed so that the first nonzero of (a, b)
+    is positive.  (a, b) must be nonzero.  This is the one home of the
+    rule; batches of lines, as the incidence suite draws, map it directly."""
     if a == 0 and b == 0:
         raise DegeneratePair("normal vector (a, b) must be nonzero")
     g = gcd(a, b, c)
-    # Sign rule: first nonzero of (a, b) positive.
     if a < 0 or (a == 0 and b < 0):
         g = -g
-    return LineKey(a // g, b // g, c // g)
+    return a // g, b // g, c // g
+
+
+def canonical_line(a: int, b: int, c: int) -> LineKey:
+    """Reduce an integer triple to the canonical LineKey. (a, b) must be nonzero."""
+    return LineKey._make(canonical_triple(a, b, c))
 
 
 def line_through(p: PlanePoint, q: PlanePoint) -> LineKey:

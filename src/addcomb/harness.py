@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from . import decompose, ratios
@@ -26,7 +27,7 @@ from .collinear import (
     t_split_brute,
     triple_count_report,
 )
-from .core import DEFAULT_BUDGET, canonical_line, line_through, point
+from .core import DEFAULT_BUDGET, LineKey, PlanePoint, canonical_triple, line_through, point
 from .energy import energy, l4_union_check, rep_histogram
 from .errors import (
     BudgetExceeded,
@@ -195,41 +196,52 @@ def _seeded_rat_set(rng: SplitMix64, size: int) -> RatSet:
 
 # lcm(1, 2, 3, 4): every drawn coordinate times this scale is an integer
 ARRANGEMENT_SCALE = 12
+# ARRANGEMENT_SCALE // d for each drawn denominator d
+_DEN_SCALE = {d: ARRANGEMENT_SCALE // d for d in (1, 2, 3, 4)}
 
 
 def _arrangement_draws(seed: int):
     # the SplitMix64 draws of one seeded arrangement, in draw order: the two
-    # sizes, points as (x num, x den, y num, y den), then lines (a, b, c),
-    # returned as canonical LineKeys
+    # sizes, points as (x num, x den, y num, y den), then lines (a, b, c).
+    # Returned as the point lists (xns, xds, yns, yds) and a list of the
+    # lines' canonical int triples
     draw = SplitMix64(seed).below_each
     n_pts, n_lines = draw((200, 200))
     d = draw((2001, 4, 2001, 4) * (n_pts + 1))
-    pts = [(xn - 1000, xd + 1, yn - 1000, yd + 1)
-           for xn, xd, yn, yd in zip(d[0::4], d[1::4], d[2::4], d[3::4])]
+    pts = ([v - 1000 for v in d[0::4]], [v + 1 for v in d[1::4]],
+           [v - 1000 for v in d[2::4]], [v + 1 for v in d[3::4]])
     d = draw((41, 41, 2001) * (n_lines + 1))
-    lines = []
-    for a, b, c in zip(d[0::3], d[1::3], d[2::3]):
-        a -= 20
-        b -= 20
-        if a == 0 and b == 0:
-            a = 1
-        lines.append(canonical_line(a, b, c - 1000))
+    # a drawn normal (0, 0) becomes (1, 0)
+    las = [a - 20 if a != 20 or b != 20 else 1 for a, b in zip(d[0::3], d[1::3])]
+    lines = list(map(canonical_triple, las, [b - 20 for b in d[1::3]],
+                     [c - 1000 for c in d[2::3]]))
     return pts, lines
 
 
 def _seeded_arrangement(seed: int) -> Arrangement:
-    pts, lines = _arrangement_draws(seed)
-    return Arrangement.build(
-        (point(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in pts), lines)
+    (xns, xds, yns, yds), lines = _arrangement_draws(seed)
+    return Arrangement.build(map(PlanePoint, map(Fraction, xns, xds), map(Fraction, yns, yds)),
+                             map(LineKey._make, lines))
 
 
 def _seeded_scaled_arrangement(seed: int):
     """`_seeded_arrangement(seed)` scaled by ARRANGEMENT_SCALE, as sets of
     int tuples: points (X, Y) and lines (a, b, C) with a*X + b*Y = C."""
-    pts, lines = _arrangement_draws(seed)
+    (xns, xds, yns, yds), lines = _arrangement_draws(seed)
+    scale = _DEN_SCALE.__getitem__
     s = ARRANGEMENT_SCALE
-    return ({(xn * (s // xd), yn * (s // yd)) for xn, xd, yn, yd in pts},
+    return (set(zip(map(mul, xns, map(scale, xds)), map(mul, yns, map(scale, yds)))),
             {(a, b, c * s) for a, b, c in lines})
+
+
+def _direct_incidences(arr: Arrangement) -> int:
+    # the incidence suite's recount, a route apart from the packed kernel:
+    # each point's own denominators cross-multiplied once, x = xn/xd and
+    # y = yn/yd to (xn*yd, yn*xd, xd*yd), and a*x + b*y == c tested on
+    # every pair as a*u + b*v == c*w, with no common scale
+    pts = [(x.numerator * y.denominator, y.numerator * x.denominator,
+            x.denominator * y.denominator) for x, y in arr.points]
+    return sum([a * u + b * v == c * w for a, b, c in arr.lines for u, v, w in pts])
 
 
 def _materialize(corpus: Sequence[GeneratorConfig]):
@@ -411,13 +423,13 @@ def _suite_incidence(corpus, budget: int):
         "st_bound", not bad,
         f"1000 arrangements, failing seeds: {bad if bad else 'none'}"))
 
-    # independent recount on a sample: direct Fraction membership vs the
-    # kernel, both on the Fraction arrangement and on the scaled ints
+    # independent recount on a sample: direct cross-multiplication on the
+    # Fraction arrangement vs the kernel, both on that arrangement and on
+    # the scaled ints
     recount_bad = []
     for seed in range(1, 21):
         arr = _seeded_arrangement(seed)
-        direct = sum(1 for li in arr.lines for p in arr.points if li.contains(p))
-        if not incidences(arr) == direct == counts[seed - 1]:
+        if not incidences(arr) == _direct_incidences(arr) == counts[seed - 1]:
             recount_bad.append(seed)
     checks.append(_exact(
         "incidence_recount", not recount_bad,

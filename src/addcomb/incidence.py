@@ -2,15 +2,18 @@
 
 Incidences are counted on integers: the point coordinates are scaled by a
 common denominator m, each line constant c becomes m*c, and the integer
-kernel `_kernels_py.count_incidences` tests aX + bY = C for all points at once,
-with one linear form per line on bigints that pack every point into a
-fixed-width slot.  `incidences` clears the denominators of an
-`Arrangement`; `scaled_incidences` takes points and lines that are already
-scaled ints, as the harness's incidence suite draws them.  That suite checks
-the kernel against an independent recount by `LineKey.contains` on the
-Fraction arrangement, which cross-multiplies each point's own denominators
-instead of clearing one common scale; the tests also check the kernel
-against a direct double loop over point-line pairs.
+kernel `_kernels_py.count_incidences` tests aX + bY = C for all lines at
+once: the lines sit in fixed-width slots of three bigints and the loop runs
+over the points, one linear form per point.  `incidences` clears the
+denominators of an `Arrangement` and hands the integerized coordinates and
+the line arrays straight to the kernel; `scaled_incidences` takes point and
+line tuples that are already scaled ints, as the harness's incidence suite
+draws them.  That suite checks the kernel against an independent recount on
+the Fraction arrangement, `harness._direct_incidences`, which
+cross-multiplies each point's own denominators once, (xn*yd, yn*xd, xd*yd),
+and tests a*u + b*v == c*w on every pair instead of clearing one common
+scale; the tests also check the kernel against a direct double loop over
+point-line pairs.
 
 Spanned lines are counted on the scaled ints too, by the one integer line
 census `_kernels_py._line_census`: it counts the `_canonical_span` key of
@@ -106,7 +109,9 @@ def incidences(arr: Arrangement) -> int:
     """Exact number of incident (point, line) pairs."""
     # clear point denominators; a*x + b*y = c scales to a*X + b*Y = m*c
     m, (xs, ys) = integerize([p.x for p in arr.points], [p.y for p in arr.points])
-    return scaled_incidences(list(zip(xs, ys)), [(l.a, l.b, l.c * m) for l in arr.lines])
+    lines = arr.lines
+    return count_incidences(xs, ys, [l.a for l in lines], [l.b for l in lines],
+                            [l.c * m for l in lines])
 
 
 def scaled_incidences(points, lines) -> int:

@@ -138,18 +138,24 @@ class SplitMix64:
                 return [self.below(n) for n in bounds]
             limit = min(limit, (1 << 64) - ((1 << 64) % n))
         s = self.state
-        nbytes = 16 * k
-        ramp = array("Q", bytes(nbytes))
-        ramp[::2] = array("Q", range(1, k + 1))
-        if _SWAP:
-            ramp.byteswap()
-        ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+        # ones (1 in every slot) and ramp (i in slot i - 1) of m slots grow by
+        # doubling, the upper copy of ramp holding i + m, and by one slot for
+        # each 1 bit of k after its leading one
+        ones = ramp = m = 1
+        for bit in bin(k)[3:]:
+            ramp |= (ramp + m * ones) << (128 * m)
+            ones |= ones << (128 * m)
+            m += m
+            if bit == "1":
+                ramp |= (m + 1) << (128 * m)
+                ones |= 1 << (128 * m)
+                m += 1
         lanes = ones * MASK64
-        z = (int.from_bytes(ramp, "little") * GAMMA + s * ones) & lanes
+        z = (ramp * GAMMA + s * ones) & lanes
         draws = _mix(z, lanes)
         if (draws + ((1 << 64) - limit) * ones) >> 64 & ones:
             return [self.below(n) for n in bounds]
-        words = array("Q", draws.to_bytes(nbytes, "little"))
+        words = array("Q", draws.to_bytes(16 * k, "little"))
         if _SWAP:
             words.byteswap()
         self.state = (s + k * GAMMA) & MASK64

@@ -10,6 +10,8 @@ breaking snippet sit in the test module of its guarantee: test_budget
 calls `_emit`), test_decompose (no `recheck_*` calls a producer step:
 `dyadic_band`, `_level`, `_reg_step` or `_two_sided_core`), test_energy
 (no package module calls `decide_leq`), test_key_format,
+test_harness (`route_calls`: the incidence recount `_direct_incidences`
+calls no incidence counter and nothing from the kernel modules),
 test_kernels_equivalence (`collinear_six_counts` calls no fast T_o route
 and no line census), test_lean_import (no package module but `harness`
 imports `_kernels`),
@@ -153,14 +155,54 @@ def module_imports(walk, module: str) -> list:
         if isinstance(node, ast.Import):
             hit = any(a.name == full for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            # a relative import names a module of the package itself
-            base = ".".join(filter(None, ["addcomb" if node.level else None, node.module]))
+            base = _import_base(node)
             hit = base == full or (base == "addcomb" and any(a.name == module for a in node.names))
         else:
             continue
         if hit:
             found.append(node.lineno)
     return sorted(found)
+
+
+def _import_base(node) -> str:
+    """The absolute module a `from ... import` reads; a relative import
+    names a module of the package itself."""
+    return ".".join(filter(None, ["addcomb" if node.level else None, node.module]))
+
+
+def imported_names(walk, module: str) -> set:
+    """Names that the imports of a walk bind from the package module
+    `module`: `from .module import x` and its absolute form through
+    `addcomb`, and the module itself for `from . import module`."""
+    full = f"addcomb.{module}"
+    bound = set()
+    for node, _ in walk:
+        if isinstance(node, ast.ImportFrom):
+            base = _import_base(node)
+            if base == full:
+                bound |= {a.asname or a.name for a in node.names}
+            elif base == "addcomb":
+                bound |= {a.asname or a.name for a in node.names if a.name == module}
+    return bound
+
+
+def route_calls(walk, fn: str, names, modules) -> list:
+    """The calls inside function `fn` that reach a route it must not use,
+    in source order: a call of a name in `names` or of a name imported
+    from one of the package `modules`, by name or attribute, and any call
+    through an attribute of such a module or name, named `base.attr`."""
+    banned = set(names).union(*(imported_names(walk, m) for m in modules))
+    bases = banned | set(modules)
+    found = []
+    for node, where in walk:
+        if where != fn or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and _name(func.value) in bases:
+            found.append((node, f"{_name(func.value)}.{func.attr}"))
+        elif _name(func) in banned:
+            found.append((node, _name(func)))
+    return _in_order(found)
 
 
 def one_arg_calls(walk, name: str) -> list:

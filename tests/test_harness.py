@@ -13,6 +13,7 @@ from addcomb import harness
 from addcomb.errors import InsufficientPoints, InvalidConfig, ZeroShift
 from addcomb.incidence import scaled_incidences
 from addcomb.sets import GeneratorConfig, RatSet, ap, canonical_json, gp, grid_example
+from source_rules import imported_names, nodes, route_calls, scan
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_CORPUS = [ap(1, 1, 8), gp(1, 2, 8), grid_example(3, 3)]
@@ -59,6 +60,35 @@ def test_incidence_suite_stream_is_pinned():
 @given(st.integers(0, 2**64 - 1))
 def test_scaled_arrangement_matches_at_any_seed(seed):
     _assert_scaled_arrangement_matches(seed)
+
+
+# the incidence counters that the recount checks, and the kernel modules
+RECOUNT_BANNED = ("count_incidences", "scaled_incidences", "incidences")
+KERNEL_MODULES = ("_kernels_py", "_kernels")
+
+
+def _recount_routes(walk):
+    return route_calls(walk, "_direct_incidences", RECOUNT_BANNED, KERNEL_MODULES)
+
+
+def test_the_incidence_recount_calls_no_counting_route():
+    # the recount's `direct` must never come from the route it checks
+    src = (
+        "from ._kernels_py import _line_census\n"
+        "from addcomb import _kernels as k\n"
+        "def _direct_incidences(arr):\n"
+        "    n = incidences(arr) + _line_census(arr.points)\n"
+        "    return n + k.mul_pairs_count([1], [1]) + _kernels_py.t_o_linehash(1) + sum([1])\n"
+        "def elsewhere(arr):\n"
+        "    return count_incidences(arr)\n"
+    )
+    assert _recount_routes(nodes(src)) == [
+        "incidences", "_line_census", "k.mul_pairs_count", "_kernels_py.t_o_linehash"]
+    walk = scan(ROOT / "src/addcomb/harness.py")
+    assert _recount_routes(walk) == []
+    # the rule reads the helper itself, and the harness's kernel imports
+    assert route_calls(walk, "_direct_incidences", ["sum"], ()) == ["sum"]
+    assert "backend_name" in imported_names(walk, "_kernels")
 
 
 def test_exact_suite_small_corpus_all_pass():

@@ -29,11 +29,14 @@ No kernel is checked against a second copy of itself:
   `sets.int_keys` keys a/b by the exact int a*(lcm(b)/b), so the "E_mul
   hist vs product form" check of the benchmark compares two different
   routes;
-- count_incidences (packed slots): equals a direct double loop on raw
-  parallel arrays (duplicate points and lines, non-reduced lines, a = 0 or
-  b = 0, magnitudes up to 2**70, largest |aX + bY - c| at the slot-width
-  boundaries), and through incidence.incidences a Fraction recount, on
-  points with non-integer coordinates.
+- count_incidences (the lines packed into slots, a loop over the points):
+  equals a direct double loop on raw parallel arrays (duplicate points and
+  lines, non-reduced lines, a = 0 or b = 0, magnitudes up to 2**70,
+  largest |aX + bY - c| at the slot-width boundaries, each term of the
+  width rule setting the width alone, one point against many lines and
+  many points against one line, repeats counted as given), and through
+  incidence.incidences a Fraction recount, on points with non-integer
+  coordinates.
 
 Inputs are small signed ints, mapped by x -> s*x + t with s and t far past
 int64 as well, where every kernel must stay exact (the ratio keys of the
@@ -401,6 +404,87 @@ def test_count_incidences_at_slot_width_boundaries():
                 [(d, 0), (-d, 0), (d, 1), (-d, -1)], [(0, 1, 0)]) == 2
     assert _kernels.count_incidences([], [], [1], [0], [0]) == 0
     assert _kernels.count_incidences([1], [2], [], [], []) == 0
+
+
+def _width_terms(pts, lines):
+    # the terms of the width rule of count_incidences, by name
+    mx, my = (max(abs(p[i]) for p in pts) for i in range(2))
+    ma, mb, mc = (max(abs(l[i]) for l in lines) for i in range(3))
+    return {"line bound": ma * mx + mb * my + mc, "2 max|a|": 2 * ma, "2 max|b|": 2 * mb}
+
+
+def _extremes(mx, my, ma, mb, mc):
+    # points and lines with exactly these largest |x|, |y|, |a|, |b|, |c|;
+    # the pairs ((mx, my), (ma, mb, -mc)) and their negations reach
+    # |a x + b y - c| = ma mx + mb my + mc, and the origin lies on every
+    # line with c = 0
+    pts = [(mx, my), (-mx, -my), (0, 0), (mx, 0), (0, -my)]
+    lines = [(ma, mb, -mc), (-ma, -mb, mc), (ma, -mb, 0), (0, mb, 0), (ma, 0, mc)]
+    return pts, lines
+
+
+# (width term, the maxima (mx, my, ma, mb, mc) as functions of d) that
+# make each term of the rule the one largest
+WIDTH_CASES = [
+    ("line bound", lambda d: (d, 1, 3, 1, 3)),  # max|a| times one far x
+    ("line bound", lambda d: (1, d, 1, 3, 3)),  # max|b| times one far y
+    ("line bound", lambda d: (0, 0, 1, 1, d)),  # max|c|, every point at the origin
+    ("2 max|a|", lambda d: (0, 1, d, 1, 1)),  # every x is 0
+    ("2 max|b|", lambda d: (1, 0, 1, d, 1)),  # every y is 0
+]
+
+
+def test_count_incidences_each_width_term_alone():
+    # each term of the width rule sets the slot width by itself, at the
+    # sizes 2**k - 1, 2**k, 2**k + 1 where its bit length steps
+    for k in range(3, 73):
+        for d in (2**k - 1, 2**k, 2**k + 1):
+            for term, maxima in WIDTH_CASES:
+                pts, lines = _extremes(*maxima(d))
+                terms = _width_terms(pts, lines)
+                assert max(terms, key=terms.get) == term
+                assert sorted(terms.values())[-2] < terms[term], (term, terms)
+                _check_raw_incidences(pts, lines)
+                _check_raw_incidences(pts[::-1] * 2, [tuple(-v for v in l) for l in lines])
+
+
+@given(st.tuples(ints, ints),
+       st.lists(st.tuples(st.sampled_from([0, -1, 1, -7, 300]),
+                          st.sampled_from([0, -1, 2, -300]), st.integers(-1, 1)),
+                min_size=1, max_size=30),
+       scales)
+@settings(max_examples=60, deadline=None)
+def test_count_incidences_one_point_many_lines(p, coefs, s):
+    # one point against many lines, through it when e = 0 and off it by
+    # e = -1 or 1, with zero and negative coefficients and repeated lines
+    x, y = s * p[0], s * p[1]
+    lines = [(a, b, a * x + b * y + e) for a, b, e in coefs]
+    count = _check_raw_incidences([(x, y)], lines)
+    assert count == sum(e == 0 for *_, e in coefs)
+
+
+@given(st.lists(st.tuples(ints, ints), min_size=1, max_size=30),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)), scales)
+@settings(max_examples=60, deadline=None)
+def test_count_incidences_many_points_one_line(pts, ab, s):
+    # many points against one line through the first of them, with zero
+    # and negative coefficients and repeated points
+    pts = [(s * x, s * y) for x, y in pts]
+    pts += pts[:3]
+    a, b = ab
+    line = (a, b, a * pts[0][0] + b * pts[0][1])
+    assert _check_raw_incidences(pts, [line]) >= 1
+
+
+def test_count_incidences_counts_repeats_as_given():
+    # k copies of every point and m of every line multiply the count by
+    # k m, non-reduced and (0, 0, c) lines included
+    pts = [(0, 0), (3, -6), (-2, 4), (5, 5)]
+    lines = [(2, 1, 0), (4, 2, 0), (-1, 0, 2), (0, 0, 0), (0, 0, 7), (1, -1, 0)]
+    once = _check_raw_incidences(pts, lines)
+    assert once == 13
+    for k, m in ((2, 1), (1, 3), (3, 2)):
+        assert _check_raw_incidences(pts * k, lines * m) == k * m * once
 
 
 @given(signed_lists, signed_lists, scales)

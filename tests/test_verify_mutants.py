@@ -1,15 +1,16 @@
 """Negative controls: a broken producer must fail the verify suite that
 replays its output.
 
-Each test patches one mutant into the package, runs only the suite that
-must catch it, and names the replay claim that does.
+Each test patches one mutant into the module that calls it, runs only
+the suite that must catch it, and names the replay claim that does: a
+claim listed in a failing check's details, or the failing check itself.
 """
 
 from collections import Counter
 
 import pytest
 
-from addcomb import decompose, harness
+from addcomb import decompose, harness, incidence
 
 
 def _reanchored_band(h, k):
@@ -33,22 +34,45 @@ def _emul_plus_one(A, B=None, k=2, flavor="additive"):
     return _energy(A, B, k, flavor) + (flavor == "multiplicative")
 
 
-# (attribute of decompose, its mutant, the suite that must catch it, the
-# replay claim that does)
+_count_incidences = incidence.count_incidences
+
+
+def _count_one_short(*arrays):
+    # the mutant: the kernel misses one incidence wherever it finds any;
+    # seeds 4, 14, 16, 17 and 20 of the recount's sample carry incidences
+    count = _count_incidences(*arrays)
+    return count - (count >= 1)
+
+
+_scaled_incidences = incidence.scaled_incidences
+
+
+def _scaled_one_more(points, lines):
+    # the mutant: the 1000-seed route alone counts one incidence too many,
+    # which no st_bound verdict notices (no surplus is above -31)
+    return _scaled_incidences(points, lines) + 1
+
+
+# (module it patches, attribute, its mutant, the suite that must catch
+# it, the replay claim that does)
 MUTANTS = {
-    "band_not_argmax_decomposition": ("dyadic_band", _reanchored_band, "decomposition",
-                                      "band_choice"),
-    "band_not_argmax_regularization": ("dyadic_band", _reanchored_band, "regularization",
-                                       "step0_band"),
-    "emul_plus_one": ("energy", _emul_plus_one, "decomposition", "Emul_output"),
+    "band_not_argmax_decomposition": (decompose, "dyadic_band", _reanchored_band,
+                                      "decomposition", "band_choice"),
+    "band_not_argmax_regularization": (decompose, "dyadic_band", _reanchored_band,
+                                       "regularization", "step0_band"),
+    "emul_plus_one": (decompose, "energy", _emul_plus_one, "decomposition", "Emul_output"),
+    "count_incidences_one_short": (incidence, "count_incidences", _count_one_short,
+                                   "incidence", "incidence_recount"),
+    "scaled_incidences_one_more": (harness, "scaled_incidences", _scaled_one_more,
+                                   "incidence", "incidence_recount"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_the_replaying_suite_catches_the_mutant(monkeypatch, name):
-    attr, mutant, suite, claim = MUTANTS[name]
-    monkeypatch.setattr(decompose, attr, mutant)
+    module, attr, mutant, suite, claim = MUTANTS[name]
+    monkeypatch.setattr(module, attr, mutant)
     res = harness.run_suite(suite)
     failed = [c for c in res.checks if c.kind == "EXACT" and c.status == "fail"]
     assert not res.ok
-    assert any(claim in c.details for c in failed), failed
+    assert any(c.name == claim or claim in c.details for c in failed), failed
